@@ -129,6 +129,11 @@ class _Agglomerator:
     def merge_once(self) -> float:
         """Perform the next merge; returns its linkage distance."""
         avg, i, j = self._best_pair()
+        self.merge(i, j)
+        return avg
+
+    def merge(self, i: int, j: int) -> None:
+        """Merge cluster j into cluster i (i < j)."""
         self.clusters[i] = self.clusters[i] + self.clusters[j]
         del self.clusters[j]
         sums = self.pair_sums
@@ -139,10 +144,6 @@ class _Agglomerator:
             a, b = (min(i, k), max(i, k))
             c, d = (min(j, k), max(j, k))
             sums[(a, b)] = sums[(a, b)] + sums.pop((c, d))
-        return avg
-
-    def peek_distance(self) -> float:
-        return self._best_pair()[0]
 
     def groups(self) -> list[list[int]]:
         return [sorted(m) for m in self.clusters.values()]
@@ -175,8 +176,11 @@ def agglomerative_cluster(
         while len(agg.clusters) > n_clusters:
             agg.merge_once()
     else:
-        while len(agg.clusters) > 1 and agg.peek_distance() < distance_threshold:
-            agg.merge_once()
+        while len(agg.clusters) > 1:
+            avg, i, j = agg._best_pair()
+            if avg >= distance_threshold:
+                break
+            agg.merge(i, j)
     return ClusterMap.from_groups([[labels[i] for i in g] for g in agg.groups()])
 
 

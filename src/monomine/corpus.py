@@ -241,17 +241,20 @@ def read_annotated(path: str | Path) -> Iterator[Document]:
                 raise ParseError(line_no, str(exc)) from exc
 
 
-def dedup(corpus: MonoCorpus) -> tuple[MonoCorpus, DedupReport]:
-    """Drop exact duplicates, keeping the first occurrence in order."""
-    seen: set[str] = set()
+def _dedup(corpus: MonoCorpus, seen: set[str]) -> tuple[MonoCorpus, DedupReport]:
+    """Drop sentences already in `seen`, adding the ones kept to it."""
     kept: list[str] = []
     for s in corpus.sentences:
         if s not in seen:
             seen.add(s)
             kept.append(s)
     before, after = len(corpus.sentences), len(kept)
-    report = DedupReport(before, after, before / max(after, 1))
-    return corpus.advanced("dedup", kept), report
+    return corpus.advanced("dedup", kept), DedupReport(before, after, before / max(after, 1))
+
+
+def dedup(corpus: MonoCorpus) -> tuple[MonoCorpus, DedupReport]:
+    """Drop exact duplicates, keeping the first occurrence in order."""
+    return _dedup(corpus, set())
 
 
 def dedup_corpora(
@@ -267,21 +270,9 @@ def dedup_corpora(
         raise ValueError(f"unknown dedup scope: {scope!r}")
     out: dict[str, MonoCorpus] = {}
     reports: dict[str, DedupReport] = {}
-    if scope == "per-language":
-        for lang, corpus in corpora.items():
-            out[lang], reports[lang] = dedup(corpus)
-        return out, reports
     seen: set[str] = set()
     for lang in sorted(corpora):
-        corpus = corpora[lang]
-        kept = []
-        for s in corpus.sentences:
-            if s not in seen:
-                seen.add(s)
-                kept.append(s)
-        before, after = len(corpus.sentences), len(kept)
-        out[lang] = corpus.advanced("dedup", kept)
-        reports[lang] = DedupReport(before, after, before / max(after, 1))
+        out[lang], reports[lang] = _dedup(corpora[lang], seen if scope == "global" else set())
     return out, reports
 
 

@@ -248,6 +248,35 @@ def _in_list_fraction(tokens: list[str], token_set: frozenset[str]) -> float:
     return sum(1 for t in tokens if t in token_set) / len(tokens)
 
 
+def _keep_by_fraction(
+    stage: str,
+    sentences: Sequence[str],
+    token_sets: Sequence[frozenset[str]],
+    threshold: float,
+    report: Optional[StageReport] = None,
+) -> list[str]:
+    """Sentences with >= threshold of their tokens in at least one token set.
+
+    Sentences with no tokens at all are dropped and counted separately in
+    `report`, which is filled for `stage` when given.
+    """
+    if report is None:
+        report = StageReport()
+    report.stage = stage
+    report.n_in = len(sentences)
+    kept = []
+    for sentence in sentences:
+        tokens = tokenize(sentence)
+        if not tokens:
+            report.drop("empty_tokens")
+        elif max(_in_list_fraction(tokens, ts) for ts in token_sets) >= threshold:
+            kept.append(sentence)
+        else:
+            report.drop("below_threshold")
+    report.n_out = len(kept)
+    return kept
+
+
 def filter_wordlist(
     corpus: MonoCorpus,
     lists: Mapping[str, WordList],
@@ -262,22 +291,7 @@ def filter_wordlist(
     if not lists:
         raise MissingWordlist(f"no wordlists supplied for {corpus.lang}")
     token_sets = [wl.tokens for _, wl in sorted(lists.items())]
-    if report is not None:
-        report.stage = "wordlist"
-        report.n_in = len(corpus.sentences)
-    kept = []
-    for sentence in corpus.sentences:
-        tokens = tokenize(sentence)
-        if not tokens:
-            if report is not None:
-                report.drop("empty_tokens")
-            continue
-        if max(_in_list_fraction(tokens, ts) for ts in token_sets) >= threshold:
-            kept.append(sentence)
-        elif report is not None:
-            report.drop("below_threshold")
-    if report is not None:
-        report.n_out = len(kept)
+    kept = _keep_by_fraction("wordlist", corpus.sentences, token_sets, threshold, report)
     return corpus.advanced("wordlist", kept)
 
 
@@ -390,23 +404,7 @@ def filter_tfiif(
     """Keep sentences with >= threshold of their tokens in the TF-IIF list."""
     if wordlist.kind != "tfiif":
         raise WrongListKind(f"expected a tfiif list, got {wordlist.kind!r}")
-    token_set = wordlist.tokens
-    if report is not None:
-        report.stage = "tfiif"
-        report.n_in = len(corpus.sentences)
-    kept = []
-    for sentence in corpus.sentences:
-        tokens = tokenize(sentence)
-        if not tokens:
-            if report is not None:
-                report.drop("empty_tokens")
-            continue
-        if _in_list_fraction(tokens, token_set) >= threshold:
-            kept.append(sentence)
-        elif report is not None:
-            report.drop("below_threshold")
-    if report is not None:
-        report.n_out = len(kept)
+    kept = _keep_by_fraction("tfiif", corpus.sentences, [wordlist.tokens], threshold, report)
     return corpus.advanced("tfiif", kept)
 
 
@@ -414,13 +412,8 @@ def survival_fraction(sentences: Sequence[str], wordlist: WordList, threshold: f
     """Fraction of sentences the TF-IIF filter would keep. Empty input -> 1.0."""
     if not sentences:
         return 1.0
-    token_set = wordlist.tokens
-    kept = 0
-    for sentence in sentences:
-        tokens = tokenize(sentence)
-        if tokens and _in_list_fraction(tokens, token_set) >= threshold:
-            kept += 1
-    return kept / len(sentences)
+    kept = _keep_by_fraction("tfiif", sentences, [wordlist.tokens], threshold)
+    return len(kept) / len(sentences)
 
 
 def distractibility(

@@ -1,20 +1,21 @@
 """Pipeline orchestration: run the full mining cascade from a config file.
 
-Stage order: annotate -> doc-consistency -> wordlist -> decluster ->
-tfiif (gated per language) -> negative -> dedup. Every stage leaves a
-manifest with per-language in/out counts and drop reasons; disabling a
-stage means no sentence is dropped by it.
+Stage order (the `STAGES` table): ingest -> annotate -> doc-consistency ->
+wordlist -> decluster -> tfiif (gated per language) -> negative -> dedup.
+Every stage leaves a manifest with per-language in/out counts and drop
+reasons; disabling a stage means no sentence is dropped by it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 import yaml
 
@@ -25,17 +26,6 @@ from .corpus import Document, IngestReport, MonoCorpus, load_documents
 from .errors import ConfigError, MissingWordlist
 from .filters import StageReport, WordList
 from .langid import Predictor, load_model
-
-STAGE_ORDER = (
-    "ingest",
-    "annotate",
-    "doc_consistency",
-    "wordlist",
-    "decluster",
-    "tfiif",
-    "negative",
-    "dedup",
-)
 
 
 @dataclass
@@ -98,9 +88,7 @@ class PipelineConfig:
             if key not in raw:
                 raise ConfigError(f"config missing required key {key!r}")
         stages = raw.get("stages", {}) or {}
-        unknown = set(stages) - {
-            "doc_consistency", "wordlist", "decluster", "tfiif", "negative", "dedup",
-        }
+        unknown = set(stages) - set(_SECTIONS)
         if unknown:
             raise ConfigError(f"unknown stage(s) in config: {', '.join(sorted(unknown))}")
 
@@ -123,13 +111,8 @@ class PipelineConfig:
             strict=bool(raw.get("strict", False)),
             min_sentences=int(raw.get("min_sentences", 25000)),
             dedup_global=bool(raw.get("dedup_global", False)),
-            doc_consistency=build(StageToggle, "doc_consistency"),
-            wordlist=build(WordlistStageConfig, "wordlist"),
-            decluster=build(DeclusterStageConfig, "decluster"),
-            tfiif=build(TfiifStageConfig, "tfiif"),
-            negative=build(NegativeStageConfig, "negative"),
-            dedup=build(StageToggle, "dedup"),
             base_dir=Path(base_dir),
+            **{name: build(klass, name) for name, klass in _SECTIONS.items()},
         )
 
     @classmethod
@@ -144,9 +127,6 @@ class PipelineConfig:
         return q if q.is_absolute() else self.base_dir / q
 
     def to_canonical_dict(self) -> dict:
-        def stage_dict(obj) -> dict:
-            return dict(vars(obj))
-
         return {
             "input": self.input,
             "output_dir": self.output_dir,
@@ -155,14 +135,7 @@ class PipelineConfig:
             "strict": self.strict,
             "min_sentences": self.min_sentences,
             "dedup_global": self.dedup_global,
-            "stages": {
-                "doc_consistency": stage_dict(self.doc_consistency),
-                "wordlist": stage_dict(self.wordlist),
-                "decluster": stage_dict(self.decluster),
-                "tfiif": stage_dict(self.tfiif),
-                "negative": stage_dict(self.negative),
-                "dedup": stage_dict(self.dedup),
-            },
+            "stages": {name: dict(vars(getattr(self, name))) for name in _SECTIONS},
         }
 
     def config_hash(self) -> str:
@@ -201,25 +174,25 @@ class PipelineResult:
         }
 
 
+@dataclass
+class _Run:
+    """What a stage needs besides its corpora: the config, and what the
+    annotate stage loaded for the stages after it."""
+
+    config: PipelineConfig
+    model: Optional[Predictor] = None
+    clusters: Optional[ClusterMap] = None
+
+
 def _annotate_all(
     docs: list[Document], predictor: Predictor, clusters: ClusterMap, workers: int
 ) -> list[Document]:
-    """Round-robin shards, merged back positionally: worker count cannot
-    change the output order."""
+    """`pool.map` yields results in input order: worker count cannot change
+    the output order."""
     if workers <= 1 or len(docs) < 2:
         return [filters.annotate_document(d, predictor, clusters) for d in docs]
-    shards = [docs[i::workers] for i in range(workers)]
-
-    def work(shard: list[Document]) -> list[Document]:
-        return [filters.annotate_document(d, predictor, clusters) for d in shard]
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        shard_results = list(pool.map(work, shards))
-    merged: list[Optional[Document]] = [None] * len(docs)
-    for s, result in enumerate(shard_results):
-        for k, doc in enumerate(result):
-            merged[s + k * workers] = doc
-    return merged  # type: ignore[return-value]
+        return list(pool.map(lambda d: filters.annotate_document(d, predictor, clusters), docs))
 
 
 def _load_wordlists_for(langs: list[str], directory: Path) -> dict[str, WordList]:
@@ -232,215 +205,206 @@ def _load_wordlists_for(langs: list[str], directory: Path) -> dict[str, WordList
     return lists
 
 
+def _pass_through(stage: str, corpora: dict) -> dict[str, dict]:
+    """Entries of a stage that dropped nothing."""
+    return {
+        c.lang: StageReport(stage, len(c.sentences), len(c.sentences)).to_dict()
+        for _, c in sorted(corpora.items())
+    }
+
+
+def _ingest(run: _Run, _: None) -> tuple[list[Document], dict[str, dict]]:
+    config = run.config
+    ingest = IngestReport()
+    docs = list(load_documents(config.resolve(config.input), strict=config.strict, report=ingest))
+    rep = StageReport("ingest", ingest.lines, ingest.documents)
+    if ingest.skipped:
+        rep.dropped_by_reason["malformed"] = ingest.skipped
+    n_sentences = sum(len(d.sentences) for d in docs)
+    return docs, {"*": {**rep.to_dict(), "sentences": n_sentences}}
+
+
+def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str, dict]]:
+    config = run.config
+    run.model = load_model(config.resolve(config.model))
+    run.clusters = ClusterMap.load_json(config.resolve(config.clusters))
+    missing = [lang for lang in run.model.languages if lang not in run.clusters.assignment]
+    if missing:
+        raise ConfigError(f"model languages missing from cluster map: {', '.join(missing)}")
+    docs = _annotate_all(docs, run.model, run.clusters, config.workers)
+    n_sentences = sum(len(d.sentences) for d in docs)
+    return docs, {"*": StageReport("annotate", n_sentences, n_sentences).to_dict()}
+
+
+def _doc_consistency(run: _Run, docs: list[Document]) -> tuple[dict, dict[str, dict]]:
+    reports: dict[int, StageReport] = {}
+    cluster_corpora = filters.filter_doc_consistency(docs, reports)
+    return cluster_corpora, {f"cluster:{cid}": rep.to_dict() for cid, rep in sorted(reports.items())}
+
+
+def _route_by_cluster(run: _Run, docs: list[Document]) -> dict[int, MonoCorpus]:
+    """Disabled doc-consistency: a one-sentence document always agrees with
+    itself, so every sentence goes to its own predicted cluster."""
+    return filters.filter_doc_consistency(
+        Document(doc.id, (record,)) for doc in docs for record in doc.sentences
+    )
+
+
+def _wordlist(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
+    config = run.config
+    if not config.wordlist.dir:
+        raise ConfigError("wordlist stage enabled but no wordlist dir configured")
+    wl_dir = config.resolve(config.wordlist.dir)
+    filtered, entries = {}, {}
+    for cid, corpus in sorted(cluster_corpora.items()):
+        lists = _load_wordlists_for(list(run.clusters.members.get(cid, ())), wl_dir)
+        rep = StageReport()
+        filtered[cid] = filters.filter_wordlist(corpus, lists, config.wordlist.threshold, rep)
+        entries[corpus.lang] = rep.to_dict()
+    return filtered, entries
+
+
+def _decluster_predictor(run: _Run) -> Predictor:
+    model = run.config.decluster.model
+    return load_model(run.config.resolve(model)) if model else run.model
+
+
+def _decluster(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
+    reports: dict[str, StageReport] = {}
+    corpora = filters.decluster(cluster_corpora, _decluster_predictor(run), run.clusters, reports)
+    return corpora, {label: rep.to_dict() for label, rep in sorted(reports.items())}
+
+
+def _route_by_language(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> dict[str, MonoCorpus]:
+    """Disabled decluster: every sentence goes to its predicted language, even
+    one outside its cluster."""
+    predictor = _decluster_predictor(run)
+    routed: dict[str, list[str]] = {}
+    for _, corpus in sorted(cluster_corpora.items()):
+        sentences = list(corpus.sentences)
+        for sentence, (lang, _) in zip(sentences, filters.predict_many(predictor, sentences)):
+            routed.setdefault(lang, []).append(sentence)
+    return {
+        lang: MonoCorpus.from_sentences(lang, sents, stage="decluster")
+        for lang, sents in sorted(routed.items())
+    }
+
+
+def _tfiif(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
+    """TF-IIF, applied to a language only where its RRR gate says so."""
+    config, cfg = run.config, run.config.tfiif
+    if not cfg.iif:
+        raise ConfigError("tfiif stage enabled but no iif table configured")
+    iif = filters.IifTable.load(config.resolve(cfg.iif))
+    if cfg.kappa is not None and cfg.kappa != iif.kappa:
+        iif = filters.IifTable.from_counts(iif.freqs, cfg.kappa)
+    gold_dir = config.resolve(cfg.gold_dir) if cfg.gold_dir else None
+    filtered, entries = {}, {}
+    for lang, corpus in sorted(corpora.items()):
+        rep = StageReport("tfiif", len(corpus.sentences), len(corpus.sentences))
+        kept = corpus.sentences
+        gold_path = gold_dir / f"{lang}.txt" if gold_dir else None
+        if not corpus.sentences:
+            extras: dict[str, Any] = {"decision": "skipped:empty_corpus"}
+        elif gold_path is None or not gold_path.exists():
+            extras = {"decision": "skipped:no_gold_corpus"}
+        else:
+            wordlist = filters.build_tfiif_wordlist(corpus, iif, cfg.tau)
+            gold = corpus_mod.read_corpus(gold_path, lang)
+            gate = filters.rrr_gate(
+                r_gold=filters.survival_fraction(gold.sentences, wordlist, cfg.threshold),
+                r_crawl=filters.survival_fraction(corpus.sentences, wordlist, cfg.threshold),
+                rho=cfg.rho,
+                rrr_threshold=cfg.rrr_threshold,
+                min_crawl_removed=cfg.min_crawl_removed,
+                min_recall=cfg.min_recall,
+                lang=lang,
+            )
+            extras = {"rrr": gate.to_dict(), "decision": "filtered" if gate.apply_filter else "skipped:gate"}
+            if gate.apply_filter:
+                kept = filters.filter_tfiif(corpus, wordlist, cfg.threshold, rep).sentences
+        filtered[lang] = corpus.advanced("tfiif", kept)
+        entries[lang] = {**rep.to_dict(), **extras}
+    return filtered, entries
+
+
+def _negative(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
+    config = run.config
+    rules_by_lang: dict[str, list[filters.NegativeFilterRule]] = {}
+    if config.negative.rules:
+        for rule in filters.load_negative_rules(config.resolve(config.negative.rules)):
+            rules_by_lang.setdefault(rule.lang, []).append(rule)
+    filtered, entries = {}, {}
+    for lang, corpus in sorted(corpora.items()):
+        rep = StageReport()
+        filtered[lang] = filters.negative_filter(corpus, rules_by_lang.get(lang, []), rep)
+        entries[lang] = rep.to_dict()
+    return filtered, entries
+
+
+def _dedup(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
+    scope = "global" if run.config.dedup_global else "per-language"
+    corpora, reports = corpus_mod.dedup_corpora(corpora, scope)
+    entries = {}
+    for lang, dr in sorted(reports.items()):
+        rep = StageReport("dedup", dr.before, dr.after)
+        if dr.before != dr.after:
+            rep.dropped_by_reason["duplicate"] = dr.before - dr.after
+        entries[lang] = {**rep.to_dict(), "factor": dr.factor}
+    return corpora, entries
+
+
+# The cascade in run order: (name, its `stages:` config section, the stage,
+# what a disabled stage does to the corpora). Ingest and annotate have no
+# section and always run. A disabled stage drops nothing: a filter stage
+# passes its corpora on untouched, and the two stages that regroup the
+# corpora still route every sentence.
+STAGES = (
+    ("ingest", None, _ingest, None),
+    ("annotate", None, _annotate, None),
+    ("doc_consistency", StageToggle, _doc_consistency, _route_by_cluster),
+    ("wordlist", WordlistStageConfig, _wordlist, None),
+    ("decluster", DeclusterStageConfig, _decluster, _route_by_language),
+    ("tfiif", TfiifStageConfig, _tfiif, None),
+    ("negative", NegativeStageConfig, _negative, None),
+    ("dedup", StageToggle, _dedup, None),
+)
+_SECTIONS = {name: section for name, section, _, _ in STAGES if section is not None}
+
+
+def _clear_previous_run(out_dir: Path, langs: set[str]) -> None:
+    """Delete the last run's manifest and those of its corpora this run will
+    not overwrite, so the directory holds one run's output only."""
+    manifest = out_dir / "manifests.json"
+    if manifest.exists():
+        with open(manifest, "r", encoding="utf-8") as fh:
+            previous = json.load(fh)["summary"]["languages"]
+        manifest.unlink()
+        for lang in set(previous) - langs:
+            (out_dir / f"{lang}.txt").unlink(missing_ok=True)
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every enabled stage and write per-language corpora + manifests."""
     cfg_hash = config.config_hash()
     out_dir = config.resolve(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    run = _Run(config)
     manifests: list[StageManifest] = []
+    corpora: Any = None  # the documents, until doc-consistency groups them
+    for name, section, stage, route in STAGES:
+        t0 = time.perf_counter()
+        if section is None or getattr(config, name).enabled:
+            corpora, per_language = stage(run, corpora)
+        else:
+            if route is not None:
+                corpora = route(run, corpora)
+            per_language = _pass_through(name, corpora)
+        manifests.append(StageManifest(name, per_language, time.perf_counter() - t0, cfg_hash))
 
-    def add_manifest(stage: str, per_language: dict[str, dict], started: float) -> None:
-        manifests.append(
-            StageManifest(stage, per_language, time.perf_counter() - started, cfg_hash)
-        )
-
-    # ingest
-    t0 = time.perf_counter()
-    ingest_report = IngestReport()
-    docs = list(
-        load_documents(config.resolve(config.input), strict=config.strict, report=ingest_report)
-    )
-    n_sentences = sum(len(d.sentences) for d in docs)
-    add_manifest(
-        "ingest",
-        {"*": {"in": ingest_report.lines, "out": ingest_report.documents,
-               "dropped_by_reason": {"malformed": ingest_report.skipped} if ingest_report.skipped else {},
-               "sentences": n_sentences}},
-        t0,
-    )
-
-    # annotate
-    t0 = time.perf_counter()
-    model = load_model(config.resolve(config.model))
-    clusters = ClusterMap.load_json(config.resolve(config.clusters))
-    missing = [lang for lang in model.languages if lang not in clusters.assignment]
-    if missing:
-        raise ConfigError(f"model languages missing from cluster map: {', '.join(missing)}")
-    docs = _annotate_all(docs, model, clusters, config.workers)
-    add_manifest("annotate", {"*": {"in": n_sentences, "out": n_sentences, "dropped_by_reason": {}}}, t0)
-
-    # doc consistency
-    t0 = time.perf_counter()
-    if config.doc_consistency.enabled:
-        cluster_reports: dict[int, StageReport] = {}
-        cluster_corpora = filters.filter_doc_consistency(docs, cluster_reports)
-        per_lang = {f"cluster:{cid}": rep.to_dict() for cid, rep in sorted(cluster_reports.items())}
-    else:
-        # no veto: every sentence goes to its own sentence-level cluster
-        routed: dict[int, list[str]] = {}
-        for doc in docs:
-            for record in doc.sentences:
-                routed.setdefault(record.predicted_cluster, []).append(record.text)
-        cluster_corpora = {
-            cid: MonoCorpus.from_sentences(f"cluster:{cid}", sents, stage="doc_consistency")
-            for cid, sents in sorted(routed.items())
-        }
-        per_lang = {
-            f"cluster:{cid}": {"in": len(c.sentences), "out": len(c.sentences), "dropped_by_reason": {}}
-            for cid, c in cluster_corpora.items()
-        }
-    add_manifest("doc_consistency", per_lang, t0)
-
-    # wordlist
-    t0 = time.perf_counter()
-    per_lang = {}
-    if config.wordlist.enabled:
-        if not config.wordlist.dir:
-            raise ConfigError("wordlist stage enabled but no wordlist dir configured")
-        wl_dir = config.resolve(config.wordlist.dir)
-        filtered = {}
-        for cid in sorted(cluster_corpora):
-            members = list(clusters.members.get(cid, ()))
-            lists = _load_wordlists_for(members, wl_dir)
-            rep = StageReport()
-            filtered[cid] = filters.filter_wordlist(
-                cluster_corpora[cid], lists, config.wordlist.threshold, rep
-            )
-            per_lang[f"cluster:{cid}"] = rep.to_dict()
-        cluster_corpora = filtered
-    else:
-        per_lang = {
-            f"cluster:{cid}": {"in": len(c.sentences), "out": len(c.sentences), "dropped_by_reason": {}}
-            for cid, c in sorted(cluster_corpora.items())
-        }
-    add_manifest("wordlist", per_lang, t0)
-
-    # decluster
-    t0 = time.perf_counter()
-    if config.decluster.model:
-        second_predictor: Predictor = load_model(config.resolve(config.decluster.model))
-    else:
-        second_predictor = model
-    decluster_reports: dict[str, StageReport] = {}
-    if config.decluster.enabled:
-        corpora = filters.decluster(cluster_corpora, second_predictor, clusters, decluster_reports)
-        per_lang = {lang: rep.to_dict() for lang, rep in sorted(decluster_reports.items())}
-    else:
-        # no veto: route by prediction even when it leaves the cluster
-        routed2: dict[str, list[str]] = {}
-        for cid in sorted(cluster_corpora):
-            sentences = list(cluster_corpora[cid].sentences)
-            for sentence, (lang, _) in zip(
-                sentences, filters.predict_many(second_predictor, sentences)
-            ):
-                routed2.setdefault(lang, []).append(sentence)
-        corpora = {
-            lang: MonoCorpus.from_sentences(lang, sents, stage="decluster")
-            for lang, sents in sorted(routed2.items())
-        }
-        per_lang = {
-            lang: {"in": len(c.sentences), "out": len(c.sentences), "dropped_by_reason": {}}
-            for lang, c in corpora.items()
-        }
-    add_manifest("decluster", per_lang, t0)
-
-    # tfiif, gated per language
-    t0 = time.perf_counter()
-    per_lang = {}
-    if config.tfiif.enabled:
-        if not config.tfiif.iif:
-            raise ConfigError("tfiif stage enabled but no iif table configured")
-        iif = filters.IifTable.load(config.resolve(config.tfiif.iif))
-        if config.tfiif.kappa is not None and config.tfiif.kappa != iif.kappa:
-            iif = filters.IifTable.from_counts(iif.freqs, config.tfiif.kappa)
-        gold_dir = config.resolve(config.tfiif.gold_dir) if config.tfiif.gold_dir else None
-        filtered_corpora = {}
-        for lang in sorted(corpora):
-            corpus = corpora[lang]
-            entry: dict = {"in": len(corpus.sentences)}
-            gold_path = gold_dir / f"{lang}.txt" if gold_dir else None
-            if not corpus.sentences:
-                entry.update(out=0, dropped_by_reason={}, decision="skipped:empty_corpus")
-                filtered_corpora[lang] = corpus.advanced("tfiif", corpus.sentences)
-            elif gold_path is None or not gold_path.exists():
-                entry.update(out=len(corpus.sentences), dropped_by_reason={}, decision="skipped:no_gold_corpus")
-                filtered_corpora[lang] = corpus.advanced("tfiif", corpus.sentences)
-            else:
-                wordlist = filters.build_tfiif_wordlist(corpus, iif, config.tfiif.tau)
-                gold = corpus_mod.read_corpus(gold_path, lang)
-                gate = filters.rrr_gate(
-                    r_gold=filters.survival_fraction(gold.sentences, wordlist, config.tfiif.threshold),
-                    r_crawl=filters.survival_fraction(corpus.sentences, wordlist, config.tfiif.threshold),
-                    rho=config.tfiif.rho,
-                    rrr_threshold=config.tfiif.rrr_threshold,
-                    min_crawl_removed=config.tfiif.min_crawl_removed,
-                    min_recall=config.tfiif.min_recall,
-                    lang=lang,
-                )
-                entry["rrr"] = gate.to_dict()
-                if gate.apply_filter:
-                    rep = StageReport()
-                    filtered_corpora[lang] = filters.filter_tfiif(
-                        corpus, wordlist, config.tfiif.threshold, rep
-                    )
-                    entry.update(out=rep.n_out, dropped_by_reason=rep.dropped_by_reason, decision="filtered")
-                else:
-                    filtered_corpora[lang] = corpus.advanced("tfiif", corpus.sentences)
-                    entry.update(out=len(corpus.sentences), dropped_by_reason={}, decision="skipped:gate")
-            per_lang[lang] = entry
-        corpora = filtered_corpora
-    else:
-        per_lang = {
-            lang: {"in": len(c.sentences), "out": len(c.sentences), "dropped_by_reason": {}}
-            for lang, c in sorted(corpora.items())
-        }
-    add_manifest("tfiif", per_lang, t0)
-
-    # negative filters
-    t0 = time.perf_counter()
-    per_lang = {}
-    rules_by_lang: dict[str, list[filters.NegativeFilterRule]] = {}
-    if config.negative.enabled and config.negative.rules:
-        for rule in filters.load_negative_rules(config.resolve(config.negative.rules)):
-            rules_by_lang.setdefault(rule.lang, []).append(rule)
-    if config.negative.enabled:
-        filtered_corpora = {}
-        for lang in sorted(corpora):
-            rep = StageReport()
-            filtered_corpora[lang] = filters.negative_filter(
-                corpora[lang], rules_by_lang.get(lang, []), rep
-            )
-            per_lang[lang] = rep.to_dict()
-        corpora = filtered_corpora
-    else:
-        per_lang = {
-            lang: {"in": len(c.sentences), "out": len(c.sentences), "dropped_by_reason": {}}
-            for lang, c in sorted(corpora.items())
-        }
-    add_manifest("negative", per_lang, t0)
-
-    # dedup
-    t0 = time.perf_counter()
-    if config.dedup.enabled:
-        scope = "global" if config.dedup_global else "per-language"
-        corpora, dedup_reports = corpus_mod.dedup_corpora(corpora, scope)
-        per_lang = {
-            lang: {
-                "in": rep.before,
-                "out": rep.after,
-                "dropped_by_reason": {"duplicate": rep.before - rep.after} if rep.before != rep.after else {},
-                "factor": rep.factor,
-            }
-            for lang, rep in sorted(dedup_reports.items())
-        }
-    else:
-        per_lang = {
-            lang: {"in": len(c.sentences), "out": len(c.sentences), "dropped_by_reason": {}}
-            for lang, c in sorted(corpora.items())
-        }
-    add_manifest("dedup", per_lang, t0)
-
-    # write corpora + summary
+    # write corpora + summary; the manifest goes last, so a complete one
+    # always describes the corpora beside it
+    _clear_previous_run(out_dir, set(corpora))
     summary: dict = {"config_hash": cfg_hash, "languages": {}}
     for lang in sorted(corpora):
         corpus = corpora[lang]
@@ -454,9 +418,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             "below_training_threshold": stats.n_sentences < config.min_sentences,
         }
     result = PipelineResult(manifests, corpora, summary)
-    with open(out_dir / "manifests.json", "w", encoding="utf-8") as fh:
+    tmp = out_dir / "manifests.json.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, out_dir / "manifests.json")
     return result
 
 
@@ -468,12 +434,9 @@ def report(manifests_path: str | Path) -> dict:
     funnel: dict[str, dict[str, int]] = {}
     for stage in stages:
         for label, entry in stage["per_language"].items():
-            if "out" in entry:
-                funnel.setdefault(label, {})[stage["stage"]] = entry["out"]
+            funnel.setdefault(label, {})[stage["stage"]] = entry["out"]
     totals = {
-        stage["stage"]: sum(
-            entry.get("out", 0) for entry in stage["per_language"].values()
-        )
+        stage["stage"]: sum(entry["out"] for entry in stage["per_language"].values())
         for stage in stages
     }
     return {
@@ -488,7 +451,7 @@ def render_report_text(rep: dict) -> str:
     lines = []
     summary = rep.get("summary", {})
     lang_rows = summary.get("languages", {})
-    stage_names = [s for s in STAGE_ORDER if s in rep.get("totals", {})]
+    stage_names = [name for name, *_ in STAGES if name in rep.get("totals", {})]
     header = ["language"] + stage_names + ["below_threshold"]
     lines.append("\t".join(header))
     for label in sorted(rep["funnel"]):

@@ -149,6 +149,28 @@ class TestAgglomerative:
         cmap2 = agglomerative_cluster(dist, list("abcd"), distance_threshold=0.05)
         assert len(cmap2.members) == 4
 
+    def test_distance_threshold_matches_scipy(self):
+        # a threshold strictly between two merge heights cuts scipy's
+        # dendrogram at the same place whether the cut is "< t" or "<= t"
+        from scipy.cluster.hierarchy import fcluster, linkage
+        from scipy.spatial.distance import squareform
+
+        rng = random.Random(78)
+        for trial in range(40):
+            n = rng.randint(3, 10)
+            dist = random_distance_matrix(rng, n)
+            z = linkage(squareform(dist, checks=False), method="average")
+            heights = sorted(set(z[:, 2]))
+            k = rng.randrange(len(heights) - 1)
+            t = (heights[k] + heights[k + 1]) / 2
+            groups: dict[int, set] = {}
+            for i, label in enumerate(fcluster(z, t=t, criterion="distance")):
+                groups.setdefault(label, set()).add(i)
+            labels = [f"l{i}" for i in range(n)]
+            cmap = agglomerative_cluster(dist, labels, distance_threshold=t)
+            expected = {frozenset(g) for g in groups.values()}
+            assert partition_of(cmap, labels) == expected, f"trial {trial}"
+
     def test_deterministic_with_ties(self):
         dist = np.full((4, 4), 0.5)
         np.fill_diagonal(dist, 0.0)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,30 @@ class TestRunPipeline:
         assert output_bytes(env.root / "out-w4") == baseline
 
 
+class TestOutputDirectory:
+    def test_rerun_leaves_only_its_own_corpora(self, env, tmp_path):
+        out = tmp_path / "out"
+        raw = env.config_dict()
+        raw["output_dir"] = str(out)
+        run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
+        assert (out / "en.txt").exists()
+        # rerun on the crawl without its en-majority documents
+        crawl = tmp_path / "no-en.jsonl"
+        with open(env.crawl_path, encoding="utf-8") as src, open(crawl, "w", encoding="utf-8") as dst:
+            for line in src:
+                votes = Counter(env.truth[s] for s in json.loads(line)["sentences"])
+                if votes.most_common(1)[0][0] != "en":
+                    dst.write(line)
+        raw["input"] = str(crawl)
+        (out / "notes.md").write_text("not a corpus")
+        run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
+        with open(out / "manifests.json", encoding="utf-8") as fh:
+            languages = json.load(fh)["summary"]["languages"]
+        assert "en" not in languages
+        assert {p.stem for p in out.glob("*.txt")} == set(languages)
+        assert sorted(p.name for p in out.iterdir() if p.suffix != ".txt") == ["manifests.json", "notes.md"]
+
+
 class TestCompositionOracle:
     def test_matches_manual_stage_chain(self, env, first_run):
         config, result = first_run
@@ -182,33 +207,62 @@ class TestCompositionOracle:
             assert result.corpora[lang].sentences == final[lang].sentences, lang
 
 
-class TestDisabledStages:
-    def rerun(self, env, **overrides):
-        config = PipelineConfig.from_yaml(env.config_path)
-        for stage, enabled in overrides.items():
-            getattr(config, stage).enabled = enabled
-        config.output_dir = "out-" + "-".join(f"{k}{int(v)}" for k, v in sorted(overrides.items()))
-        return run_pipeline(config)
+TOGGLED_STAGES = ("doc_consistency", "wordlist", "decluster", "tfiif", "negative", "dedup")
 
-    def test_disabled_filter_stage_drops_nothing(self, env, first_run):
-        result = self.rerun(env, negative=False)
+
+@pytest.fixture(scope="module")
+def without(env):
+    """The env's run with one stage disabled; each stage's run is made once."""
+    runs = {}
+
+    def run(stage: str):
+        if stage not in runs:
+            config = PipelineConfig.from_yaml(env.config_path)
+            getattr(config, stage).enabled = False
+            config.output_dir = f"out-{stage}0"
+            runs[stage] = run_pipeline(config)
+        return runs[stage]
+
+    return run
+
+
+class TestDisabledStages:
+    def test_disabled_filter_stage_drops_nothing(self, env, first_run, without):
+        result = without("negative")
         manifest = next(m for m in result.manifests if m.stage == "negative")
         for entry in manifest.per_language.values():
             assert entry["in"] == entry["out"]
         assert any("kasino" in s for s in result.corpora["aa"].sentences)
 
-    def test_disabled_wordlist_keeps_counts(self, env):
-        result = self.rerun(env, wordlist=False)
+    def test_disabled_wordlist_keeps_counts(self, env, without):
+        result = without("wordlist")
         manifest = next(m for m in result.manifests if m.stage == "wordlist")
         for entry in manifest.per_language.values():
             assert entry["in"] == entry["out"]
 
-    def test_disabled_doc_consistency_keeps_everything(self, env):
-        result = self.rerun(env, doc_consistency=False)
+    def test_disabled_doc_consistency_keeps_everything(self, env, without):
+        result = without("doc_consistency")
         manifest = next(m for m in result.manifests if m.stage == "doc_consistency")
         total_out = sum(e["out"] for e in manifest.per_language.values())
         ingest = next(m for m in result.manifests if m.stage == "ingest")
         assert total_out == ingest.per_language["*"]["sentences"]
+
+    @pytest.mark.parametrize("stage", TOGGLED_STAGES)
+    def test_disabled_stage_passes_everything_on(self, without, stage):
+        result = without(stage)
+        manifest = next(m for m in result.manifests if m.stage == stage)
+        assert manifest.per_language
+        for entry in manifest.per_language.values():
+            assert entry["in"] == entry["out"]
+        for m in result.manifests:
+            for entry in m.per_language.values():
+                assert {"stage", "in", "out", "dropped_by_reason"} <= set(entry), m.stage
+                assert entry["stage"] == m.stage
+
+    def test_disabled_decluster_routes_everything(self, without):
+        result = without("decluster")
+        totals = {m.stage: sum(e["out"] for e in m.per_language.values()) for m in result.manifests}
+        assert totals["decluster"] == totals["wordlist"]
 
     def test_model_language_missing_from_clusters(self, env, tmp_path):
         # a cluster map that does not cover the model's languages is a config error
