@@ -81,72 +81,55 @@ class ClusterMap:
 
 def fnr_distance_matrix(cm: ConfusionMatrix) -> np.ndarray:
     """d(a, b) = 1 - max(rate of a misread as b, rate of b misread as a)."""
-    n = len(cm.languages)
-    dist = np.ones((n, n))
-    row_sums = cm.counts.sum(axis=1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ij = cm.counts[i, j] / row_sums[i] if row_sums[i] else 0.0
-            ji = cm.counts[j, i] / row_sums[j] if row_sums[j] else 0.0
-            dist[i, j] = dist[j, i] = 1.0 - max(ij, ji)
+    row_sums = cm.counts.sum(axis=1)[:, None]
+    rates = np.divide(cm.counts, row_sums, out=np.zeros(cm.counts.shape), where=row_sums != 0)
+    dist = 1.0 - np.maximum(rates, rates.T)
     np.fill_diagonal(dist, 0.0)
     return dist
 
 
-class _Agglomerator:
-    """Average-linkage agglomeration over a precomputed distance matrix.
+def _merges(dist: np.ndarray) -> list[tuple[float, int, int]]:
+    """The full average-linkage merge sequence as (distance, i, j) with i < j.
 
-    Clusters are keyed by their smallest original point index. Candidate
-    merges are ordered by (average distance, i, j) with i < j, which pins
-    down every tie. Pair sums are accumulated instead of recomputed, so a
-    merge is O(n).
+    Clusters are keyed by their smallest original point index; merging j into
+    i keeps key i. Each merge takes the smallest (average distance, i, j)
+    over the open pairs, which pins down every tie. Pair sums are accumulated
+    instead of recomputed, so a merge is O(n^2) array work.
     """
+    n = dist.shape[0]
+    if dist.shape != (n, n):
+        raise ValueError("distance matrix must be square")
+    if not np.allclose(dist, dist.T):
+        raise ValueError("distance matrix must be symmetric")
+    if np.any(np.diagonal(dist) != 0):
+        raise ValueError("distance matrix must have a zero diagonal")
+    # the upper triangle, mirrored: the input need only be symmetric to allclose
+    sums = np.triu(dist, 1).astype(float)
+    sums += sums.T
+    sizes = np.ones(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    rows, cols = np.triu_indices(n, 1)  # row-major, so argmin breaks ties by (i, j)
+    merges = []
+    for _ in range(n - 1):
+        pairs = np.flatnonzero(alive[rows] & alive[cols])
+        r, c = rows[pairs], cols[pairs]
+        avgs = sums[r, c] / (sizes[r] * sizes[c])
+        best = int(np.argmin(avgs))
+        i, j = int(r[best]), int(c[best])
+        merges.append((float(avgs[best]), i, j))
+        sums[i] += sums[j]
+        sums[:, i] = sums[i]
+        sizes[i] += sizes[j]
+        alive[j] = False
+    return merges
 
-    def __init__(self, dist: np.ndarray):
-        n = dist.shape[0]
-        if dist.shape != (n, n):
-            raise ValueError("distance matrix must be square")
-        if not np.allclose(dist, dist.T):
-            raise ValueError("distance matrix must be symmetric")
-        if np.any(np.diagonal(dist) != 0):
-            raise ValueError("distance matrix must have a zero diagonal")
-        self.clusters: dict[int, list[int]] = {i: [i] for i in range(n)}
-        self.pair_sums: dict[tuple[int, int], float] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                self.pair_sums[(i, j)] = float(dist[i, j])
 
-    def _best_pair(self) -> tuple[float, int, int]:
-        best = None
-        for (i, j), total in self.pair_sums.items():
-            avg = total / (len(self.clusters[i]) * len(self.clusters[j]))
-            key = (avg, i, j)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        return best
-
-    def merge_once(self) -> float:
-        """Perform the next merge; returns its linkage distance."""
-        avg, i, j = self._best_pair()
-        self.merge(i, j)
-        return avg
-
-    def merge(self, i: int, j: int) -> None:
-        """Merge cluster j into cluster i (i < j)."""
-        self.clusters[i] = self.clusters[i] + self.clusters[j]
-        del self.clusters[j]
-        sums = self.pair_sums
-        del sums[(i, j)]
-        for k in list(self.clusters):
-            if k == i:
-                continue
-            a, b = (min(i, k), max(i, k))
-            c, d = (min(j, k), max(j, k))
-            sums[(a, b)] = sums[(a, b)] + sums.pop((c, d))
-
-    def groups(self) -> list[list[int]]:
-        return [sorted(m) for m in self.clusters.values()]
+def _replay(n: int, merges: Iterable[tuple[float, int, int]]) -> list[list[int]]:
+    """The groups of points 0..n-1 left after the given merges."""
+    groups = {i: [i] for i in range(n)}
+    for _, i, j in merges:
+        groups[i] += groups.pop(j)
+    return [sorted(g) for g in groups.values()]
 
 
 def agglomerative_cluster(
@@ -171,26 +154,18 @@ def agglomerative_cluster(
     if n_clusters is not None and not 1 <= n_clusters <= n:
         raise InvalidCut(f"n_clusters must be in [1, {n}]")
 
-    agg = _Agglomerator(dist)
+    merges = _merges(dist)
     if n_clusters is not None:
-        while len(agg.clusters) > n_clusters:
-            agg.merge_once()
+        kept = n - n_clusters
     else:
-        while len(agg.clusters) > 1:
-            avg, i, j = agg._best_pair()
-            if avg >= distance_threshold:
-                break
-            agg.merge(i, j)
-    return ClusterMap.from_groups([[labels[i] for i in g] for g in agg.groups()])
+        kept = next((k for k, (avg, _, _) in enumerate(merges) if avg >= distance_threshold), len(merges))
+    groups = _replay(n, merges[:kept])
+    return ClusterMap.from_groups([[labels[i] for i in g] for g in groups])
 
 
 def _bisect(indices: list[int], dist: np.ndarray) -> tuple[list[int], list[int]]:
-    """Undo the top merge of the subtree over `indices`: agglomerate to 2."""
-    sub = dist[np.ix_(indices, indices)]
-    agg = _Agglomerator(sub)
-    while len(agg.clusters) > 2:
-        agg.merge_once()
-    parts = agg.groups()
+    """Undo the top merge of the subtree over `indices`: all merges but the last."""
+    parts = _replay(len(indices), _merges(dist[np.ix_(indices, indices)])[:-1])
     return [indices[i] for i in parts[0]], [indices[i] for i in parts[1]]
 
 
@@ -200,7 +175,15 @@ def resplit(
     labels: Sequence[str],
     max_size: int = 20,
 ) -> ClusterMap:
-    """Recursively bisect any cluster larger than max_size at its top merge."""
+    """Recursively bisect any cluster larger than max_size at its top merge.
+
+    A threshold cut at t < 1 of an `fnr_distance_matrix` leaves nothing to
+    do: each pair of a cluster was a cross pair of one merge at average
+    distance < t, and a language's confusion shares sum to at most 1, so a
+    cluster of m languages has (1 - t) m (m - 1) / 2 < m, that is
+    m < 1 + 2/(1 - t), at most 10 at 0.8. With the default max_size, only
+    count cuts and hand-made cluster maps get split.
+    """
     index = {lang: i for i, lang in enumerate(labels)}
     final_groups: list[list[str]] = []
     for group in cluster_map.members.values():

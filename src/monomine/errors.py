@@ -6,11 +6,14 @@ class MiningError(Exception):
 
 
 class ParseError(MiningError):
-    """A malformed input line. Carries the 1-based line number."""
+    """A malformed input line. Carries the 1-based line number and, when
+    known, the path of the file."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, path: object = None):
+        where = f"line {line_no}" if path is None else f"{path}, line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.path = path
 
 
 class ConfigError(MiningError):

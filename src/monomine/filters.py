@@ -14,7 +14,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .clustering import ClusterMap
 from .corpus import Document, MonoCorpus, SentenceRecord
@@ -22,10 +22,13 @@ from .errors import (
     EmptyCorpus,
     EmptyDocument,
     MissingWordlist,
+    ParseError,
     UnknownLanguage,
     WrongListKind,
 )
 from .langid import ConfusionMatrix, Predictor
+
+T = TypeVar("T")
 
 DEFAULT_DISTRACTORS = frozenset({"en", "de", "es", "hi", "id", "ar", "ru"})
 
@@ -103,15 +106,23 @@ class WordList:
 
     @classmethod
     def load_tsv(cls, path: str | Path, lang: str, kind: str) -> "WordList":
-        entries = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                token, score = line.split("\t")
-                entries.append((token, float(score)))
-        return cls(lang, kind, tuple(entries))
+        return cls(lang, kind, tuple(_read_tsv_pairs(path, float)))
+
+
+def _read_tsv_pairs(path: str | Path, convert: Callable[[str], T]) -> Iterator[tuple[str, T]]:
+    """(token, convert(value)) per non-empty `token<TAB>value` line; a
+    malformed line raises ParseError with the path and its line number."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                token, value = line.split("\t")
+                parsed = convert(value)
+            except ValueError as exc:
+                raise ParseError(line_no, f"expected token<TAB>value: {exc}", path) from exc
+            yield token, parsed
 
 
 def predict_many(predictor: Predictor, texts: Sequence[str]) -> list[tuple[str, float]]:
@@ -370,14 +381,7 @@ class IifTable:
     @classmethod
     def load(cls, path: str | Path) -> "IifTable":
         path = Path(path)
-        freqs: dict[str, int] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                token, count = line.split("\t")
-                freqs[token] = int(count)
+        freqs = dict(_read_tsv_pairs(path, int))
         with open(path.with_suffix(path.suffix + ".json"), "r", encoding="utf-8") as fh:
             meta = json.load(fh)
         return cls(freqs, int(meta["kappa"]), float(meta["alpha"]))

@@ -8,6 +8,7 @@ heavier model can be dropped in for the second-stage filtering.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -423,7 +424,11 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LangIdModel:
+    """Read a model written by `save_model`. No header field sizes a read
+    beyond what the file holds; any malformed header is a ModelFormatError."""
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+
         def read(n: int) -> bytes:
             buf = fh.read(n)
             if len(buf) != n:
@@ -439,12 +444,21 @@ def load_model(path: str | Path) -> LangIdModel:
         orders = tuple(struct.unpack("<I", read(4))[0] for _ in range(n_orders))
         (n_buckets,) = struct.unpack("<Q", read(8))
         (hash_seed,) = struct.unpack("<q", read(8))
-        spec = FeatureSpec(ngram_orders=orders, n_buckets=n_buckets, hash_seed=hash_seed)
+        try:
+            spec = FeatureSpec(ngram_orders=orders, n_buckets=n_buckets, hash_seed=hash_seed)
+        except ValueError as exc:
+            raise ModelFormatError(f"bad feature spec in header: {exc}") from exc
         (n_langs,) = struct.unpack("<I", read(4))
         languages = []
         for _ in range(n_langs):
             (length,) = struct.unpack("<H", read(2))
-            languages.append(read(length).decode("utf-8"))
+            try:
+                languages.append(read(length).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ModelFormatError(f"language name is not UTF-8: {exc}") from exc
+        payload, remaining = 4 * n_langs * (n_buckets + 1), file_size - fh.tell()
+        if payload > remaining:
+            raise ModelFormatError(f"truncated model file: header claims {payload} payload bytes, {remaining} remain")
         weights = np.frombuffer(read(4 * n_langs * n_buckets), dtype="<f4").reshape(n_langs, n_buckets)
         bias = np.frombuffer(read(4 * n_langs), dtype="<f4")
         if fh.read(1):

@@ -88,6 +88,25 @@ class TestFnrDistance:
         assert np.all((dist >= 0) & (dist <= 1))
 
 
+    def test_matches_pair_loop(self):
+        # the pairwise definition, one pair at a time, with rows of no counts
+        rng = np.random.default_rng(2)
+        for trial in range(20):
+            n = int(rng.integers(1, 12))
+            counts = rng.integers(0, 6, (n, n))
+            counts[rng.random(n) < 0.2] = 0
+            cm = ConfusionMatrix(tuple(f"l{i}" for i in range(n)), counts)
+            rows = counts.sum(axis=1)
+            expected = np.ones((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    ij = counts[i, j] / rows[i] if rows[i] else 0.0
+                    ji = counts[j, i] / rows[j] if rows[j] else 0.0
+                    expected[i, j] = expected[j, i] = 1.0 - max(ij, ji)
+            np.fill_diagonal(expected, 0.0)
+            assert np.array_equal(fnr_distance_matrix(cm), expected), f"trial {trial}"
+
+
 class TestAgglomerative:
     def test_nearest_pair_merges_first(self):
         dist = np.full((3, 3), 0.9)
@@ -179,6 +198,21 @@ class TestAgglomerative:
         for _ in range(5):
             assert agglomerative_cluster(dist, labels, n_clusters=2).members == first.members
 
+    def test_tie_break_matches_naive_oracle(self):
+        # sums of quarters are exact, so equal averages are real ties and the
+        # (avg, i, j) order alone decides every merge
+        rng = random.Random(43)
+        for trial in range(300):
+            n = rng.randint(2, 10)
+            dist = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dist[i, j] = dist[j, i] = rng.choice((0.25, 0.5, 0.75, 1.0))
+            labels = [f"l{i}" for i in range(n)]
+            for k in range(1, n + 1):
+                cmap = agglomerative_cluster(dist, labels, n_clusters=k)
+                assert partition_of(cmap, labels) == naive_average_linkage(dist, k), f"trial {trial}, k {k}"
+
     def test_monotonicity_smoke(self):
         # pulling a and b closer never separates them at the same cut level
         labels = list("abc")
@@ -254,6 +288,25 @@ class TestResplit:
         }
         assert partition_of(split, labels) == expected
         assert all(len(m) <= 20 for m in split.members.values())
+
+    def test_threshold_cut_of_fnr_distances_is_small(self):
+        # every pair of a cluster was a cross pair of one merge at average
+        # distance < t, and a row's confusion shares sum to at most 1, so
+        # (1 - t) m (m - 1) / 2 < m: a cluster has fewer than 1 + 2/(1 - t)
+        # languages, which leaves resplit(max_size=20) nothing to do at 0.8
+        rng = np.random.default_rng(8)
+        for trial in range(60):
+            n = int(rng.integers(10, 40))
+            family = rng.integers(0, 3, n)
+            counts = rng.integers(0, 20, (n, n)) * (family[:, None] == family[None, :])
+            np.fill_diagonal(counts, rng.integers(0, 5, n))
+            cm = ConfusionMatrix(tuple(f"l{i:02d}" for i in range(n)), counts)
+            dist = fnr_distance_matrix(cm)
+            for t in (0.5, 0.8, 0.9, 0.95):
+                cmap = agglomerative_cluster(dist, cm.languages, distance_threshold=t)
+                assert max(len(m) for m in cmap.members.values()) < 1 + 2 / (1 - t), f"trial {trial}, t {t}"
+                if t == 0.8:
+                    assert resplit(cmap, dist, cm.languages, max_size=20).members == cmap.members
 
 
 class TestSingletons:

@@ -9,6 +9,7 @@ from monomine.errors import (
     EmptyCorpus,
     EmptyDocument,
     MissingWordlist,
+    ParseError,
     UnknownLanguage,
     WrongListKind,
 )
@@ -273,6 +274,15 @@ class TestFrequencyWordlist:
         with pytest.raises(EmptyCorpus):
             build_frequency_wordlist(MonoCorpus.from_sentences("aa", ["..."]))
 
+    @pytest.mark.parametrize("bad", ["no-tab-here", "word\tmany", "a\t1\t2"])
+    def test_load_tsv_malformed_line(self, tmp_path, bad):
+        path = tmp_path / "aa.tsv"
+        path.write_text(f"a\t2.0\n\n{bad}\nb\t1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            WordList.load_tsv(path, "aa", "frequency")
+        assert err.value.line_no == 3
+        assert str(path) in str(err.value)
+
 
 def make_wordlist(lang, tokens, kind="frequency"):
     return WordList(lang, kind, tuple((t, float(len(tokens) - i)) for i, t in enumerate(tokens)))
@@ -385,6 +395,16 @@ class TestIifTable:
         back = IifTable.load(path)
         assert back.freqs == table.freqs
         assert back.kappa == table.kappa and back.alpha == table.alpha
+
+    @pytest.mark.parametrize("bad", ["no-tab-here", "word\t1.5", "word\tmany"])
+    def test_load_malformed_line(self, tmp_path, bad):
+        path = tmp_path / "iif.tsv"
+        IifTable.from_counts({"a": 7, "b": 3}, kappa=1).save(path)
+        path.write_text(path.read_text(encoding="utf-8") + bad + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            IifTable.load(path)
+        assert err.value.line_no == 3
+        assert str(path) in str(err.value)
 
 
 class TestTfiifWordlist:

@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +376,32 @@ class TestModelIO:
         path = tmp_path / "model.bin"
         save_model(model, path)
         path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @staticmethod
+    def _header(n_buckets, n_langs):
+        """A model header that claims n_langs x n_buckets weights, with no payload."""
+        head = b"MMLI" + struct.pack("<II", 1, 1) + struct.pack("<I", 1)
+        head += struct.pack("<Qq", n_buckets, 0) + struct.pack("<I", n_langs)
+        return head + b"".join(struct.pack("<H", 3) + b"l%02d" % i for i in range(n_langs))
+
+    def test_header_cannot_size_a_huge_read(self, tmp_path):
+        # 16 languages x 2^20 buckets of f32 claim a 64 MiB payload
+        path = tmp_path / "huge.bin"
+        path.write_bytes(self._header(1 << 20, 16) + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_bad_feature_spec_in_header(self, tmp_path):
+        path = tmp_path / "spec.bin"
+        path.write_bytes(self._header(1000, 1) + b"\x00" * (4 * 1001))
         with pytest.raises(ModelFormatError):
             load_model(path)
 
