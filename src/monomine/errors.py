@@ -1,17 +1,21 @@
 """Exception types shared across the toolkit."""
 
+from typing import Optional
+
 
 class MiningError(Exception):
     """Base class for all toolkit errors."""
 
 
 class ParseError(MiningError):
-    """A malformed input line. Carries the 1-based line number and, when
-    known, the path of the file."""
+    """Malformed input. Carries the 1-based line number, or None where the
+    fault has no one line, and, when known, the path of the file."""
 
-    def __init__(self, line_no: int, message: str, path: object = None):
-        where = f"line {line_no}" if path is None else f"{path}, line {line_no}"
-        super().__init__(f"{where}: {message}")
+    def __init__(self, line_no: Optional[int], message: str, path: object = None):
+        where = [] if path is None else [str(path)]
+        if line_no is not None:
+            where.append(f"line {line_no}")
+        super().__init__(f"{', '.join(where)}: {message}" if where else message)
         self.line_no = line_no
         self.path = path
 

@@ -527,17 +527,28 @@ class NegativeFilterRule:
 
 
 def load_negative_rules(path: str | Path) -> list[NegativeFilterRule]:
+    """Rules from a JSON list of {lang, rule, pattern[, case_sensitive]}.
+    Bad JSON raises ParseError with its line; a bad rule, with its 0-based
+    index in the list."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return [
-        NegativeFilterRule(
-            lang=obj["lang"],
-            rule=obj["rule"],
-            pattern=obj["pattern"],
-            case_sensitive=bool(obj.get("case_sensitive", False)),
-        )
-        for obj in raw
-    ]
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, f"bad JSON: {exc.msg}", path) from exc
+    if not isinstance(raw, list):
+        raise ParseError(None, f"expected a list of rules, got {type(raw).__name__}", path)
+    rules = []
+    for index, obj in enumerate(raw):
+        try:
+            fields = {key: obj[key] for key in ("lang", "rule", "pattern")}
+            if not all(isinstance(value, str) for value in fields.values()):
+                raise ValueError("lang, rule and pattern must be strings")
+            rules.append(NegativeFilterRule(**fields, case_sensitive=bool(obj.get("case_sensitive", False))))
+        except KeyError as exc:
+            raise ParseError(None, f"rule {index}: missing key {exc}", path) from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(None, f"rule {index}: {exc}", path) from exc
+    return rules
 
 
 def negative_filter(

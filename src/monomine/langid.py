@@ -120,6 +120,18 @@ def _feature_matrix(texts: Sequence[str], spec: FeatureSpec) -> sp.csr_matrix:
     )
 
 
+def _compact(x: sp.csr_matrix) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The sorted buckets `x` touches, and `x` re-indexed onto them.
+
+    Rows and the entries within each row keep their order, so a product with
+    the touched weight columns adds the same terms in the same order as the
+    product with the whole matrix: the result is bit-identical, and its cost
+    follows the n-grams seen rather than the bucket count.
+    """
+    cols, inverse = np.unique(x.indices, return_inverse=True)
+    return cols, sp.csr_matrix((x.data, inverse, x.indptr), shape=(x.shape[0], len(cols)))
+
+
 def train(
     labeled: Sequence[tuple[str, str]],
     spec: FeatureSpec,
@@ -132,6 +144,9 @@ def train(
     only on the multiset of examples; to make that bit-exact we canonicalize
     the example order before building the design matrix. Mini-batch mode
     shuffles with the configured seed instead.
+
+    Only the buckets the examples touch are fitted: every other bucket has a
+    gradient of exactly 0.0 on every step, so its weight stays 0.0.
     """
     hyper = hyper or TrainConfig()
     langs = tuple(sorted({lang for _, lang in labeled}))
@@ -142,10 +157,10 @@ def train(
         examples.sort(key=lambda pair: (pair[1], pair[0]))
     lang_index = {lang: i for i, lang in enumerate(langs)}
 
-    x = _feature_matrix([text for text, _ in examples], spec)
+    cols, x = _compact(_feature_matrix([text for text, _ in examples], spec))
     y = np.asarray([lang_index[lang] for _, lang in examples], dtype=np.int64)
     n = len(examples)
-    weights = np.zeros((len(langs), spec.n_buckets), dtype=np.float64)
+    weights = np.zeros((len(langs), len(cols)), dtype=np.float64)
     bias = np.zeros(len(langs), dtype=np.float64)
     rng = np.random.default_rng(hyper.seed)
 
@@ -187,18 +202,15 @@ def train(
                 weights -= hyper.learning_rate * (xb.T @ probs).T
                 bias -= hyper.learning_rate * probs.sum(axis=0)
 
-    return LangIdModel(
-        spec=spec,
-        languages=langs,
-        weights=weights.astype(np.float32),
-        bias=bias.astype(np.float32),
-    )
+    full = np.zeros((len(langs), spec.n_buckets), dtype=np.float32)
+    full[:, cols] = weights.astype(np.float32)
+    return LangIdModel(spec=spec, languages=langs, weights=full, bias=bias.astype(np.float32))
 
 
 def predict_batch(model: LangIdModel, texts: Sequence[str]) -> list[tuple[str, float]]:
     """Predict every text; rows are independent, so sharding cannot change results."""
-    x = _feature_matrix(texts, model.spec)
-    scores = x @ model.weights.astype(np.float64).T + model.bias.astype(np.float64)
+    cols, x = _compact(_feature_matrix(texts, model.spec))
+    scores = x @ model.weights[:, cols].astype(np.float64).T + model.bias.astype(np.float64)
     probs = _softmax(scores)
     best = np.argmax(probs, axis=1)  # first max wins: earliest language breaks ties
     return [(model.languages[i], float(probs[row, i])) for row, i in enumerate(best)]
@@ -214,9 +226,9 @@ def predict(model: LangIdModel, text: str) -> tuple[str, float]:
 
 def cross_entropy(model: LangIdModel, labeled: Sequence[tuple[str, str]]) -> float:
     lang_index = {lang: i for i, lang in enumerate(model.languages)}
-    x = _feature_matrix([text for text, _ in labeled], model.spec)
+    cols, x = _compact(_feature_matrix([text for text, _ in labeled], model.spec))
     y = np.asarray([lang_index[lang] for _, lang in labeled])
-    probs = _softmax(x @ model.weights.astype(np.float64).T + model.bias.astype(np.float64))
+    probs = _softmax(x @ model.weights[:, cols].astype(np.float64).T + model.bias.astype(np.float64))
     return float(-np.mean(np.log(probs[np.arange(len(labeled)), y] + 1e-300)))
 
 
@@ -375,15 +387,17 @@ def pare_languages(
     missing = [lang for lang in cm.languages if lang not in train_sizes]
     if missing:
         raise UnknownLanguage(f"no train size for: {', '.join(missing)}")
+    counts = cm.counts
+    row_sums, col_sums = counts.sum(axis=1), counts.sum(axis=0)
+    # pairwise_fnr(l, d) and fdr(d, l) share the denominator row_sums[l], so
+    # the worst of them is the worst of max(C[l, d], C[d, l]) over that sum
+    pair = np.maximum(counts, counts.T)
+    np.fill_diagonal(pair, 0)
+    worst = pair.max(axis=1, initial=0)
     entries: dict[str, PareEntry] = {}
-    for lang in cm.languages:
-        precision = cm.precision(lang)
-        confusions = [
-            max(cm.pairwise_fnr(lang, other), cm.fdr(other, lang))
-            for other in cm.languages
-            if other != lang
-        ]
-        max_confusion = max(confusions, default=0.0)
+    for i, lang in enumerate(cm.languages):
+        precision = float(counts[i, i] / col_sums[i]) if col_sums[i] else 0.0
+        max_confusion = float(worst[i] / row_sums[i]) if row_sums[i] else 0.0
         n_train = train_sizes[lang]
         reasons = []
         if precision < thr.min_precision:
@@ -435,6 +449,13 @@ def load_model(path: str | Path) -> LangIdModel:
                 raise ModelFormatError("truncated model file")
             return buf
 
+        def read_f32(*shape: int) -> np.ndarray:
+            # straight into the array: no bytes object beside it
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ModelFormatError("truncated model file")
+            return arr
+
         if read(4) != MODEL_MAGIC:
             raise ModelFormatError("bad magic; not a LangID model file")
         (version,) = struct.unpack("<I", read(4))
@@ -459,8 +480,8 @@ def load_model(path: str | Path) -> LangIdModel:
         payload, remaining = 4 * n_langs * (n_buckets + 1), file_size - fh.tell()
         if payload > remaining:
             raise ModelFormatError(f"truncated model file: header claims {payload} payload bytes, {remaining} remain")
-        weights = np.frombuffer(read(4 * n_langs * n_buckets), dtype="<f4").reshape(n_langs, n_buckets)
-        bias = np.frombuffer(read(4 * n_langs), dtype="<f4")
+        weights = read_f32(n_langs, n_buckets)
+        bias = read_f32(n_langs)
         if fh.read(1):
             raise ModelFormatError("trailing bytes after model payload")
-    return LangIdModel(spec=spec, languages=tuple(languages), weights=weights.copy(), bias=bias.copy())
+    return LangIdModel(spec=spec, languages=tuple(languages), weights=weights, bias=bias)

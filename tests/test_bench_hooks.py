@@ -7,11 +7,13 @@ table, fail here rather than only when the benchmark runs. They read
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from monomine import pipeline
+from monomine import filters, langid, pipeline
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,3 +35,46 @@ def test_every_traced_attribute_is_callable(spans):
 
 def test_stage_calls_follow_the_stage_table(spans):
     assert list(spans.STAGE_CALLS) == [name for name, *_ in pipeline.STAGES]
+
+
+def _zero_model():
+    spec = langid.FeatureSpec(n_buckets=1 << 10)
+    return langid.LangIdModel(spec, ("aa", "bb"), np.zeros((2, spec.n_buckets), np.float32), np.zeros(2, np.float32))
+
+
+# `langid.featurize_s` is the time in extract_features spans and
+# `langid.score_s` the rest of predict_batch, so a path that featurized or
+# scored elsewhere would move cost between the two metrics unseen.
+@pytest.mark.parametrize("batch_size", [None, 2], ids=["full-batch", "mini-batch"])
+def test_each_text_is_featurized_once(monkeypatch, batch_size):
+    calls = []
+    real = langid.extract_features
+
+    def counting(text, spec):
+        calls.append(text)
+        return real(text, spec)
+
+    monkeypatch.setattr(langid, "extract_features", counting)
+    texts = ["abc", "", "abc", "ijk lmn"]
+    langid.predict_batch(_zero_model(), texts)
+    assert calls == texts
+    calls.clear()
+    labeled = [("abc", "aa"), ("", "aa"), ("ijk", "bb"), ("abc", "bb")]
+    langid.train(labeled, langid.FeatureSpec(n_buckets=1 << 10), langid.TrainConfig(epochs=3, batch_size=batch_size))
+    assert Counter(calls) == Counter(text for text, _ in labeled)
+
+
+def test_batch_predictions_reach_the_traced_function(monkeypatch):
+    seen = []
+    real = langid.predict_batch
+
+    def recording(model, texts):
+        seen.append(list(texts))
+        return real(model, texts)
+
+    monkeypatch.setattr(langid, "predict_batch", recording)
+    model = _zero_model()
+    model.predict_batch(["a"])
+    filters.predict_many(model, ["b", "c"])
+    langid.predict(model, "d")
+    assert seen == [["a"], ["b", "c"], ["d"]]

@@ -584,6 +584,26 @@ class TestNegativeFilter:
         assert rules[0].lang == "ar" and not rules[0].case_sensitive
         assert rules[1].case_sensitive
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('[{"lang": "aa",\n  "rule": }]', "line 2"),  # bad JSON
+            ('{"lang": "aa", "rule": "token", "pattern": "x"}', "list"),
+            ('[{"lang": "aa", "rule": "token", "pattern": "x"}, {"lang": "aa", "rule": "token"}]', "rule 1"),
+            ('[{"lang": "aa", "rule": "regex", "pattern": "x"}]', "rule 0"),
+            ('[{"lang": "aa", "rule": "token", "pattern": "x"}, {"lang": "aa", "rule": "substring", "pattern": ""}]', "rule 1"),
+            ('[{"lang": "aa", "rule": "token", "pattern": 5}]', "rule 0"),
+            ('["casino"]', "rule 0"),
+        ],
+        ids=["bad-json", "not-a-list", "missing-key", "unknown-kind", "empty-pattern", "non-string", "not-an-object"],
+    )
+    def test_rules_file_malformed(self, tmp_path, text, where):
+        path = tmp_path / "rules.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_negative_rules(path)
+        assert str(path) in str(err.value) and where in str(err.value)
+
     def test_report_names_rule(self):
         rule = NegativeFilterRule("ar", "substring", "casino")
         report = StageReport()

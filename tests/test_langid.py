@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monomine.errors import DegenerateData, ModelFormatError, UnknownLanguage
 from monomine.langid import (
@@ -23,10 +24,96 @@ from monomine.langid import (
     rates,
     save_model,
     train,
+    _feature_matrix,
     _softmax,
 )
 
 import synth
+
+
+@pytest.fixture(scope="module")
+def random_models():
+    """Three-language models with every weight non-zero, at 2^10 and 2^20
+    buckets: a gathered column that differs from the dense one shows."""
+    rng = np.random.default_rng(5)
+    models = {}
+    for n_buckets in (1 << 10, 1 << 20):
+        models[n_buckets] = LangIdModel(
+            spec=FeatureSpec(n_buckets=n_buckets),
+            languages=("aa", "bb", "cc"),
+            weights=(3 * rng.standard_normal((3, n_buckets))).astype(np.float32),
+            bias=rng.standard_normal(3).astype(np.float32),
+        )
+    return models
+
+
+def dense_scores(model, texts):
+    """Reference: the scoring expression over the whole weight matrix in float64."""
+    x = _feature_matrix(texts, model.spec)
+    return x @ model.weights.astype(np.float64).T + model.bias.astype(np.float64)
+
+
+def dense_train(labeled, spec, hyper, loss_history):
+    """Reference: the training loop over all n_buckets weight columns."""
+    langs = tuple(sorted({lang for _, lang in labeled}))
+    examples = list(labeled)
+    if hyper.batch_size is None:
+        examples.sort(key=lambda pair: (pair[1], pair[0]))
+    lang_index = {lang: i for i, lang in enumerate(langs)}
+    x = _feature_matrix([text for text, _ in examples], spec)
+    y = np.asarray([lang_index[lang] for _, lang in examples], dtype=np.int64)
+    n = len(examples)
+    weights = np.zeros((len(langs), spec.n_buckets), dtype=np.float64)
+    bias = np.zeros(len(langs), dtype=np.float64)
+    rng = np.random.default_rng(hyper.seed)
+
+    def mean_ce(w, b):
+        probs = _softmax(x @ w.T + b)
+        return float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+
+    if hyper.batch_size is None:
+        for _ in range(hyper.epochs):
+            probs = _softmax(x @ weights.T + bias)
+            loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+            loss_history.append(loss)
+            probs[np.arange(n), y] -= 1.0
+            probs /= n
+            grad_w = (x.T @ probs).T
+            grad_b = probs.sum(axis=0)
+            step = hyper.learning_rate
+            while True:
+                new_w = weights - step * grad_w
+                new_b = bias - step * grad_b
+                if mean_ce(new_w, new_b) <= loss or step < 1e-6:
+                    break
+                step /= 2.0
+            weights, bias = new_w, new_b
+    else:
+        for _ in range(hyper.epochs):
+            loss_history.append(mean_ce(weights, bias))
+            order = rng.permutation(n)
+            for i in range(0, n, hyper.batch_size):
+                batch = order[i : i + hyper.batch_size]
+                xb = x[batch]
+                probs = _softmax(xb @ weights.T + bias)
+                probs[np.arange(len(batch)), y[batch]] -= 1.0
+                probs /= len(batch)
+                weights -= hyper.learning_rate * (xb.T @ probs).T
+                bias -= hyper.learning_rate * probs.sum(axis=0)
+    return weights.astype(np.float32), bias.astype(np.float32)
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+TEXTS = st.one_of(st.text(max_size=40), st.text(alphabet="abcdefgh ijklmnop", max_size=40))
 
 
 class TestFeatureSpec:
@@ -131,6 +218,20 @@ class TestTrain:
             f1s.append(2 * p * r / (p + r) if p + r else 0.0)
         assert sum(f1s) / len(f1s) >= 0.95
 
+    @pytest.mark.parametrize("batch_size", [None, 16], ids=["full-batch", "mini-batch"])
+    def test_matches_dense_training(self, batch_size):
+        # 60 short sentences touch a few hundred of the 2^16 buckets
+        langs = synth.make_langs(("aa", "bb", "cc"))
+        labeled = synth.labeled_examples(langs, per_lang=20, seed=11) + [("", "aa")]
+        spec = FeatureSpec(n_buckets=1 << 16)
+        hyper = TrainConfig(epochs=12, learning_rate=10.0, seed=4, batch_size=batch_size)
+        losses, ref_losses = [], []
+        model = train(labeled, spec, hyper, loss_history=losses)
+        ref_weights, ref_bias = dense_train(labeled, spec, hyper, ref_losses)
+        assert model.weights.tobytes() == ref_weights.tobytes()
+        assert model.bias.tobytes() == ref_bias.tobytes()
+        assert np.asarray(losses).tobytes() == np.asarray(ref_losses).tobytes()
+
     def test_minibatch_mode_runs(self):
         langs = synth.make_langs(("aa", "bb"))
         labeled = synth.labeled_examples(langs, per_lang=50, seed=8)
@@ -184,6 +285,25 @@ class TestPredict:
         spec = FeatureSpec(ngram_orders=(1,), n_buckets=model.spec.n_buckets)
         unigram_model = LangIdModel(spec=spec, languages=model.languages, weights=model.weights, bias=model.bias)
         assert predict(unigram_model, "abcd") == predict(unigram_model, "abcd" * 7)
+
+    @pytest.mark.parametrize("n_buckets", [1 << 10, 1 << 20])
+    @settings(max_examples=40, deadline=None)
+    @given(texts=st.lists(TEXTS, max_size=8))
+    @example(texts=[])
+    @example(texts=["", ""])
+    def test_gather_matches_dense_scoring(self, random_models, n_buckets, texts):
+        model = random_models[n_buckets]
+        probs = _softmax(dense_scores(model, texts))
+        expected = [(model.languages[i], float(probs[row, i])) for row, i in enumerate(np.argmax(probs, axis=1))]
+        assert predict_batch(model, texts) == expected
+
+    def test_batch_memory_follows_the_batch(self, random_models):
+        # a float64 copy of the whole matrix and its transpose would be 4x its size
+        model = random_models[1 << 20]
+        langs = synth.make_langs(("aa", "bb", "cc"))
+        texts = [text for text, _ in synth.labeled_examples(langs, per_lang=5, seed=12)]
+        assert len(texts) == 15
+        assert peak_bytes(predict_batch, model, texts) < model.weights.nbytes / 4
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)
@@ -329,6 +449,44 @@ class TestPare:
         with pytest.raises(UnknownLanguage):
             pare_languages(cm, {"A": 10})
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0, 0, 0, 1, 2, 7, 40]), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ),
+        sizes=st.lists(st.integers(0, 4000), min_size=8, max_size=8),
+    )
+    @example(counts=[[0]], sizes=[0] * 8)
+    @example(counts=[[3, 1, 0], [0, 0, 0], [2, 0, 5]], sizes=[2000] * 8)
+    def test_matches_pair_loop(self, counts, sizes):
+        langs = tuple(f"l{i}" for i in range(len(counts)))
+        cm = ConfusionMatrix(langs, np.asarray(counts, dtype=np.int64))
+        train_sizes = dict(zip(langs, sizes))
+        thr = PareThresholds()
+        report = pare_languages(cm, train_sizes, thr).to_dict()
+        # reference: the per-pair rates of ConfusionMatrix
+        for lang in langs:
+            precision = cm.precision(lang)
+            max_confusion = max(
+                (max(cm.pairwise_fnr(lang, other), cm.fdr(other, lang)) for other in langs if other != lang),
+                default=0.0,
+            )
+            entry = report[lang]
+            assert (entry["precision"], entry["max_confusion"]) == (precision, max_confusion)
+            assert type(entry["precision"]) is float and type(entry["max_confusion"]) is float
+            reasons = [
+                r
+                for r, hit in (
+                    ("low_precision", precision < thr.min_precision),
+                    ("high_confusion", max_confusion > thr.max_confusion),
+                    ("too_few_examples", train_sizes[lang] < thr.min_examples),
+                )
+                if hit
+            ]
+            assert entry["reasons"] == reasons and entry["dropped"] == bool(reasons)
+
     def test_fdr_also_counts_as_confusion(self):
         # B is never misread, but A floods B's label: fdr(A, B) = 600/1000
         counts = np.array([[400, 600], [0, 1000]])
@@ -355,6 +513,13 @@ class TestModelIO:
         back = load_model(path)
         text = langs["bb"].sentence(random.Random(2))
         assert predict(back, text) == predict(model, text)
+
+    def test_load_holds_one_copy_of_the_weights(self, tmp_path, random_models):
+        # the weights plus the finiteness check's boolean mask: 1.25x
+        model = random_models[1 << 20]
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert peak_bytes(load_model, path) < 1.5 * model.weights.nbytes
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -418,3 +583,14 @@ class TestCrossEntropy:
         )
         labeled = synth.labeled_examples(langs, per_lang=10, seed=20)
         assert cross_entropy(model, labeled) == pytest.approx(math.log(2))
+
+    @pytest.mark.parametrize("n_buckets", [1 << 10, 1 << 20])
+    @settings(max_examples=40, deadline=None)
+    @given(labeled=st.lists(st.tuples(TEXTS, st.sampled_from(["aa", "bb", "cc"])), min_size=1, max_size=8))
+    @example(labeled=[("", "aa"), ("", "cc")])
+    def test_gather_matches_dense(self, random_models, n_buckets, labeled):
+        model = random_models[n_buckets]
+        y = [model.languages.index(lang) for _, lang in labeled]
+        probs = _softmax(dense_scores(model, [text for text, _ in labeled]))
+        expected = float(-np.mean(np.log(probs[np.arange(len(labeled)), y] + 1e-300)))
+        assert cross_entropy(model, labeled) == expected
