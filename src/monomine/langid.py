@@ -42,19 +42,13 @@ class FeatureSpec:
 
 
 def extract_features(text: str, spec: FeatureSpec) -> dict[int, float]:
-    """L1-normalized hashed character n-gram counts. Empty text -> {}."""
-    seed = spec.hash_seed & 0xFFFFFFFF
-    mask = spec.n_buckets - 1
-    counts: dict[int, float] = {}
-    for n in spec.ngram_orders:
-        for i in range(len(text) - n + 1):
-            bucket = zlib.crc32(text[i : i + n].encode("utf-8"), seed) & mask
-            counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    total = sum(counts.values())
-    if total:
-        for k in counts:
-            counts[k] /= total
-    return counts
+    """L1-normalized hashed character n-gram counts. Empty text -> {}.
+
+    An n-gram's bucket is `zlib.crc32(ngram.encode("utf-8"), hash_seed) &
+    (n_buckets - 1)`; this is row 0 of `_feature_matrix([text], spec)`.
+    """
+    x = _feature_matrix([text], spec)
+    return dict(zip(x.indices.tolist(), x.data.tolist()))
 
 
 class Predictor(Protocol):
@@ -104,20 +98,95 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# zlib's CRC-32 step table: from a zero register, byte i leaves _CRC_TABLE[i]
+# (zlib.crc32 complements the register on entry and on exit)
+_CRC_TABLE = np.array([~zlib.crc32(bytes([i]), 0xFFFFFFFF) & 0xFFFFFFFF for i in range(256)], dtype=np.uint32)
+
+
+def _crc_step(reg: np.ndarray, byte: np.ndarray) -> None:
+    """Feed one byte into each CRC-32 register, in place."""
+    low = reg.astype(np.uint8)
+    low ^= byte
+    reg >>= 8
+    reg ^= _CRC_TABLE[low]
+
+
+def _ngram_keys(texts: Sequence[str], lens: np.ndarray, n_keys: int, spec: FeatureSpec, shift: int) -> np.ndarray:
+    """`row << shift | bucket` of each of the `n_keys` n-grams of the batch.
+
+    Every character starts a span. Step n extends each span's CRC-32 register
+    by the UTF-8 bytes of its n-th character, after dropping the spans that
+    would run past the end of their text, so no n-gram crosses two texts.
+    """
+    raw = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
+    idx = np.int32 if raw.size < (1 << 31) else np.int64
+    # per span: the byte offset of its next character, its register, the
+    # characters left in its text from its start, and its row
+    pos = np.flatnonzero((raw & 0xC0) != 0x80).astype(idx)
+    reg = np.full(pos.size, ~spec.hash_seed & 0xFFFFFFFF, dtype=np.uint32)
+    room = np.repeat(np.cumsum(lens).astype(idx), lens) - np.arange(pos.size, dtype=idx)
+    row = np.repeat(np.arange(len(lens), dtype=idx), lens)
+    keys = np.empty(n_keys, dtype=np.int64)
+    filled = 0
+    for n in range(1, spec.ngram_orders[-1] + 1):
+        if n > 1:
+            live = room >= n
+            pos = pos[live]
+            reg = reg[live]
+            room = room[live]
+            row = row[live]
+            if not pos.size:
+                break
+        lead = raw[pos]
+        _crc_step(reg, lead)
+        pos += 1
+        more = np.flatnonzero(lead >= 0xC0)  # characters with a 2nd byte
+        for longer in (0xE0, 0xF0, 0xF8):  # leads of characters with a 3rd, 4th, 5th byte
+            if not more.size:
+                break
+            at = pos[more]
+            part = reg[more]
+            _crc_step(part, raw[at])
+            reg[more] = part
+            pos[more] = at + 1
+            more = more[lead[more] >= longer]
+        if n in spec.ngram_orders:
+            bucket = ~reg  # zlib.crc32's final complement
+            bucket &= (1 << shift) - 1
+            out = keys[filled : filled + pos.size]
+            np.left_shift(row, shift, out=out, dtype=np.int64)
+            out |= bucket
+            filled += pos.size
+    return keys
+
+
 def _feature_matrix(texts: Sequence[str], spec: FeatureSpec) -> sp.csr_matrix:
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for text in texts:
-        feats = extract_features(text, spec)
-        for bucket in sorted(feats):
-            indices.append(bucket)
-            data.append(feats[bucket])
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(texts), spec.n_buckets),
-    )
+    """`extract_features` of every text as the rows of one CSR matrix.
+
+    The whole batch is hashed in one numpy pass (`_ngram_keys`), then counted
+    by one sort. Each text's n-gram total is exact, so each value is
+    count / total, as the per-n-gram definition gives it, to the last bit.
+    """
+    lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    totals = sum(np.maximum(lens - (n - 1), 0) for n in spec.ngram_orders)  # n-grams per text
+    n_keys = int(totals.sum())
+    shift = min(spec.n_buckets.bit_length() - 1, 32)
+    keys = _ngram_keys(texts, lens, n_keys, spec, shift)
+    keys.sort()
+    # run-length count the sorted keys, dropping each array once used: the
+    # batch's peak memory is the key array and what is built beside it
+    first = np.ones(n_keys, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    at = np.flatnonzero(first)
+    del first
+    keys = keys[at]
+    counts = np.diff(at, append=n_keys)
+    del at
+    indptr = np.searchsorted(keys, np.arange(len(texts) + 1, dtype=np.int64) << shift)
+    data = counts / np.repeat(totals, np.diff(indptr))
+    del counts
+    keys &= (1 << shift) - 1
+    return sp.csr_matrix((data, keys, indptr), shape=(len(texts), spec.n_buckets))
 
 
 def _compact(x: sp.csr_matrix) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -207,11 +276,15 @@ def train(
     return LangIdModel(spec=spec, languages=langs, weights=full, bias=bias.astype(np.float32))
 
 
+def _probabilities(model: LangIdModel, texts: Sequence[str]) -> np.ndarray:
+    """Softmax over the languages for each text, from the weight columns its batch touches."""
+    cols, x = _compact(_feature_matrix(texts, model.spec))
+    return _softmax(x @ model.weights[:, cols].astype(np.float64).T + model.bias.astype(np.float64))
+
+
 def predict_batch(model: LangIdModel, texts: Sequence[str]) -> list[tuple[str, float]]:
     """Predict every text; rows are independent, so sharding cannot change results."""
-    cols, x = _compact(_feature_matrix(texts, model.spec))
-    scores = x @ model.weights[:, cols].astype(np.float64).T + model.bias.astype(np.float64)
-    probs = _softmax(scores)
+    probs = _probabilities(model, texts)
     best = np.argmax(probs, axis=1)  # first max wins: earliest language breaks ties
     return [(model.languages[i], float(probs[row, i])) for row, i in enumerate(best)]
 
@@ -226,9 +299,8 @@ def predict(model: LangIdModel, text: str) -> tuple[str, float]:
 
 def cross_entropy(model: LangIdModel, labeled: Sequence[tuple[str, str]]) -> float:
     lang_index = {lang: i for i, lang in enumerate(model.languages)}
-    cols, x = _compact(_feature_matrix([text for text, _ in labeled], model.spec))
     y = np.asarray([lang_index[lang] for _, lang in labeled])
-    probs = _softmax(x @ model.weights[:, cols].astype(np.float64).T + model.bias.astype(np.float64))
+    probs = _probabilities(model, [text for text, _ in labeled])
     return float(-np.mean(np.log(probs[np.arange(len(labeled)), y] + 1e-300)))
 
 

@@ -42,26 +42,27 @@ def _zero_model():
     return langid.LangIdModel(spec, ("aa", "bb"), np.zeros((2, spec.n_buckets), np.float32), np.zeros(2, np.float32))
 
 
-# `langid.featurize_s` is the time in extract_features spans and
-# `langid.score_s` the rest of predict_batch, so a path that featurized or
-# scored elsewhere would move cost between the two metrics unseen.
+# Prediction and training featurize a batch in one `_feature_matrix` call,
+# with each text once: a path that featurized a text again, or somewhere
+# else, would add cost that no per-layer metric of the featurizer shows.
 @pytest.mark.parametrize("batch_size", [None, 2], ids=["full-batch", "mini-batch"])
 def test_each_text_is_featurized_once(monkeypatch, batch_size):
     calls = []
-    real = langid.extract_features
+    real = langid._feature_matrix
 
-    def counting(text, spec):
-        calls.append(text)
-        return real(text, spec)
+    def counting(texts, spec):
+        calls.append(list(texts))
+        return real(texts, spec)
 
-    monkeypatch.setattr(langid, "extract_features", counting)
+    monkeypatch.setattr(langid, "_feature_matrix", counting)
     texts = ["abc", "", "abc", "ijk lmn"]
     langid.predict_batch(_zero_model(), texts)
-    assert calls == texts
+    assert calls == [texts]
     calls.clear()
     labeled = [("abc", "aa"), ("", "aa"), ("ijk", "bb"), ("abc", "bb")]
     langid.train(labeled, langid.FeatureSpec(n_buckets=1 << 10), langid.TrainConfig(epochs=3, batch_size=batch_size))
-    assert Counter(calls) == Counter(text for text, _ in labeled)
+    assert len(calls) == 1
+    assert Counter(calls[0]) == Counter(text for text, _ in labeled)
 
 
 def test_batch_predictions_reach_the_traced_function(monkeypatch):

@@ -2,9 +2,11 @@ import math
 import random
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from monomine.errors import DegenerateData, ModelFormatError, UnknownLanguage
@@ -45,6 +47,45 @@ def random_models():
             bias=rng.standard_normal(3).astype(np.float32),
         )
     return models
+
+
+def zlib_features(text, spec):
+    """Reference: the per-n-gram definition, one zlib.crc32 call per n-gram."""
+    seed = spec.hash_seed & 0xFFFFFFFF
+    mask = spec.n_buckets - 1
+    counts = {}
+    for n in spec.ngram_orders:
+        for i in range(len(text) - n + 1):
+            bucket = zlib.crc32(text[i : i + n].encode("utf-8"), seed) & mask
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    total = sum(counts.values())
+    if total:
+        for k in counts:
+            counts[k] /= total
+    return counts
+
+
+def zlib_matrix(texts, spec):
+    """Reference: `zlib_features` of each text, laid out bucket by bucket as CSR rows."""
+    data, indices, indptr = [], [], [0]
+    for text in texts:
+        feats = zlib_features(text, spec)
+        for bucket in sorted(feats):
+            indices.append(bucket)
+            data.append(feats[bucket])
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        shape=(len(texts), spec.n_buckets),
+    )
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def dense_scores(model, texts):
@@ -114,6 +155,21 @@ def peak_bytes(fn, *args):
 
 
 TEXTS = st.one_of(st.text(max_size=40), st.text(alphabet="abcdefgh ijklmnop", max_size=40))
+# any code point but a surrogate, with NUL, 2-, 3- and 4-byte UTF-8 characters often
+UNICODE = st.one_of(st.text(max_size=30), st.text(alphabet="a b\x00é€\uffff𝄞\U0010ffff", max_size=30))
+SPECS = st.builds(
+    FeatureSpec,
+    ngram_orders=st.sets(st.integers(1, 9), min_size=1, max_size=4).map(tuple),
+    n_buckets=st.sampled_from([1 << 10, 1 << 16, 1 << 20]),
+    hash_seed=st.sampled_from([0, 1, 2**32 - 1, 2**40 + 3, -7]),
+)
+
+
+def crawl_sentences(n, seed):
+    """`n` sentences of 12-24 words over the six synthetic alphabets."""
+    rng = random.Random(seed)
+    langs = list(synth.make_langs().values())
+    return [rng.choice(langs).sentence(rng, rng.randint(12, 24)) for _ in range(n)]
 
 
 class TestFeatureSpec:
@@ -157,6 +213,44 @@ class TestExtractFeatures:
         a = extract_features("abcdef", FeatureSpec(hash_seed=0))
         b = extract_features("abcdef", FeatureSpec(hash_seed=1))
         assert set(a) != set(b)
+
+
+class TestFeatureMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(UNICODE, max_size=6), spec=SPECS)
+    @example(texts=[], spec=FeatureSpec())
+    @example(texts=["", "a", "\x00\x00", "𝄞"], spec=FeatureSpec(ngram_orders=(2, 5), hash_seed=2**40 + 3))
+    @example(texts=["abc", "de"], spec=FeatureSpec(ngram_orders=(9,), hash_seed=-7))
+    def test_matches_zlib_per_ngram(self, texts, spec):
+        assert_same_csr(_feature_matrix(texts, spec), zlib_matrix(texts, spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(UNICODE, max_size=6), spec=SPECS)
+    def test_batch_is_its_rows(self, texts, spec):
+        # no n-gram crosses from one text into the next
+        x = _feature_matrix(texts, spec)
+        for row, text in enumerate(texts):
+            assert_same_csr(x[row], _feature_matrix([text], spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=UNICODE, spec=SPECS)
+    def test_extract_features_is_row_zero(self, text, spec):
+        assert extract_features(text, spec) == zlib_features(text, spec)
+
+    def test_lone_surrogate_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            _feature_matrix(["ok", "a\ud800b"], FeatureSpec())
+        with pytest.raises(UnicodeEncodeError):
+            extract_features("\udfffxy", FeatureSpec())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FeatureSpec(ngram_orders=(1, 2, 3, 4), n_buckets=1 << 16), FeatureSpec(ngram_orders=(1, 2, 3), n_buckets=1 << 15, hash_seed=1)],
+        ids=["orders1-4", "orders1-3"],
+    )
+    def test_memory_within_the_reference(self, spec):
+        texts = crawl_sentences(2000, seed=8)
+        assert peak_bytes(_feature_matrix, texts, spec) <= peak_bytes(zlib_matrix, texts, spec)
 
 
 class TestTrain:
