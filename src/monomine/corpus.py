@@ -11,7 +11,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ParseError
 
@@ -276,12 +276,16 @@ def dedup_corpora(
     return out, reports
 
 
-def corpus_stats(corpus: MonoCorpus) -> CorpusStats:
-    """Sentence/token/char counts. Chars are Unicode scalar values."""
-    from .filters import tokenize  # shared tokenizer; deferred to avoid an import cycle
+def corpus_stats(
+    corpus: MonoCorpus, tokens_of: Optional[Callable[[str], Sequence[str]]] = None
+) -> CorpusStats:
+    """Sentence/token/char counts. Chars are Unicode scalar values; tokens are
+    those of `filters.tokenize`, or of `tokens_of` when given."""
+    if tokens_of is None:
+        from .filters import tokenize as tokens_of  # deferred to avoid an import cycle
 
     n_sentences = len(corpus.sentences)
-    n_tokens = sum(len(tokenize(s)) for s in corpus.sentences)
+    n_tokens = sum(len(tokens_of(s)) for s in corpus.sentences)
     n_chars = sum(len(s) for s in corpus.sentences)
     return CorpusStats(n_sentences, n_tokens, n_chars, n_chars / max(n_sentences, 1))
 

@@ -8,6 +8,7 @@ rate, and hand-authored negative token filters.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import unicodedata
@@ -44,16 +45,26 @@ def _strip_punct(token: str) -> str:
 
 def _split_tokens(text: str, fold: bool) -> list[str]:
     out = []
-    for raw in text.split():
-        tok = _strip_punct(raw)
-        if tok:
-            out.append(tok.casefold() if fold else tok)
+    for tok in text.split():
+        # no alphanumeric character is punctuation, so a token with
+        # alphanumeric ends has nothing to strip
+        if not (tok[0].isalnum() and tok[-1].isalnum()):
+            tok = _strip_punct(tok)
+            if not tok:
+                continue
+        out.append(tok.casefold() if fold else tok)
     return out
 
 
 def tokenize(text: str) -> list[str]:
     """Whitespace split, edge punctuation stripped, case-folded."""
     return _split_tokens(text, fold=True)
+
+
+# A sentence's tokens as `tokenize` gives them. The kernels below take one so
+# that a caller holding each sentence's tokens need not tokenize it again;
+# without one they call `tokenize`.
+Tokenizer = Callable[[str], Sequence[str]]
 
 
 @dataclass
@@ -95,7 +106,7 @@ class WordList:
         if len(set(tokens)) != len(tokens):
             raise ValueError("tokens must be unique")
 
-    @property
+    @functools.cached_property
     def tokens(self) -> frozenset[str]:
         return frozenset(t for t, _ in self.entries)
 
@@ -255,7 +266,7 @@ def build_frequency_wordlist(train_corpus: MonoCorpus, top: int = 800) -> WordLi
     return WordList(train_corpus.lang, "frequency", tuple((t, float(c)) for t, c in ranked))
 
 
-def _in_list_fraction(tokens: list[str], token_set: frozenset[str]) -> float:
+def _in_list_fraction(tokens: Sequence[str], token_set: frozenset[str]) -> float:
     return sum(1 for t in tokens if t in token_set) / len(tokens)
 
 
@@ -265,22 +276,24 @@ def _keep_by_fraction(
     token_sets: Sequence[frozenset[str]],
     threshold: float,
     report: Optional[StageReport] = None,
+    tokens_of: Optional[Tokenizer] = None,
 ) -> list[str]:
     """Sentences with >= threshold of their tokens in at least one token set.
 
     Sentences with no tokens at all are dropped and counted separately in
     `report`, which is filled for `stage` when given.
     """
+    tokens_of = tokens_of or tokenize
     if report is None:
         report = StageReport()
     report.stage = stage
     report.n_in = len(sentences)
     kept = []
     for sentence in sentences:
-        tokens = tokenize(sentence)
+        tokens = tokens_of(sentence)
         if not tokens:
             report.drop("empty_tokens")
-        elif max(_in_list_fraction(tokens, ts) for ts in token_sets) >= threshold:
+        elif any(_in_list_fraction(tokens, ts) >= threshold for ts in token_sets):
             kept.append(sentence)
         else:
             report.drop("below_threshold")
@@ -293,6 +306,7 @@ def filter_wordlist(
     lists: Mapping[str, WordList],
     threshold: float = 0.2,
     report: Optional[StageReport] = None,
+    tokens_of: Optional[Tokenizer] = None,
 ) -> MonoCorpus:
     """Keep a sentence if it looks in-language for at least one cluster member.
 
@@ -302,32 +316,40 @@ def filter_wordlist(
     if not lists:
         raise MissingWordlist(f"no wordlists supplied for {corpus.lang}")
     token_sets = [wl.tokens for _, wl in sorted(lists.items())]
-    kept = _keep_by_fraction("wordlist", corpus.sentences, token_sets, threshold, report)
+    kept = _keep_by_fraction("wordlist", corpus.sentences, token_sets, threshold, report, tokens_of)
     return corpus.advanced("wordlist", kept)
 
 
 def decluster(
     cluster_corpora: Mapping[int, MonoCorpus],
     predictor: Predictor,
-    clusters: ClusterMap,
+    clusters: Optional[ClusterMap],
     reports: Optional[dict[str, StageReport]] = None,
+    predicted: Optional[Mapping[str, str]] = None,
 ) -> dict[str, MonoCorpus]:
-    """Split cluster corpora into per-language corpora by a fresh prediction.
+    """Split cluster corpora into per-language corpora by a second prediction.
 
-    Earlier annotations are ignored; a sentence whose predicted language falls
-    outside its cluster is dropped.
+    Earlier annotations are ignored, unless `predicted` holds each
+    sentence's language as `predictor` already gave it: then the predictor
+    is not called again. A sentence whose predicted language falls outside
+    its cluster is dropped. With no cluster map every language is a member
+    of every cluster: nothing is dropped, and only languages predicted at
+    least once get a corpus.
     """
     routed: dict[str, list[str]] = {}
     dropped: dict[str, int] = {}
     for cid in sorted(cluster_corpora):
         corpus = cluster_corpora[cid]
-        members = set(clusters.members.get(cid, ()))
-        for lang in members:
+        members = None if clusters is None else set(clusters.members.get(cid, ()))
+        for lang in members or ():
             routed.setdefault(lang, [])
-        predictions = predict_many(predictor, list(corpus.sentences))
-        for sentence, (lang, _) in zip(corpus.sentences, predictions):
-            if lang in members:
-                routed[lang].append(sentence)
+        if predicted is None:
+            langs = [lang for lang, _ in predict_many(predictor, list(corpus.sentences))]
+        else:
+            langs = [predicted[sentence] for sentence in corpus.sentences]
+        for sentence, lang in zip(corpus.sentences, langs):
+            if members is None or lang in members:
+                routed.setdefault(lang, []).append(sentence)
             else:
                 dropped[corpus.lang] = dropped.get(corpus.lang, 0) + 1
     out: dict[str, MonoCorpus] = {}
@@ -387,11 +409,14 @@ class IifTable:
         return cls(freqs, int(meta["kappa"]), float(meta["alpha"]))
 
 
-def build_tfiif_wordlist(lang_corpus: MonoCorpus, iif: IifTable, tau: int = 1000) -> WordList:
+def build_tfiif_wordlist(
+    lang_corpus: MonoCorpus, iif: IifTable, tau: int = 1000, tokens_of: Optional[Tokenizer] = None
+) -> WordList:
     """Rank tokens by corpus frequency over clipped internet frequency."""
+    tokens_of = tokens_of or tokenize
     counts: Counter[str] = Counter()
     for sentence in lang_corpus.sentences:
-        counts.update(tokenize(sentence))
+        counts.update(tokens_of(sentence))
     if not counts:
         raise EmptyCorpus(f"no tokens in corpus for {lang_corpus.lang}")
     scored = [(token, count / iif.clipped_freq(token)) for token, count in counts.items()]
@@ -404,19 +429,25 @@ def filter_tfiif(
     wordlist: WordList,
     threshold: float = 0.2,
     report: Optional[StageReport] = None,
+    tokens_of: Optional[Tokenizer] = None,
 ) -> MonoCorpus:
     """Keep sentences with >= threshold of their tokens in the TF-IIF list."""
     if wordlist.kind != "tfiif":
         raise WrongListKind(f"expected a tfiif list, got {wordlist.kind!r}")
-    kept = _keep_by_fraction("tfiif", corpus.sentences, [wordlist.tokens], threshold, report)
+    kept = _keep_by_fraction("tfiif", corpus.sentences, [wordlist.tokens], threshold, report, tokens_of)
     return corpus.advanced("tfiif", kept)
 
 
-def survival_fraction(sentences: Sequence[str], wordlist: WordList, threshold: float = 0.2) -> float:
+def survival_fraction(
+    sentences: Sequence[str],
+    wordlist: WordList,
+    threshold: float = 0.2,
+    tokens_of: Optional[Tokenizer] = None,
+) -> float:
     """Fraction of sentences the TF-IIF filter would keep. Empty input -> 1.0."""
     if not sentences:
         return 1.0
-    kept = _keep_by_fraction("tfiif", sentences, [wordlist.tokens], threshold)
+    kept = _keep_by_fraction("tfiif", sentences, [wordlist.tokens], threshold, None, tokens_of)
     return len(kept) / len(sentences)
 
 
@@ -508,14 +539,17 @@ class NegativeFilterRule:
         if not self.pattern:
             raise ValueError("pattern must be non-empty")
 
-    def matches(self, sentence: str) -> bool:
+    def matches(self, sentence: str, tokens: Sequence[str], cased_tokens: Sequence[str]) -> bool:
+        """`tokens` are the sentence's tokens as `tokenize` gives them and
+        `cased_tokens` the same without case folding; a rule reads only the
+        one its kind needs."""
         if self.rule == "substring":
             if self.case_sensitive:
                 return self.pattern in sentence
             return self.pattern.casefold() in sentence.casefold()
         if self.case_sensitive:
-            return self.pattern in _split_tokens(sentence, fold=False)
-        return self.pattern.casefold() in tokenize(sentence)
+            return self.pattern in cased_tokens
+        return self.pattern.casefold() in tokens
 
     def to_dict(self) -> dict:
         return {
@@ -555,6 +589,7 @@ def negative_filter(
     corpus: MonoCorpus,
     rules: Sequence[NegativeFilterRule],
     report: Optional[StageReport] = None,
+    tokens_of: Optional[Tokenizer] = None,
 ) -> MonoCorpus:
     """Drop any sentence matched by one of the hand-authored rules."""
     for rule in rules:
@@ -563,9 +598,15 @@ def negative_filter(
     if report is not None:
         report.stage = "negative"
         report.n_in = len(corpus.sentences)
+    tokens_of = tokens_of or tokenize
+    folded = any(r.rule == "token" and not r.case_sensitive for r in rules)
+    cased = any(r.rule == "token" and r.case_sensitive for r in rules)
     kept = []
     for sentence in corpus.sentences:
-        hit = next((r for r in rules if r.matches(sentence)), None)
+        # tokenized once per sentence, not once per rule, and only if a rule reads the tokens
+        tokens = tokens_of(sentence) if folded else ()
+        cased_tokens = _split_tokens(sentence, fold=False) if cased else ()
+        hit = next((r for r in rules if r.matches(sentence, tokens, cased_tokens)), None)
         if hit is None:
             kept.append(sentence)
         elif report is not None:

@@ -150,6 +150,7 @@ class StageManifest:
     stage: str
     per_language: dict[str, dict]
     wall_time: float
+    cpu_time: float  # process CPU seconds, worker threads included
     config_hash: str
 
     def to_dict(self) -> dict:
@@ -157,6 +158,7 @@ class StageManifest:
             "stage": self.stage,
             "per_language": self.per_language,
             "wall_time": self.wall_time,
+            "cpu_time": self.cpu_time,
             "config_hash": self.config_hash,
         }
 
@@ -176,12 +178,24 @@ class PipelineResult:
 
 @dataclass
 class _Run:
-    """What a stage needs besides its corpora: the config, and what the
-    annotate stage loaded for the stages after it."""
+    """What a stage needs besides its corpora: the config, what the annotate
+    stage loaded and predicted for the stages after it, and each sentence's
+    tokens once a stage has needed them."""
 
     config: PipelineConfig
     model: Optional[Predictor] = None
     clusters: Optional[ClusterMap] = None
+    predicted: dict[str, str] = field(default_factory=dict)  # text -> annotated language
+    tokens: dict[str, tuple[str, ...]] = field(default_factory=dict)  # text -> its tokens
+    vocab: dict[str, str] = field(default_factory=dict)  # one string object per distinct token
+
+    def tokens_of(self, text: str) -> tuple[str, ...]:
+        """`filters.tokenize(text)`, computed on the run's first request for it."""
+        tokens = self.tokens.get(text)
+        if tokens is None:
+            intern = self.vocab.setdefault
+            tokens = self.tokens[text] = tuple([intern(t, t) for t in filters.tokenize(text)])
+        return tokens
 
 
 def _annotate_all(
@@ -232,6 +246,9 @@ def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str
     if missing:
         raise ConfigError(f"model languages missing from cluster map: {', '.join(missing)}")
     docs = _annotate_all(docs, run.model, run.clusters, config.workers)
+    # rows are predicted independently, so a text's prediction is the same in
+    # any batch, and decluster may reuse it
+    run.predicted = {s.text: s.predicted_lang for d in docs for s in d.sentences}
     n_sentences = sum(len(d.sentences) for d in docs)
     return docs, {"*": StageReport("annotate", n_sentences, n_sentences).to_dict()}
 
@@ -259,35 +276,31 @@ def _wordlist(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, 
     for cid, corpus in sorted(cluster_corpora.items()):
         lists = _load_wordlists_for(list(run.clusters.members.get(cid, ())), wl_dir)
         rep = StageReport()
-        filtered[cid] = filters.filter_wordlist(corpus, lists, config.wordlist.threshold, rep)
+        filtered[cid] = filters.filter_wordlist(corpus, lists, config.wordlist.threshold, rep, run.tokens_of)
         entries[corpus.lang] = rep.to_dict()
     return filtered, entries
 
 
-def _decluster_predictor(run: _Run) -> Predictor:
+def _by_language(
+    run: _Run,
+    cluster_corpora: dict[int, MonoCorpus],
+    clusters: Optional[ClusterMap] = None,
+    reports: Optional[dict[str, StageReport]] = None,
+) -> dict[str, MonoCorpus]:
+    """Each sentence to its predicted language, dropping those outside their
+    cluster. Without `clusters` (a disabled decluster) nothing is dropped.
+    With no decluster model of its own, the stage routes on annotate's
+    predictions rather than predicting again."""
     model = run.config.decluster.model
-    return load_model(run.config.resolve(model)) if model else run.model
+    if model:
+        return filters.decluster(cluster_corpora, load_model(run.config.resolve(model)), clusters, reports)
+    return filters.decluster(cluster_corpora, run.model, clusters, reports, predicted=run.predicted)
 
 
 def _decluster(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
     reports: dict[str, StageReport] = {}
-    corpora = filters.decluster(cluster_corpora, _decluster_predictor(run), run.clusters, reports)
+    corpora = _by_language(run, cluster_corpora, run.clusters, reports)
     return corpora, {label: rep.to_dict() for label, rep in sorted(reports.items())}
-
-
-def _route_by_language(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> dict[str, MonoCorpus]:
-    """Disabled decluster: every sentence goes to its predicted language, even
-    one outside its cluster."""
-    predictor = _decluster_predictor(run)
-    routed: dict[str, list[str]] = {}
-    for _, corpus in sorted(cluster_corpora.items()):
-        sentences = list(corpus.sentences)
-        for sentence, (lang, _) in zip(sentences, filters.predict_many(predictor, sentences)):
-            routed.setdefault(lang, []).append(sentence)
-    return {
-        lang: MonoCorpus.from_sentences(lang, sents, stage="decluster")
-        for lang, sents in sorted(routed.items())
-    }
 
 
 def _tfiif(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
@@ -309,11 +322,11 @@ def _tfiif(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, d
         elif gold_path is None or not gold_path.exists():
             extras = {"decision": "skipped:no_gold_corpus"}
         else:
-            wordlist = filters.build_tfiif_wordlist(corpus, iif, cfg.tau)
+            wordlist = filters.build_tfiif_wordlist(corpus, iif, cfg.tau, run.tokens_of)
             gold = corpus_mod.read_corpus(gold_path, lang)
             gate = filters.rrr_gate(
-                r_gold=filters.survival_fraction(gold.sentences, wordlist, cfg.threshold),
-                r_crawl=filters.survival_fraction(corpus.sentences, wordlist, cfg.threshold),
+                r_gold=filters.survival_fraction(gold.sentences, wordlist, cfg.threshold, run.tokens_of),
+                r_crawl=filters.survival_fraction(corpus.sentences, wordlist, cfg.threshold, run.tokens_of),
                 rho=cfg.rho,
                 rrr_threshold=cfg.rrr_threshold,
                 min_crawl_removed=cfg.min_crawl_removed,
@@ -322,7 +335,7 @@ def _tfiif(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, d
             )
             extras = {"rrr": gate.to_dict(), "decision": "filtered" if gate.apply_filter else "skipped:gate"}
             if gate.apply_filter:
-                kept = filters.filter_tfiif(corpus, wordlist, cfg.threshold, rep).sentences
+                kept = filters.filter_tfiif(corpus, wordlist, cfg.threshold, rep, run.tokens_of).sentences
         filtered[lang] = corpus.advanced("tfiif", kept)
         entries[lang] = {**rep.to_dict(), **extras}
     return filtered, entries
@@ -337,7 +350,7 @@ def _negative(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str
     filtered, entries = {}, {}
     for lang, corpus in sorted(corpora.items()):
         rep = StageReport()
-        filtered[lang] = filters.negative_filter(corpus, rules_by_lang.get(lang, []), rep)
+        filtered[lang] = filters.negative_filter(corpus, rules_by_lang.get(lang, []), rep, run.tokens_of)
         entries[lang] = rep.to_dict()
     return filtered, entries
 
@@ -364,7 +377,7 @@ STAGES = (
     ("annotate", None, _annotate, None),
     ("doc_consistency", StageToggle, _doc_consistency, _route_by_cluster),
     ("wordlist", WordlistStageConfig, _wordlist, None),
-    ("decluster", DeclusterStageConfig, _decluster, _route_by_language),
+    ("decluster", DeclusterStageConfig, _decluster, _by_language),
     ("tfiif", TfiifStageConfig, _tfiif, None),
     ("negative", NegativeStageConfig, _negative, None),
     ("dedup", StageToggle, _dedup, None),
@@ -393,14 +406,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     manifests: list[StageManifest] = []
     corpora: Any = None  # the documents, until doc-consistency groups them
     for name, section, stage, route in STAGES:
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         if section is None or getattr(config, name).enabled:
             corpora, per_language = stage(run, corpora)
         else:
             if route is not None:
                 corpora = route(run, corpora)
             per_language = _pass_through(name, corpora)
-        manifests.append(StageManifest(name, per_language, time.perf_counter() - t0, cfg_hash))
+        wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+        manifests.append(StageManifest(name, per_language, wall, cpu, cfg_hash))
 
     # write corpora + summary; the manifest goes last, so a complete one
     # always describes the corpora beside it
@@ -410,7 +424,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         corpus = corpora[lang]
         corpus.check_funnel()
         corpus_mod.write_corpus(corpus, out_dir / f"{lang}.txt")
-        stats = corpus_mod.corpus_stats(corpus)
+        stats = corpus_mod.corpus_stats(corpus, run.tokens_of)
         summary["languages"][lang] = {
             "n_sentences": stats.n_sentences,
             "stats": stats.to_dict(),

@@ -14,6 +14,10 @@ import numpy as np
 import pytest
 
 from monomine import filters, langid, pipeline
+from monomine.corpus import load_documents
+from monomine.pipeline import PipelineConfig, run_pipeline
+
+from pipeline_env import build_env
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -79,3 +83,58 @@ def test_batch_predictions_reach_the_traced_function(monkeypatch):
     filters.predict_many(model, ["b", "c"])
     langid.predict(model, "d")
     assert seen == [["a"], ["b", "c"], ["d"]]
+
+
+@pytest.fixture(scope="module")
+def small_env(tmp_path_factory):
+    return build_env(
+        tmp_path_factory.mktemp("hooks"), n_docs=60, train_per_lang=150, gold_per_lang=40, plant_negative=True
+    )
+
+
+# A run tokenizes each crawl and gold sentence once, through the traced
+# `filters.tokenize`, and with no decluster model of its own predicts each
+# crawl sentence once, in annotate. Every traced call that gives a stage its
+# peak RSS is still made.
+def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small_env, tmp_path):
+    tokenized, predicted, called = Counter(), Counter(), Counter()
+    real_tokenize, real_predict = filters.tokenize, langid.predict_batch
+
+    def counting(text):
+        tokenized[text] += 1
+        return real_tokenize(text)
+
+    def recording(model, texts):
+        predicted.update(texts)
+        return real_predict(model, texts)
+
+    def count_calls(name, real):
+        def wrapper(*args, **kwargs):
+            called[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(filters, "tokenize", counting)
+    monkeypatch.setattr(langid, "predict_batch", recording)
+    stage_calls = {name for names in spans.STAGE_CALLS.values() for name in names}
+    for module_name, attr, name in spans.TRACED:
+        if name in stage_calls:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, count_calls(name, getattr(module, attr)))
+    raw = small_env.config_dict()
+    raw["output_dir"] = str(tmp_path / "out")
+    # a gate every language passes, so that the TF-IIF filter runs too
+    raw["stages"]["tfiif"].update(rrr_threshold=0.0, min_crawl_removed=0.0, min_recall=0.0)
+    config = PipelineConfig.from_dict(raw, base_dir=small_env.root)
+    assert config.decluster.model is None
+    result = run_pipeline(config)
+
+    assert tokenized and max(tokenized.values()) == 1
+    gold = {line for path in (small_env.root / "gold").glob("*.txt") for line in path.read_text().splitlines()}
+    outputs = {s for corpus in result.corpora.values() for s in corpus.sentences}
+    assert gold | outputs <= set(tokenized)
+    crawl = Counter(s.text for doc in load_documents(small_env.crawl_path) for s in doc.sentences)
+    assert predicted == crawl
+    assert set(called) == stage_calls
+    tfiif = next(m for m in result.manifests if m.stage == "tfiif")
+    assert {e["decision"] for e in tfiif.per_language.values()} == {"filtered"}

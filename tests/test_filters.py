@@ -1,7 +1,10 @@
+import sys
+import unicodedata
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monomine.clustering import ClusterMap
 from monomine.corpus import Document, MonoCorpus, SentenceRecord
@@ -35,6 +38,7 @@ from monomine.filters import (
     survival_fraction,
     tokenize,
 )
+from monomine.filters import _split_tokens
 from monomine.langid import ConfusionMatrix
 
 
@@ -67,6 +71,26 @@ def annotated_doc(doc_id, cluster_ids, texts=None):
     return Document(doc_id, sentences)
 
 
+def reference_tokens(text, fold):
+    """The tokenizer without its fast path: every token has its edge
+    punctuation stripped."""
+    out = []
+    for raw in text.split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            out.append(raw[start:end].casefold() if fold else raw[start:end])
+    return out
+
+
+# punctuation (ASCII and not), "_" (a connector, category Pc), combining
+# marks, an enclosing mark, a digit, astral letters and an emoji, whitespace
+TOKEN_EDGE_CHARS = ".,!?'\"«»¿¡…—-_()\u0301\u0300\u20dd9a\U0001d518\U00010400\U0001f600 \t\u3000"
+
+
 class TestTokenize:
     def test_punctuation_stripped_and_folded(self):
         assert tokenize("Hello, world!") == ["hello", "world"]
@@ -82,6 +106,21 @@ class TestTokenize:
 
     def test_unicode_punctuation(self):
         assert tokenize("«Quoi?»") == ["quoi"]
+
+    def test_no_alphanumeric_character_is_punctuation(self):
+        # the tokenizer's fast path leaves a token with alphanumeric ends unstripped
+        clash = [
+            f"U+{cp:04X}"
+            for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+        ]
+        assert clash == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet=st.one_of(st.characters(), st.sampled_from(TOKEN_EDGE_CHARS)), max_size=40))
+    def test_matches_stripping_every_token(self, text):
+        assert tokenize(text) == reference_tokens(text, fold=True)
+        assert _split_tokens(text, fold=False) == reference_tokens(text, fold=False)
 
 
 class TestAnnotate:
@@ -264,6 +303,11 @@ class TestFrequencyWordlist:
         expected = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
         assert [(t, int(c)) for t, c in wl.entries] == expected
 
+    def test_token_set_built_once(self):
+        wl = make_wordlist("aa", ["foo", "bar"])
+        assert wl.tokens is wl.tokens
+        assert wl.tokens == {"foo", "bar"}
+
     def test_tie_break_lexicographic(self):
         wl = build_frequency_wordlist(MonoCorpus.from_sentences("aa", ["b a c a b c"]), top=2)
         assert [t for t, _ in wl.entries] == ["a", "b"]
@@ -370,6 +414,40 @@ class TestDecluster:
         out = decluster(corpora, MappingPredictor(mapping), clusters)
         seen = [s for lang in sorted(out) for s in out[lang].sentences]
         assert len(seen) == len(set(seen))  # pairwise disjoint
+
+    def test_recorded_predictions_replace_the_predictor(self, rng):
+        clusters = ClusterMap.from_groups([["aa", "bb"], ["cc"]])
+        sentences = [f"s{i}" for i in range(40)]
+        mapping = {s: rng.choice(["aa", "bb", "cc"]) for s in sentences}
+        corpora = {
+            clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", sentences[:25]),
+            clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", sentences[25:]),
+        }
+        fresh_reports, recorded_reports = {}, {}
+        fresh = decluster(corpora, MappingPredictor(mapping), clusters, fresh_reports)
+        recorded = decluster(corpora, None, clusters, recorded_reports, predicted=mapping)
+        assert recorded == fresh
+        assert recorded_reports == fresh_reports
+
+    def test_member_predicted_nowhere_gets_an_empty_corpus(self):
+        clusters = ClusterMap.from_groups([["aa", "bb"]])
+        cid = clusters.cluster_of("aa")
+        corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x"])}
+        reports = {}
+        out = decluster(corpora, MappingPredictor({}, default="aa"), clusters, reports)
+        assert out["bb"].sentences == ()
+        assert (reports["bb"].n_in, reports["bb"].n_out) == (0, 0)
+
+    def test_without_clusters_every_language_is_a_member(self):
+        clusters = ClusterMap.from_groups([["aa", "bb"], ["cc"]])
+        corpora = {
+            clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", ["x", "y"]),
+            clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", ["z"]),
+        }
+        reports = {}
+        out = decluster(corpora, MappingPredictor({"x": "cc", "y": "aa", "z": "aa"}), None, reports)
+        assert {lang: c.sentences for lang, c in out.items()} == {"aa": ("y", "z"), "cc": ("x",)}
+        assert all(rep.n_in == rep.n_out for rep in reports.values())
 
 
 class TestIifTable:
@@ -603,6 +681,39 @@ class TestNegativeFilter:
         with pytest.raises(ParseError) as err:
             load_negative_rules(path)
         assert str(path) in str(err.value) and where in str(err.value)
+
+    def test_first_matching_rule_as_matched_per_rule(self, rng):
+        # each rule against the sentence's tokens computed afresh, as before
+        # the filter tokenized once per sentence
+        def matches(rule, sentence):
+            if rule.rule == "substring":
+                if rule.case_sensitive:
+                    return rule.pattern in sentence
+                return rule.pattern.casefold() in sentence.casefold()
+            if rule.case_sensitive:
+                return rule.pattern in reference_tokens(sentence, fold=False)
+            return rule.pattern.casefold() in reference_tokens(sentence, fold=True)
+
+        words = ["Bad", "bad,", "(BAD)", "badge", "Spam!", "spam", "ok", "fine.", "…"]
+        rules = [
+            NegativeFilterRule("aa", "token", "Bad", case_sensitive=True),
+            NegativeFilterRule("aa", "substring", "dge"),
+            NegativeFilterRule("aa", "token", "SPAM"),
+            NegativeFilterRule("aa", "substring", "BAD", case_sensitive=True),
+        ]
+        sentences = [" ".join(rng.choices(words, k=rng.randint(1, 5))) for _ in range(200)]
+        for chosen in (rules, rules[::-1], rules[2:], rules[:1]):
+            report = StageReport()
+            out = negative_filter(MonoCorpus.from_sentences("aa", sentences), chosen, report)
+            expected, reasons = [], Counter()
+            for sentence in sentences:
+                hit = next((r for r in chosen if matches(r, sentence)), None)
+                if hit is None:
+                    expected.append(sentence)
+                else:
+                    reasons[f"{hit.rule}:{hit.pattern}"] += 1
+            assert list(out.sentences) == expected
+            assert report.dropped_by_reason == dict(reasons)
 
     def test_report_names_rule(self):
         rule = NegativeFilterRule("ar", "substring", "casino")

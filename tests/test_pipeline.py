@@ -121,6 +121,12 @@ class TestRunPipeline:
             "decluster", "tfiif", "negative", "dedup",
         ]
 
+    def test_stage_costs_recorded(self, first_run):
+        _, result = first_run
+        for m in result.manifests:
+            entry = m.to_dict()
+            assert entry["wall_time"] >= 0 and entry["cpu_time"] >= 0, m.stage
+
     def test_tfiif_decisions_recorded(self, env, first_run):
         _, result = first_run
         tfiif = next(m for m in result.manifests if m.stage == "tfiif")
