@@ -185,7 +185,7 @@ def cmd_annotate(args) -> dict:
     clusters = clustering.ClusterMap.load_json(args.clusters)
     report = corpus_mod.IngestReport()
     docs = corpus_mod.load_documents(args.input, strict=args.strict, report=report)
-    annotated = (filters.annotate_document(d, model, clusters) for d in docs)
+    annotated = pipeline._annotate_all(docs, model, clusters, workers=1)
     corpus_mod.write_annotated(annotated, args.output)
     return {"documents": report.documents, "skipped": report.skipped, "output": args.output}
 

@@ -8,6 +8,7 @@ heavier model can be dropped in for the second-stage filtering.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import zlib
@@ -64,14 +65,15 @@ class Predictor(Protocol):
 class LangIdModel:
     spec: FeatureSpec
     languages: tuple[str, ...]
-    weights: np.ndarray  # [n_languages, n_buckets] float32
+    weights: np.ndarray  # [n_languages, n_buckets] float32; read-only and memory-mapped once loaded
     bias: np.ndarray  # [n_languages] float32
     version: int = MODEL_VERSION
 
     def __post_init__(self) -> None:
         if len(set(self.languages)) != len(self.languages):
             raise ValueError("languages must be unique")
-        if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.bias)):
+        # row by row: no boolean temporary the size of the whole matrix
+        if not all(np.isfinite(row).all() for row in self.weights) or not np.isfinite(self.bias).all():
             raise ValueError("weights and bias must be finite")
 
     def predict(self, text: str) -> tuple[str, float]:
@@ -195,10 +197,20 @@ def _compact(x: sp.csr_matrix) -> tuple[np.ndarray, sp.csr_matrix]:
     Rows and the entries within each row keep their order, so a product with
     the touched weight columns adds the same terms in the same order as the
     product with the whole matrix: the result is bit-identical, and its cost
-    follows the n-grams seen rather than the bucket count.
+    follows the n-grams seen rather than the bucket count. The buckets are
+    found by a mask over all of them, not a sort of the entries: O(nnz +
+    n_buckets) rather than O(nnz log nnz).
     """
-    cols, inverse = np.unique(x.indices, return_inverse=True)
-    return cols, sp.csr_matrix((x.data, inverse, x.indptr), shape=(x.shape[0], len(cols)))
+    seen = np.zeros(x.shape[1], dtype=bool)
+    seen[x.indices] = True
+    cols = np.flatnonzero(seen)
+    del seen
+    # ranks are below len(cols), so the smallest unsigned type that holds
+    # len(cols) bounds this per-bucket array at 1-2 bytes a bucket for a
+    # batch of up to 2^16 distinct buckets
+    rank = np.empty(x.shape[1], dtype=np.min_scalar_type(len(cols)))
+    rank[cols] = np.arange(len(cols))
+    return cols, sp.csr_matrix((x.data, rank[x.indices], x.indptr), shape=(x.shape[0], len(cols)))
 
 
 def train(
@@ -490,28 +502,45 @@ def pare_languages(
 
 
 def save_model(model: LangIdModel, path: str | Path) -> None:
-    """Versioned flat binary: header, language list, f32 LE weights, f32 LE bias."""
+    """Versioned flat binary: header, language list, f32 LE weights, f32 LE bias.
+
+    The file is written beside `path` and then moved over it, never rewritten
+    in place: a model loaded from `path` maps the old file, and reading a
+    mapped page that a truncation removed kills the process with SIGBUS. A
+    save that fails leaves `path` as it was.
+    """
+    path = Path(path)
     spec = model.spec
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", model.version))
-        fh.write(struct.pack("<I", len(spec.ngram_orders)))
-        for n in spec.ngram_orders:
-            fh.write(struct.pack("<I", n))
-        fh.write(struct.pack("<Q", spec.n_buckets))
-        fh.write(struct.pack("<q", spec.hash_seed))
-        fh.write(struct.pack("<I", len(model.languages)))
-        for lang in model.languages:
-            raw = lang.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.bias, dtype="<f4").tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MODEL_MAGIC)
+            fh.write(struct.pack("<I", model.version))
+            fh.write(struct.pack("<I", len(spec.ngram_orders)))
+            for n in spec.ngram_orders:
+                fh.write(struct.pack("<I", n))
+            fh.write(struct.pack("<Q", spec.n_buckets))
+            fh.write(struct.pack("<q", spec.hash_seed))
+            fh.write(struct.pack("<I", len(model.languages)))
+            for lang in model.languages:
+                raw = lang.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+            fh.write(np.ascontiguousarray(model.weights, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(model.bias, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # only still there if the save failed
 
 
 def load_model(path: str | Path) -> LangIdModel:
     """Read a model written by `save_model`. No header field sizes a read
-    beyond what the file holds; any malformed header is a ModelFormatError."""
+    beyond what the file holds; any malformed header is a ModelFormatError.
+
+    The weights and bias are a read-only memory map of the file, not a copy:
+    loading costs one pass of the finiteness check, and scoring pages in only
+    the weight columns a batch touches.
+    """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
 
@@ -520,13 +549,6 @@ def load_model(path: str | Path) -> LangIdModel:
             if len(buf) != n:
                 raise ModelFormatError("truncated model file")
             return buf
-
-        def read_f32(*shape: int) -> np.ndarray:
-            # straight into the array: no bytes object beside it
-            arr = np.empty(shape, dtype="<f4")
-            if fh.readinto(arr) != arr.nbytes:
-                raise ModelFormatError("truncated model file")
-            return arr
 
         if read(4) != MODEL_MAGIC:
             raise ModelFormatError("bad magic; not a LangID model file")
@@ -549,11 +571,15 @@ def load_model(path: str | Path) -> LangIdModel:
                 languages.append(read(length).decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise ModelFormatError(f"language name is not UTF-8: {exc}") from exc
-        payload, remaining = 4 * n_langs * (n_buckets + 1), file_size - fh.tell()
+        offset = fh.tell()
+        payload, remaining = 4 * n_langs * (n_buckets + 1), file_size - offset
         if payload > remaining:
             raise ModelFormatError(f"truncated model file: header claims {payload} payload bytes, {remaining} remain")
-        weights = read_f32(n_langs, n_buckets)
-        bias = read_f32(n_langs)
-        if fh.read(1):
+        if payload < remaining:
             raise ModelFormatError("trailing bytes after model payload")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    # the arrays keep the map open; the offset need not be a multiple of 4
+    n_weights = n_langs * n_buckets
+    weights = np.frombuffer(mapped, dtype="<f4", count=n_weights, offset=offset).reshape(n_langs, n_buckets)
+    bias = np.frombuffer(mapped, dtype="<f4", count=n_langs, offset=offset + 4 * n_weights)
     return LangIdModel(spec=spec, languages=tuple(languages), weights=weights, bias=bias)

@@ -12,10 +12,11 @@ import hashlib
 import json
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 import yaml
 
@@ -185,7 +186,7 @@ class _Run:
     config: PipelineConfig
     model: Optional[Predictor] = None
     clusters: Optional[ClusterMap] = None
-    predicted: dict[str, str] = field(default_factory=dict)  # text -> annotated language
+    predicted: dict[str, str] = field(default_factory=dict)  # text -> annotated language, if decluster reads it
     tokens: dict[str, tuple[str, ...]] = field(default_factory=dict)  # text -> its tokens
     vocab: dict[str, str] = field(default_factory=dict)  # one string object per distinct token
 
@@ -198,15 +199,58 @@ class _Run:
         return tokens
 
 
+# Sentences per annotate batch. Chunks run across document boundaries, so a
+# LangID call's fixed cost is paid per chunk however the crawl is split into
+# documents, and the featurizer's memory is bounded for any document length.
+ANNOTATE_CHUNK = 256
+
+
 def _annotate_all(
-    docs: list[Document], predictor: Predictor, clusters: ClusterMap, workers: int
-) -> list[Document]:
-    """`pool.map` yields results in input order: worker count cannot change
-    the output order."""
-    if workers <= 1 or len(docs) < 2:
-        return [filters.annotate_document(d, predictor, clusters) for d in docs]
+    docs: Iterable[Document], predictor: Predictor, clusters: ClusterMap, workers: int
+) -> Iterator[Document]:
+    """Each document annotated, in input order.
+
+    The sentences are annotated in chunks of `ANNOTATE_CHUNK`, each passed to
+    `filters.annotate_document` as one pseudo-document, and the annotated
+    records are sliced back into their documents. Rows are predicted
+    independently, so the chunking changes no prediction, and `pool.map`
+    yields in input order, so the worker count changes nothing either. With
+    one worker, documents are read only as the chunks need them.
+    """
+    pending: deque[Document] = deque()  # read, not yet yielded
+
+    def chunks() -> Iterator[Document]:
+        buffer: list = []
+        for doc in docs:
+            pending.append(doc)
+            buffer.extend(doc.sentences)
+            while len(buffer) >= ANNOTATE_CHUNK:
+                yield Document("chunk", tuple(buffer[:ANNOTATE_CHUNK]))
+                del buffer[:ANNOTATE_CHUNK]
+        if buffer:
+            yield Document("chunk", tuple(buffer))
+
+    def annotate(chunk: Document) -> Document:
+        return filters.annotate_document(chunk, predictor, clusters)
+
+    def split(annotated: Iterable[Document]) -> Iterator[Document]:
+        records: list = []  # annotated, not yet yielded
+        for chunk in annotated:
+            records.extend(chunk.sentences)
+            while pending and len(pending[0].sentences) <= len(records):
+                doc = pending.popleft()
+                n = len(doc.sentences)
+                yield Document(doc.id, tuple(records[:n]), url=doc.url)
+                del records[:n]
+        # documents after the last chunk have no sentences
+        for doc in pending:
+            yield Document(doc.id, (), url=doc.url)
+
+    if workers <= 1:
+        yield from split(map(annotate, chunks()))
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda d: filters.annotate_document(d, predictor, clusters), docs))
+        yield from split(pool.map(annotate, chunks()))
 
 
 def _load_wordlists_for(langs: list[str], directory: Path) -> dict[str, WordList]:
@@ -245,10 +289,11 @@ def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str
     missing = [lang for lang in run.model.languages if lang not in run.clusters.assignment]
     if missing:
         raise ConfigError(f"model languages missing from cluster map: {', '.join(missing)}")
-    docs = _annotate_all(docs, run.model, run.clusters, config.workers)
-    # rows are predicted independently, so a text's prediction is the same in
-    # any batch, and decluster may reuse it
-    run.predicted = {s.text: s.predicted_lang for d in docs for s in d.sentences}
+    docs = list(_annotate_all(docs, run.model, run.clusters, config.workers))
+    if not config.decluster.model:
+        # rows are predicted independently, so a text's prediction is the same
+        # in any batch, and decluster, with no model of its own, reuses it
+        run.predicted = {s.text: s.predicted_lang for d in docs for s in d.sentences}
     n_sentences = sum(len(d.sentences) for d in docs)
     return docs, {"*": StageReport("annotate", n_sentences, n_sentences).to_dict()}
 

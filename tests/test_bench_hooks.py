@@ -15,7 +15,7 @@ import pytest
 
 from monomine import filters, langid, pipeline
 from monomine.corpus import load_documents
-from monomine.pipeline import PipelineConfig, run_pipeline
+from monomine.pipeline import ANNOTATE_CHUNK, PipelineConfig, run_pipeline
 
 from pipeline_env import build_env
 
@@ -94,10 +94,12 @@ def small_env(tmp_path_factory):
 
 # A run tokenizes each crawl and gold sentence once, through the traced
 # `filters.tokenize`, and with no decluster model of its own predicts each
-# crawl sentence once, in annotate. Every traced call that gives a stage its
-# peak RSS is still made.
+# crawl sentence once, in annotate, where every batch is one traced
+# `filters.annotate_document` call on a chunk of the crawl. Every traced call
+# that gives a stage its peak RSS is still made.
 def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small_env, tmp_path):
     tokenized, predicted, called = Counter(), Counter(), Counter()
+    batches, annotated = [], []
     real_tokenize, real_predict = filters.tokenize, langid.predict_batch
 
     def counting(text):
@@ -106,6 +108,7 @@ def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small
 
     def recording(model, texts):
         predicted.update(texts)
+        batches.append(list(texts))
         return real_predict(model, texts)
 
     def count_calls(name, real):
@@ -121,6 +124,13 @@ def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small
         if name in stage_calls:
             module = importlib.import_module(module_name)
             monkeypatch.setattr(module, attr, count_calls(name, getattr(module, attr)))
+    real_annotate = filters.annotate_document
+
+    def annotating(doc, *args):
+        annotated.append(doc.texts)
+        return real_annotate(doc, *args)
+
+    monkeypatch.setattr(filters, "annotate_document", annotating)
     raw = small_env.config_dict()
     raw["output_dir"] = str(tmp_path / "out")
     # a gate every language passes, so that the TF-IIF filter runs too
@@ -135,6 +145,9 @@ def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small
     assert gold | outputs <= set(tokenized)
     crawl = Counter(s.text for doc in load_documents(small_env.crawl_path) for s in doc.sentences)
     assert predicted == crawl
+    assert batches == annotated
+    assert [len(b) for b in batches[:-1]] == [ANNOTATE_CHUNK] * (len(batches) - 1)
+    assert 0 < len(batches[-1]) <= ANNOTATE_CHUNK
     assert set(called) == stage_calls
     tfiif = next(m for m in result.manifests if m.stage == "tfiif")
     assert {e["decision"] for e in tfiif.per_language.values()} == {"filtered"}

@@ -26,7 +26,9 @@ from monomine.langid import (
     rates,
     save_model,
     train,
+    _compact,
     _feature_matrix,
+    _probabilities,
     _softmax,
 )
 
@@ -253,6 +255,30 @@ class TestFeatureMatrix:
         assert peak_bytes(_feature_matrix, texts, spec) <= peak_bytes(zlib_matrix, texts, spec)
 
 
+class TestCompact:
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(UNICODE, max_size=8), spec=SPECS)
+    @example(texts=[], spec=FeatureSpec())
+    @example(texts=["", ""], spec=FeatureSpec())
+    @example(texts=["aaaa", "", "a"], spec=FeatureSpec(ngram_orders=(1,)))  # a single bucket
+    def test_matches_unique(self, texts, spec):
+        x = _feature_matrix(texts, spec)
+        cols, got = _compact(x)
+        # reference: the sort of every entry's bucket
+        want_cols, inverse = np.unique(x.indices, return_inverse=True)
+        assert np.array_equal(cols, want_cols)
+        assert_same_csr(got, sp.csr_matrix((x.data, inverse, x.indptr), shape=(len(texts), len(want_cols))))
+
+    def test_rank_spans_two_byte_and_wider_counts(self):
+        # more than 2^8 and 2^16 distinct buckets: the rank array's type widens
+        for n_cols in (300, 70_000):
+            indices = np.arange(0, 3 * n_cols, 3, dtype=np.int32)[::-1].copy()
+            x = sp.csr_matrix((np.ones(n_cols), indices, np.array([0, n_cols // 2, n_cols])), shape=(2, 1 << 20))
+            cols, got = _compact(x)
+            assert np.array_equal(cols, np.sort(indices))
+            assert np.array_equal(got.indices, np.searchsorted(cols, indices))
+
+
 class TestTrain:
     def test_needs_two_languages(self):
         with pytest.raises(DegenerateData):
@@ -385,9 +411,12 @@ class TestPredict:
     @given(texts=st.lists(TEXTS, max_size=8))
     @example(texts=[])
     @example(texts=["", ""])
+    @example(texts=["aaaa"])
     def test_gather_matches_dense_scoring(self, random_models, n_buckets, texts):
         model = random_models[n_buckets]
         probs = _softmax(dense_scores(model, texts))
+        got = _probabilities(model, texts)
+        assert got.shape == probs.shape and got.tobytes() == probs.tobytes()
         expected = [(model.languages[i], float(probs[row, i])) for row, i in enumerate(np.argmax(probs, axis=1))]
         assert predict_batch(model, texts) == expected
 
@@ -609,16 +638,76 @@ class TestModelIO:
         assert predict(back, text) == predict(model, text)
 
     def test_load_holds_one_copy_of_the_weights(self, tmp_path, random_models):
-        # the weights plus the finiteness check's boolean mask: 1.25x
+        # the weights are mapped, not read: what is allocated is the
+        # finiteness check's boolean temporary, one row of it at a time
         model = random_models[1 << 20]
         path = tmp_path / "model.bin"
         save_model(model, path)
-        assert peak_bytes(load_model, path) < 1.5 * model.weights.nbytes
+        assert peak_bytes(load_model, path) < 2 * model.spec.n_buckets
+
+    def test_loaded_arrays_are_read_only(self, tmp_path, two_lang_model):
+        _, model = two_lang_model
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        back = load_model(path)
+        for arr in (back.weights, back.bias):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_unaligned_weights_roundtrip(self, tmp_path, random_models):
+        # names of 1 and 2 bytes put the weights at an offset of 3 mod 4
+        model = random_models[1 << 10]
+        odd = LangIdModel(model.spec, ("a", "bb", "cc"), model.weights, model.bias)
+        path = tmp_path / "odd.bin"
+        save_model(odd, path)
+        offset = path.stat().st_size - 4 * len(odd.languages) * (odd.spec.n_buckets + 1)
+        assert offset % 4 == 3
+        back = load_model(path)
+        assert back.languages == odd.languages
+        assert back.weights.tobytes() == odd.weights.tobytes() and back.bias.tobytes() == odd.bias.tobytes()
+        texts = crawl_sentences(20, seed=4) + ["", "a"]
+        assert _probabilities(back, texts).tobytes() == _probabilities(odd, texts).tobytes()
+        assert predict_batch(back, texts) == predict_batch(odd, texts)
+
+    def test_nan_weight_rejected(self, tmp_path, random_models):
+        model = random_models[1 << 10]
+        path = tmp_path / "nan.bin"
+        save_model(model, path)
+        data = bytearray(path.read_bytes())
+        last_weight = len(data) - 4 * (len(model.languages) + 1)
+        data[last_weight : last_weight + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="finite"):
+            load_model(path)
+
+    def test_save_over_a_loaded_model(self, tmp_path, random_models):
+        path = tmp_path / "model.bin"
+        save_model(random_models[1 << 10], path)
+        first = load_model(path)
+        texts = crawl_sentences(10, seed=6)
+        before = _probabilities(first, texts).tobytes()
+        save_model(random_models[1 << 20], path)
+        assert _probabilities(first, texts).tobytes() == before
+        assert first.weights.tobytes() == random_models[1 << 10].weights.tobytes()
+        assert load_model(path).spec == random_models[1 << 20].spec
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path, random_models):
+        model = random_models[1 << 10]
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        old = path.read_bytes()
+        # a language name too long for its u16 length field fails after the header
+        bad = LangIdModel(model.spec, ("aa", "x" * 70_000, "cc"), model.weights, model.bias)
+        with pytest.raises(struct.error):
+            save_model(bad, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="bad magic"):
             load_model(path)
 
     def test_truncated(self, tmp_path, two_lang_model):
@@ -627,7 +716,10 @@ class TestModelIO:
         save_model(model, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="truncated model file: header claims"):
+            load_model(path)
+        path.write_bytes(data[:30])  # inside the header
+        with pytest.raises(ModelFormatError, match="^truncated model file$"):
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path, two_lang_model):
@@ -635,7 +727,7 @@ class TestModelIO:
         path = tmp_path / "model.bin"
         save_model(model, path)
         path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="^trailing bytes after model payload$"):
             load_model(path)
 
     @staticmethod
@@ -661,7 +753,7 @@ class TestModelIO:
     def test_bad_feature_spec_in_header(self, tmp_path):
         path = tmp_path / "spec.bin"
         path.write_bytes(self._header(1000, 1) + b"\x00" * (4 * 1001))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="bad feature spec in header"):
             load_model(path)
 
 

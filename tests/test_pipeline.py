@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
@@ -5,13 +6,15 @@ from pathlib import Path
 import pytest
 
 from monomine import corpus as corpus_mod
-from monomine import filters
+from monomine import filters, langid, pipeline
 from monomine.clustering import ClusterMap
-from monomine.corpus import load_documents, read_corpus
+from monomine.corpus import Document, load_documents, read_corpus
 from monomine.errors import ConfigError
 from monomine.langid import load_model
 from monomine.pipeline import (
+    ANNOTATE_CHUNK,
     PipelineConfig,
+    _annotate_all,
     render_report_text,
     report,
     run_pipeline,
@@ -211,6 +214,74 @@ class TestCompositionOracle:
             final[lang] = corpus
         for lang in env.langs:
             assert result.corpora[lang].sentences == final[lang].sentences, lang
+
+
+class TestAnnotateChunks:
+    # chunk boundaries fall inside documents, on their edges, and between
+    # empty ones
+    SIZES = (0, 1, 255, 0, 256, 257, 600, 0)
+
+    @pytest.fixture(scope="class")
+    def annotator(self, env):
+        return load_model(env.root / "langid.bin"), ClusterMap.load_json(env.root / "clusters.json")
+
+    @staticmethod
+    def documents(env, sizes):
+        records = itertools.cycle(s for doc in load_documents(env.crawl_path) for s in doc.sentences)
+        return [
+            Document(f"d{i}", tuple(itertools.islice(records, n)), url=f"https://example.org/{i}")
+            for i, n in enumerate(sizes)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunking_changes_nothing(self, env, annotator, monkeypatch, workers):
+        model, clusters = annotator
+        docs = self.documents(env, self.SIZES)
+        want = [filters.annotate_document(d, model, clusters) for d in docs]
+        batches = []
+        real = langid.predict_batch
+
+        def recording(model, texts):
+            batches.append(len(texts))
+            return real(model, texts)
+
+        monkeypatch.setattr(langid, "predict_batch", recording)
+        assert list(_annotate_all(docs, model, clusters, workers)) == want
+        full, rest = divmod(sum(self.SIZES), ANNOTATE_CHUNK)
+        assert sorted(batches) == sorted([ANNOTATE_CHUNK] * full + [rest])
+
+    def test_documents_are_read_as_chunks_need_them(self, env, annotator):
+        model, clusters = annotator
+        docs = self.documents(env, [10] * 100)
+        read = []
+
+        def stream():
+            for doc in docs:
+                read.append(doc.id)
+                yield doc
+
+        annotated = _annotate_all(stream(), model, clusters, workers=1)
+        assert next(annotated).id == "d0"
+        # the first chunk ends inside the 26th document
+        assert len(read) == -(-ANNOTATE_CHUNK // 10)
+        assert [d.id for d in annotated] == [d.id for d in docs[1:]]
+
+    def test_own_decluster_model_records_no_predictions(self, env, first_run, monkeypatch, tmp_path):
+        runs = []
+
+        class Recording(pipeline._Run):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+        monkeypatch.setattr(pipeline, "_Run", Recording)
+        raw = env.config_dict()
+        raw["output_dir"] = str(tmp_path / "out")
+        raw["stages"]["decluster"] = {"model": "langid.bin"}  # the annotation model, loaded again
+        run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
+        assert len(runs) == 1 and runs[0].predicted == {}
+        config, _ = first_run
+        assert output_bytes(tmp_path / "out") == output_bytes(config.resolve(config.output_dir))
 
 
 TOGGLED_STAGES = ("doc_consistency", "wordlist", "decluster", "tfiif", "negative", "dedup")
