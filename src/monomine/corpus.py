@@ -118,11 +118,13 @@ class DedupReport:
 
 @dataclass
 class IngestReport:
-    """Filled by load_documents when passed in; counts malformed lines."""
+    """Filled by load_documents when passed in; counts malformed lines and
+    documents whose id an earlier document already used."""
 
     lines: int = 0
     documents: int = 0
     skipped: int = 0
+    duplicate_ids: int = 0
     errors: list[tuple[int, str]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -130,6 +132,7 @@ class IngestReport:
             "lines": self.lines,
             "documents": self.documents,
             "skipped": self.skipped,
+            "duplicate_ids": self.duplicate_ids,
             "errors": [{"line": n, "message": m} for n, m in self.errors],
         }
 
@@ -168,10 +171,13 @@ def load_documents(
     """Stream Documents from a JSONL file in file order.
 
     Whitespace-only lines are ignored. A malformed line raises ParseError in
-    strict mode; in lenient mode it is counted in `report` and skipped.
+    strict mode; in lenient mode it is counted in `report` and skipped. A
+    document whose id an earlier line used raises ParseError in strict mode;
+    in lenient mode it is counted in `report` and kept.
     """
     if format != "jsonl":
         raise ValueError(f"unsupported format: {format!r}")
+    first_line: dict[str, int] = {}  # document id -> the line that first used it
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if report is not None:
@@ -182,11 +188,17 @@ def load_documents(
                 doc = _document_from_obj(json.loads(line))
             except (json.JSONDecodeError, ValueError) as exc:
                 if strict:
-                    raise ParseError(line_no, str(exc)) from exc
+                    raise ParseError(line_no, str(exc), path) from exc
                 if report is not None:
                     report.skipped += 1
                     report.errors.append((line_no, str(exc)))
                 continue
+            first = first_line.setdefault(doc.id, line_no)
+            if first != line_no:
+                if strict:
+                    raise ParseError(line_no, f"duplicate document id {doc.id!r}, first used on line {first}", path)
+                if report is not None:
+                    report.duplicate_ids += 1
             if report is not None:
                 report.documents += 1
             yield doc

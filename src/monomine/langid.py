@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from .errors import DegenerateData, ModelFormatError, UnknownLanguage
 
 MODEL_MAGIC = b"MMLI"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,31 @@ class Predictor(Protocol):
 
 @dataclass(frozen=True, eq=False)
 class LangIdModel:
+    """A softmax over hashed n-grams that stores only its trained columns.
+
+    `weights[:, k]` is the weight column of bucket `buckets[k]`; every bucket
+    not in `buckets` has weight 0.0 for every language, so no array is
+    `n_buckets` wide. A loaded model maps all three arrays read-only.
+    """
+
     spec: FeatureSpec
     languages: tuple[str, ...]
-    weights: np.ndarray  # [n_languages, n_buckets] float32; read-only and memory-mapped once loaded
+    buckets: np.ndarray  # [n_stored] sorted, unique bucket ids
+    weights: np.ndarray  # [n_languages, n_stored] float32
     bias: np.ndarray  # [n_languages] float32
-    version: int = MODEL_VERSION
 
     def __post_init__(self) -> None:
         if len(set(self.languages)) != len(self.languages):
             raise ValueError("languages must be unique")
+        if self.buckets.ndim != 1 or self.buckets.dtype.kind not in "iu":
+            raise ValueError("buckets must be a 1-D integer array")
+        if np.iinfo(self.buckets.dtype).max < self.spec.n_buckets - 1:
+            raise ValueError(f"bucket ids of type {self.buckets.dtype} cannot reach {self.spec.n_buckets - 1}")
+        n_langs, n_stored = len(self.languages), len(self.buckets)
+        if self.weights.shape != (n_langs, n_stored):
+            raise ValueError(f"weights must be [{n_langs}, {n_stored}], not {list(self.weights.shape)}")
+        if self.bias.shape != (n_langs,):
+            raise ValueError(f"bias must be [{n_langs}], not {list(self.bias.shape)}")
         # row by row: no boolean temporary the size of the whole matrix
         if not all(np.isfinite(row).all() for row in self.weights) or not np.isfinite(self.bias).all():
             raise ValueError("weights and bias must be finite")
@@ -226,8 +242,8 @@ def train(
     the example order before building the design matrix. Mini-batch mode
     shuffles with the configured seed instead.
 
-    Only the buckets the examples touch are fitted: every other bucket has a
-    gradient of exactly 0.0 on every step, so its weight stays 0.0.
+    Only the buckets the examples touch are fitted and stored: every other
+    bucket has a gradient of exactly 0.0 on every step, so its weight stays 0.0.
     """
     hyper = hyper or TrainConfig()
     langs = tuple(sorted({lang for _, lang in labeled}))
@@ -245,16 +261,17 @@ def train(
     bias = np.zeros(len(langs), dtype=np.float64)
     rng = np.random.default_rng(hyper.seed)
 
-    def mean_ce(w: np.ndarray, b: np.ndarray) -> float:
+    def forward(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         probs = _softmax(x @ w.T + b)
-        return float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
+        return probs, float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
 
     if hyper.batch_size is None:
         # Full batch: backtrack the step whenever it would raise the loss, so
         # the per-epoch cross-entropy is non-increasing for any learning rate.
+        # The line search scores the step it accepts, and that forward pass
+        # starts the next epoch.
+        probs, loss = forward(weights, bias)
         for _ in range(hyper.epochs):
-            probs = _softmax(x @ weights.T + bias)
-            loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
             if loss_history is not None:
                 loss_history.append(loss)
             probs[np.arange(n), y] -= 1.0
@@ -265,14 +282,15 @@ def train(
             while True:
                 new_w = weights - step * grad_w
                 new_b = bias - step * grad_b
-                if mean_ce(new_w, new_b) <= loss or step < 1e-6:
+                new_probs, new_loss = forward(new_w, new_b)
+                if new_loss <= loss or step < 1e-6:
                     break
                 step /= 2.0
-            weights, bias = new_w, new_b
+            weights, bias, probs, loss = new_w, new_b, new_probs, new_loss
     else:
         for _ in range(hyper.epochs):
             if loss_history is not None:
-                loss_history.append(mean_ce(weights, bias))
+                loss_history.append(forward(weights, bias)[1])
             order = rng.permutation(n)
             for i in range(0, n, hyper.batch_size):
                 batch = order[i : i + hyper.batch_size]
@@ -283,15 +301,25 @@ def train(
                 weights -= hyper.learning_rate * (xb.T @ probs).T
                 bias -= hyper.learning_rate * probs.sum(axis=0)
 
-    full = np.zeros((len(langs), spec.n_buckets), dtype=np.float32)
-    full[:, cols] = weights.astype(np.float32)
-    return LangIdModel(spec=spec, languages=langs, weights=full, bias=bias.astype(np.float32))
+    return LangIdModel(
+        spec=spec, languages=langs, buckets=cols, weights=weights.astype(np.float32), bias=bias.astype(np.float32)
+    )
 
 
 def _probabilities(model: LangIdModel, texts: Sequence[str]) -> np.ndarray:
-    """Softmax over the languages for each text, from the weight columns its batch touches."""
+    """Softmax over the languages for each text, from the weight columns its batch touches.
+
+    A touched bucket that the model does not store weighs 0.0, so the batch's
+    block holds the very values a dense matrix would give it.
+    """
     cols, x = _compact(_feature_matrix(texts, model.spec))
-    return _softmax(x @ model.weights[:, cols].astype(np.float64).T + model.bias.astype(np.float64))
+    wanted = cols.astype(model.buckets.dtype, copy=False)
+    at = np.searchsorted(model.buckets, wanted)
+    stored = at < len(model.buckets)
+    stored[stored] = model.buckets[at[stored]] == wanted[stored]
+    block = np.zeros((len(model.languages), len(cols)))
+    block[:, stored] = model.weights[:, at[stored]]
+    return _softmax(x @ block.T + model.bias.astype(np.float64))
 
 
 def predict_batch(model: LangIdModel, texts: Sequence[str]) -> list[tuple[str, float]]:
@@ -502,7 +530,8 @@ def pare_languages(
 
 
 def save_model(model: LangIdModel, path: str | Path) -> None:
-    """Versioned flat binary: header, language list, f32 LE weights, f32 LE bias.
+    """Versioned flat binary: header, language list, stored-column count,
+    u64 LE bucket ids, f32 LE weights, f32 LE bias.
 
     The file is written beside `path` and then moved over it, never rewritten
     in place: a model loaded from `path` maps the old file, and reading a
@@ -515,7 +544,7 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(MODEL_MAGIC)
-            fh.write(struct.pack("<I", model.version))
+            fh.write(struct.pack("<I", MODEL_VERSION))
             fh.write(struct.pack("<I", len(spec.ngram_orders)))
             for n in spec.ngram_orders:
                 fh.write(struct.pack("<I", n))
@@ -526,6 +555,8 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
                 raw = lang.encode("utf-8")
                 fh.write(struct.pack("<H", len(raw)))
                 fh.write(raw)
+            fh.write(struct.pack("<Q", len(model.buckets)))
+            fh.write(np.ascontiguousarray(model.buckets, dtype="<u8").tobytes())
             fh.write(np.ascontiguousarray(model.weights, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(model.bias, dtype="<f4").tobytes())
         os.replace(tmp, path)
@@ -533,13 +564,32 @@ def save_model(model: LangIdModel, path: str | Path) -> None:
         tmp.unlink(missing_ok=True)  # only still there if the save failed
 
 
+_ID_SLICE = 1 << 16  # stored bucket ids compared per step of `_check_bucket_ids`
+
+
+def _check_bucket_ids(ids: np.ndarray, n_buckets: int) -> None:
+    """Stored bucket ids must rise strictly and stay below `n_buckets`.
+
+    The slices overlap by one id, so every neighbouring pair is compared and
+    the temporaries stay small however many columns the model stores.
+    """
+    for start in range(0, len(ids), _ID_SLICE):
+        part = ids[start : start + _ID_SLICE + 1]
+        if not (part[1:] > part[:-1]).all():
+            raise ModelFormatError("stored bucket ids are not strictly increasing")
+    if len(ids) and ids[-1] >= n_buckets:
+        raise ModelFormatError(f"stored bucket id {ids[-1]} is not below n_buckets {n_buckets}")
+
+
 def load_model(path: str | Path) -> LangIdModel:
     """Read a model written by `save_model`. No header field sizes a read
-    beyond what the file holds; any malformed header is a ModelFormatError.
+    beyond what the file holds; any malformed header or bucket id is a
+    ModelFormatError.
 
-    The weights and bias are a read-only memory map of the file, not a copy:
-    loading costs one pass of the finiteness check, and scoring pages in only
-    the weight columns a batch touches.
+    The bucket ids, weights and bias are a read-only memory map of the file,
+    not a copy: loading reads the stored columns once, to check the ids and
+    that the weights are finite, and scoring pages in only the columns a
+    batch touches.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -571,15 +621,20 @@ def load_model(path: str | Path) -> LangIdModel:
                 languages.append(read(length).decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise ModelFormatError(f"language name is not UTF-8: {exc}") from exc
+        (n_stored,) = struct.unpack("<Q", read(8))
+        if n_stored > n_buckets:
+            raise ModelFormatError(f"header claims {n_stored} stored columns of {n_buckets} buckets")
         offset = fh.tell()
-        payload, remaining = 4 * n_langs * (n_buckets + 1), file_size - offset
+        payload, remaining = 8 * n_stored + 4 * n_langs * (n_stored + 1), file_size - offset
         if payload > remaining:
             raise ModelFormatError(f"truncated model file: header claims {payload} payload bytes, {remaining} remain")
         if payload < remaining:
             raise ModelFormatError("trailing bytes after model payload")
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    # the arrays keep the map open; the offset need not be a multiple of 4
-    n_weights = n_langs * n_buckets
-    weights = np.frombuffer(mapped, dtype="<f4", count=n_weights, offset=offset).reshape(n_langs, n_buckets)
-    bias = np.frombuffer(mapped, dtype="<f4", count=n_langs, offset=offset + 4 * n_weights)
-    return LangIdModel(spec=spec, languages=tuple(languages), weights=weights, bias=bias)
+    # the arrays keep the map open; no offset need be a multiple of the item size
+    buckets = np.frombuffer(mapped, dtype="<u8", count=n_stored, offset=offset)
+    _check_bucket_ids(buckets, n_buckets)
+    offset += 8 * n_stored
+    weights = np.frombuffer(mapped, dtype="<f4", count=n_langs * n_stored, offset=offset).reshape(n_langs, n_stored)
+    bias = np.frombuffer(mapped, dtype="<f4", count=n_langs, offset=offset + 4 * weights.size)
+    return LangIdModel(spec=spec, languages=tuple(languages), buckets=buckets, weights=weights, bias=bias)

@@ -19,7 +19,7 @@ from .errors import (
     LengthMismatch,
     TranslatorError,
 )
-from .filters import tokenize
+from .filters import predict_many, tokenize
 from .langid import Predictor
 
 logger = logging.getLogger(__name__)
@@ -223,19 +223,24 @@ def rtt_langid_chrf(
     """Round-trip ChrF, counting only trips whose intermediate passes LangID.
 
     The strict variant multiplies the loose score by the fraction of
-    intermediates assigned the correct language.
+    intermediates assigned the correct language. Every source is translated
+    first, then all intermediates are predicted in one batch, then the valid
+    ones are translated back.
     """
     if mode not in ("loose", "strict"):
         raise ValueError(f"unknown mode: {mode!r}")
+    trips: list[tuple[str, str]] = []  # (source, intermediate)
+    for source in source_corpus:
+        try:
+            trips.append((source, translator.translate(source, pivot_source, lang)))
+        except TranslatorError:
+            continue
+    # one batch call: a per-text call pays the predictor's fixed cost per text
+    predictions = predict_many(predictor, [intermediate for _, intermediate in trips])
     originals: list[str] = []
     round_trips: list[str] = []
     n_valid = 0
-    for source in source_corpus:
-        try:
-            intermediate = translator.translate(source, pivot_source, lang)
-        except TranslatorError:
-            continue
-        predicted, _ = predictor.predict(intermediate)
+    for (source, intermediate), (predicted, _) in zip(trips, predictions):
         if predicted != lang:
             continue
         n_valid += 1

@@ -278,8 +278,10 @@ def _ingest(run: _Run, _: None) -> tuple[list[Document], dict[str, dict]]:
     rep = StageReport("ingest", ingest.lines, ingest.documents)
     if ingest.skipped:
         rep.dropped_by_reason["malformed"] = ingest.skipped
-    n_sentences = sum(len(d.sentences) for d in docs)
-    return docs, {"*": {**rep.to_dict(), "sentences": n_sentences}}
+    entry = {**rep.to_dict(), "sentences": sum(len(d.sentences) for d in docs)}
+    if ingest.duplicate_ids:  # only when non-zero: a clean crawl's entry keeps its shape
+        entry["duplicate_ids"] = ingest.duplicate_ids
+    return docs, {"*": entry}
 
 
 def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str, dict]]:

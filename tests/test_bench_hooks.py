@@ -43,7 +43,7 @@ def test_stage_calls_follow_the_stage_table(spans):
 
 def _zero_model():
     spec = langid.FeatureSpec(n_buckets=1 << 10)
-    return langid.LangIdModel(spec, ("aa", "bb"), np.zeros((2, spec.n_buckets), np.float32), np.zeros(2, np.float32))
+    return langid.LangIdModel(spec, ("aa", "bb"), np.arange(0), np.zeros((2, 0), np.float32), np.zeros(2, np.float32))
 
 
 # Prediction and training featurize a batch in one `_feature_matrix` call,

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -93,6 +94,32 @@ class TestLoadDocuments:
         with pytest.raises(ParseError) as err:
             list(load_documents(path, strict=True))
         assert err.value.line_no == 2
+
+    def test_strict_error_names_the_path(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(path, ["garbage"])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}, line 1: "):
+            list(load_documents(path, strict=True))
+
+    def test_lenient_counts_and_keeps_duplicate_ids(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(
+            path,
+            ['{"id":"a","sentences":["x"]}', '{"id":"b","sentences":[]}', '{"id":"a","sentences":["y"]}', '{"id":"a","sentences":[]}'],
+        )
+        report = IngestReport()
+        docs = list(load_documents(path, report=report))
+        assert [d.id for d in docs] == ["a", "b", "a", "a"]
+        assert (report.documents, report.duplicate_ids, report.skipped) == (4, 2, 0)
+        assert report.to_dict()["duplicate_ids"] == 2
+
+    def test_strict_raises_on_a_duplicate_id(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(path, ['{"id":"a","sentences":["x"]}', "", '{"id":"b","sentences":[]}', '{"id":"a","sentences":["y"]}'])
+        with pytest.raises(ParseError, match="duplicate document id 'a', first used on line 1") as err:
+            list(load_documents(path, strict=True))
+        assert err.value.line_no == 4
+        assert err.value.path == path
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+from monomine import langid
 from monomine.errors import DegenerateData, ModelFormatError, UnknownLanguage
 from monomine.langid import (
     ConfusionMatrix,
@@ -45,6 +46,7 @@ def random_models():
         models[n_buckets] = LangIdModel(
             spec=FeatureSpec(n_buckets=n_buckets),
             languages=("aa", "bb", "cc"),
+            buckets=np.arange(n_buckets),
             weights=(3 * rng.standard_normal((3, n_buckets))).astype(np.float32),
             bias=rng.standard_normal(3).astype(np.float32),
         )
@@ -90,10 +92,23 @@ def assert_same_csr(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
+def dense_weights(model):
+    """The model's [n_languages, n_buckets] matrix: its stored columns, 0.0 elsewhere."""
+    dense = np.zeros((len(model.languages), model.spec.n_buckets), dtype=np.float32)
+    dense[:, model.buckets] = model.weights
+    return dense
+
+
 def dense_scores(model, texts):
     """Reference: the scoring expression over the whole weight matrix in float64."""
     x = _feature_matrix(texts, model.spec)
-    return x @ model.weights.astype(np.float64).T + model.bias.astype(np.float64)
+    return x @ dense_weights(model).astype(np.float64).T + model.bias.astype(np.float64)
+
+
+def zero_model(spec, languages, bias=None):
+    """A model that stores no weight column: every bucket weighs 0.0."""
+    bias = np.zeros(len(languages), dtype=np.float32) if bias is None else bias
+    return LangIdModel(spec, languages, np.arange(0), np.zeros((len(languages), 0), dtype=np.float32), bias)
 
 
 def dense_train(labeled, spec, hyper, loss_history):
@@ -144,6 +159,35 @@ def dense_train(labeled, spec, hyper, loss_history):
                 weights -= hyper.learning_rate * (xb.T @ probs).T
                 bias -= hyper.learning_rate * probs.sum(axis=0)
     return weights.astype(np.float32), bias.astype(np.float32)
+
+
+class ForwardPassHistory(list):
+    """A loss history for `train` that also notes how many forward passes
+    (`_softmax` calls) `train` had made when each epoch began."""
+
+    def __init__(self):
+        super().__init__()
+        self.passes = 0
+        self.marks = []
+
+    def append(self, loss):
+        self.marks.append(self.passes)
+        super().append(loss)
+
+    def per_epoch(self):
+        return np.diff(self.marks + [self.passes]).tolist()
+
+
+def forward_passes_per_epoch(monkeypatch):
+    history = ForwardPassHistory()
+    real = langid._softmax
+
+    def counting(scores):
+        history.passes += 1
+        return real(scores)
+
+    monkeypatch.setattr(langid, "_softmax", counting)
+    return history
 
 
 def peak_bytes(fn, *args):
@@ -338,19 +382,51 @@ class TestTrain:
             f1s.append(2 * p * r / (p + r) if p + r else 0.0)
         assert sum(f1s) / len(f1s) >= 0.95
 
-    @pytest.mark.parametrize("batch_size", [None, 16], ids=["full-batch", "mini-batch"])
-    def test_matches_dense_training(self, batch_size):
+    @pytest.mark.parametrize(
+        "batch_size,learning_rate", [(None, 10.0), (16, 10.0), (None, 1e3)], ids=["full-batch", "mini-batch", "backtracking"]
+    )
+    def test_matches_dense_training(self, monkeypatch, batch_size, learning_rate):
         # 60 short sentences touch a few hundred of the 2^16 buckets
         langs = synth.make_langs(("aa", "bb", "cc"))
         labeled = synth.labeled_examples(langs, per_lang=20, seed=11) + [("", "aa")]
         spec = FeatureSpec(n_buckets=1 << 16)
-        hyper = TrainConfig(epochs=12, learning_rate=10.0, seed=4, batch_size=batch_size)
+        hyper = TrainConfig(epochs=12, learning_rate=learning_rate, seed=4, batch_size=batch_size)
+        passes = forward_passes_per_epoch(monkeypatch)
+        model = train(labeled, spec, hyper, loss_history=passes)
+        ref_losses = []
+        ref_weights, ref_bias = dense_train(labeled, spec, hyper, ref_losses)
+        assert model.buckets.tolist() == sorted(set(_feature_matrix([t for t, _ in labeled], spec).indices.tolist()))
+        assert dense_weights(model).tobytes() == ref_weights.tobytes()
+        assert model.bias.tobytes() == ref_bias.tobytes()
+        assert np.asarray(passes).tobytes() == np.asarray(ref_losses).tobytes()
+        if learning_rate == 1e3:
+            # every epoch's line search halved the step at least once
+            assert min(passes.per_epoch()) >= 2
+
+    def test_matches_dense_training_through_the_step_floor(self):
+        # the best split of one text between two labels is 2:1; near it the
+        # loss moves by rounding only, and an epoch whose every trial step
+        # rounds upward halves to below 1e-6 and takes that step anyway
+        labeled = [("ab", "aa"), ("ab", "bb"), ("ab", "aa")]
+        spec = FeatureSpec(n_buckets=1 << 10)
+        hyper = TrainConfig(epochs=16, learning_rate=30.0)
         losses, ref_losses = [], []
         model = train(labeled, spec, hyper, loss_history=losses)
         ref_weights, ref_bias = dense_train(labeled, spec, hyper, ref_losses)
-        assert model.weights.tobytes() == ref_weights.tobytes()
+        assert any(b > a for a, b in zip(losses, losses[1:]))  # only the floor accepts a rise
+        assert dense_weights(model).tobytes() == ref_weights.tobytes()
         assert model.bias.tobytes() == ref_bias.tobytes()
         assert np.asarray(losses).tobytes() == np.asarray(ref_losses).tobytes()
+
+    def test_one_forward_pass_per_line_search_trial(self, monkeypatch):
+        # a step that is never halved costs one forward pass an epoch: the
+        # pass that scored it starts the next epoch
+        langs = synth.make_langs(("aa", "bb"))
+        labeled = synth.labeled_examples(langs, per_lang=20, seed=13)
+        passes = forward_passes_per_epoch(monkeypatch)
+        train(labeled, FeatureSpec(n_buckets=1 << 12), TrainConfig(epochs=8, learning_rate=1.0), loss_history=passes)
+        assert passes.per_epoch() == [1] * 8
+        assert passes.passes == 1 + 8
 
     def test_minibatch_mode_runs(self):
         langs = synth.make_langs(("aa", "bb"))
@@ -365,25 +441,13 @@ class TestTrain:
 
 class TestPredict:
     def test_zero_model_returns_first_language(self):
-        spec = FeatureSpec(n_buckets=1 << 10)
-        model = LangIdModel(
-            spec=spec,
-            languages=("aa", "bb", "cc"),
-            weights=np.zeros((3, spec.n_buckets), dtype=np.float32),
-            bias=np.zeros(3, dtype=np.float32),
-        )
+        model = zero_model(FeatureSpec(n_buckets=1 << 10), ("aa", "bb", "cc"))
         lang, conf = predict(model, "whatever")
         assert lang == "aa"
         assert conf == pytest.approx(1 / 3)
 
     def test_empty_text_uses_bias(self):
-        spec = FeatureSpec(n_buckets=1 << 10)
-        model = LangIdModel(
-            spec=spec,
-            languages=("aa", "bb"),
-            weights=np.zeros((2, spec.n_buckets), dtype=np.float32),
-            bias=np.array([0.0, 2.0], dtype=np.float32),
-        )
+        model = zero_model(FeatureSpec(n_buckets=1 << 10), ("aa", "bb"), bias=np.array([0.0, 2.0], dtype=np.float32))
         lang, conf = predict(model, "")
         assert lang == "bb"
         assert conf == pytest.approx(math.exp(2) / (1 + math.exp(2)))
@@ -403,7 +467,7 @@ class TestPredict:
         # identical n-gram distribution => identical prediction
         _, model = two_lang_model
         spec = FeatureSpec(ngram_orders=(1,), n_buckets=model.spec.n_buckets)
-        unigram_model = LangIdModel(spec=spec, languages=model.languages, weights=model.weights, bias=model.bias)
+        unigram_model = LangIdModel(spec, model.languages, model.buckets, model.weights, model.bias)
         assert predict(unigram_model, "abcd") == predict(unigram_model, "abcd" * 7)
 
     @pytest.mark.parametrize("n_buckets", [1 << 10, 1 << 20])
@@ -419,6 +483,49 @@ class TestPredict:
         assert got.shape == probs.shape and got.tobytes() == probs.tobytes()
         expected = [(model.languages[i], float(probs[row, i])) for row, i in enumerate(np.argmax(probs, axis=1))]
         assert predict_batch(model, texts) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        texts=st.lists(TEXTS, max_size=6),
+        n_buckets=st.sampled_from([1 << 10, 1 << 16]),
+        stored=st.sampled_from(["none", "first", "last", "all", "some", "untouched"]),
+        id_type=st.sampled_from([np.int64, np.uint64, np.int32]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(texts=["abc", ""], n_buckets=1 << 10, stored="none", id_type=np.int64, seed=0)
+    @example(texts=["abc", "hij"], n_buckets=1 << 10, stored="untouched", id_type=np.uint64, seed=1)
+    @example(texts=["abcdefgh ijklmnop"], n_buckets=1 << 16, stored="all", id_type=np.int64, seed=2)
+    def test_compact_matches_dense_scoring(self, texts, n_buckets, stored, id_type, seed):
+        spec = FeatureSpec(n_buckets=n_buckets)
+        rng = np.random.default_rng(seed)
+        touched = np.unique(_feature_matrix(texts, spec).indices)
+        buckets = {
+            "none": np.arange(0),
+            "first": np.array([0]),
+            "last": np.array([n_buckets - 1]),
+            "all": np.arange(n_buckets),
+            "some": np.flatnonzero(rng.random(n_buckets) < 0.3),
+            "untouched": np.setdiff1d(np.flatnonzero(rng.random(n_buckets) < 0.5), touched),
+        }[stored].astype(id_type)
+        weights = (3 * rng.standard_normal((3, len(buckets)))).astype(np.float32)
+        model = LangIdModel(spec, ("aa", "bb", "cc"), buckets, weights, rng.standard_normal(3).astype(np.float32))
+        probs = _softmax(dense_scores(model, texts))
+        got = _probabilities(model, texts)
+        assert got.shape == probs.shape and got.tobytes() == probs.tobytes()
+        expected = [(model.languages[i], float(probs[row, i])) for row, i in enumerate(np.argmax(probs, axis=1))]
+        assert predict_batch(model, texts) == expected
+
+    def test_model_shapes_checked(self):
+        spec = FeatureSpec(n_buckets=1 << 10)
+        w = np.zeros((2, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="weights must be"):
+            LangIdModel(spec, ("aa", "bb"), np.arange(2), w, np.zeros(2, dtype=np.float32))
+        with pytest.raises(ValueError, match="bias must be"):
+            LangIdModel(spec, ("aa", "bb"), np.arange(3), w, np.zeros(3, dtype=np.float32))
+        with pytest.raises(ValueError, match="1-D integer"):
+            LangIdModel(spec, ("aa", "bb"), np.arange(3.0), w, np.zeros(2, dtype=np.float32))
+        with pytest.raises(ValueError, match="cannot reach"):
+            LangIdModel(spec, ("aa", "bb"), np.arange(3, dtype=np.int8), w, np.zeros(2, dtype=np.float32))
 
     def test_batch_memory_follows_the_batch(self, random_models):
         # a float64 copy of the whole matrix and its transpose would be 4x its size
@@ -626,6 +733,7 @@ class TestModelIO:
         back = load_model(path)
         assert back.languages == model.languages
         assert back.spec == model.spec
+        assert np.array_equal(back.buckets, model.buckets)
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.bias, model.bias)
 
@@ -650,7 +758,7 @@ class TestModelIO:
         path = tmp_path / "model.bin"
         save_model(model, path)
         back = load_model(path)
-        for arr in (back.weights, back.bias):
+        for arr in (back.buckets, back.weights, back.bias):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -658,10 +766,10 @@ class TestModelIO:
     def test_unaligned_weights_roundtrip(self, tmp_path, random_models):
         # names of 1 and 2 bytes put the weights at an offset of 3 mod 4
         model = random_models[1 << 10]
-        odd = LangIdModel(model.spec, ("a", "bb", "cc"), model.weights, model.bias)
+        odd = LangIdModel(model.spec, ("a", "bb", "cc"), model.buckets, model.weights, model.bias)
         path = tmp_path / "odd.bin"
         save_model(odd, path)
-        offset = path.stat().st_size - 4 * len(odd.languages) * (odd.spec.n_buckets + 1)
+        offset = path.stat().st_size - 4 * len(odd.languages) * (len(odd.buckets) + 1)
         assert offset % 4 == 3
         back = load_model(path)
         assert back.languages == odd.languages
@@ -698,7 +806,7 @@ class TestModelIO:
         save_model(model, path)
         old = path.read_bytes()
         # a language name too long for its u16 length field fails after the header
-        bad = LangIdModel(model.spec, ("aa", "x" * 70_000, "cc"), model.weights, model.bias)
+        bad = LangIdModel(model.spec, ("aa", "x" * 70_000, "cc"), model.buckets, model.weights, model.bias)
         with pytest.raises(struct.error):
             save_model(bad, path)
         assert path.read_bytes() == old
@@ -730,12 +838,81 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="^trailing bytes after model payload$"):
             load_model(path)
 
+    def test_version_1_rejected(self, tmp_path, two_lang_model):
+        _, model = two_lang_model
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="^unsupported model version 1$"):
+            load_model(path)
+
     @staticmethod
-    def _header(n_buckets, n_langs):
-        """A model header that claims n_langs x n_buckets weights, with no payload."""
-        head = b"MMLI" + struct.pack("<II", 1, 1) + struct.pack("<I", 1)
+    def _with_ids(path, ids):
+        """Overwrite the stored bucket ids of a three-language model file."""
+        data = bytearray(path.read_bytes())
+        n_langs, n_stored = 3, len(ids)
+        start = len(data) - 4 * n_langs * (n_stored + 1) - 8 * n_stored
+        data[start : start + 8 * n_stored] = np.asarray(ids, dtype="<u8").tobytes()
+        path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("swapped", "not strictly increasing"),
+            ("repeated", "not strictly increasing"),
+            ("swapped-across-slices", "not strictly increasing"),
+            ("too-large", "not below n_buckets 1024"),
+        ],
+    )
+    def test_bad_bucket_ids_rejected(self, tmp_path, monkeypatch, case, message):
+        monkeypatch.setattr(langid, "_ID_SLICE", 4)  # slices of 4 ids overlap by one
+        rng = np.random.default_rng(3)
+        spec = FeatureSpec(n_buckets=1 << 10)
+        buckets = np.arange(100, 120)
+        weights = rng.standard_normal((3, 20)).astype(np.float32)
+        model = LangIdModel(spec, ("l00", "l01", "l02"), buckets, weights, np.zeros(3, np.float32))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert load_model(path).buckets.tolist() == buckets.tolist()
+        ids = buckets.copy()
+        if case == "swapped":
+            ids[[5, 6]] = ids[[6, 5]]
+        elif case == "repeated":
+            ids[10] = ids[9]
+        elif case == "swapped-across-slices":
+            ids[[3, 4]] = ids[[4, 3]]  # ids 3 and 4 lie in different slices
+        else:
+            ids[-1] = spec.n_buckets
+        self._with_ids(path, ids)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_stored_count_above_n_buckets_rejected(self, tmp_path):
+        path = tmp_path / "count.bin"
+        path.write_bytes(self._header(1 << 10, 1, n_stored=(1 << 10) + 1) + b"\x00" * 64)
+        with pytest.raises(ModelFormatError, match="1025 stored columns of 1024 buckets"):
+            load_model(path)
+
+    def test_cut_inside_the_id_block(self, tmp_path, two_lang_model):
+        _, model = two_lang_model
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        ids_end = len(data) - 4 * len(model.languages) * (len(model.buckets) + 1)
+        path.write_bytes(data[: ids_end - 12])
+        with pytest.raises(ModelFormatError, match="truncated model file: header claims"):
+            load_model(path)
+
+    @staticmethod
+    def _header(n_buckets, n_langs, n_stored=None):
+        """A model header that claims n_langs x n_stored weights (all n_buckets
+        by default), with no payload."""
+        head = b"MMLI" + struct.pack("<II", 2, 1) + struct.pack("<I", 1)
         head += struct.pack("<Qq", n_buckets, 0) + struct.pack("<I", n_langs)
-        return head + b"".join(struct.pack("<H", 3) + b"l%02d" % i for i in range(n_langs))
+        head += b"".join(struct.pack("<H", 3) + b"l%02d" % i for i in range(n_langs))
+        return head + struct.pack("<Q", n_buckets if n_stored is None else n_stored)
 
     def test_header_cannot_size_a_huge_read(self, tmp_path):
         # 16 languages x 2^20 buckets of f32 claim a 64 MiB payload
@@ -760,13 +937,7 @@ class TestModelIO:
 class TestCrossEntropy:
     def test_zero_model_is_log_n(self, two_lang_model):
         langs, _ = two_lang_model
-        spec = FeatureSpec(n_buckets=1 << 10)
-        model = LangIdModel(
-            spec=spec,
-            languages=("aa", "bb"),
-            weights=np.zeros((2, spec.n_buckets), dtype=np.float32),
-            bias=np.zeros(2, dtype=np.float32),
-        )
+        model = zero_model(FeatureSpec(n_buckets=1 << 10), ("aa", "bb"))
         labeled = synth.labeled_examples(langs, per_lang=10, seed=20)
         assert cross_entropy(model, labeled) == pytest.approx(math.log(2))
 

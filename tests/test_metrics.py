@@ -368,6 +368,32 @@ class TestRttLangIdChrf:
         assert result.valid_fraction == pytest.approx(0.09)
         assert result.invalid
 
+    def test_intermediates_predicted_in_one_batch(self):
+        class BatchOnly(MarkPredictor):
+            def __init__(self):
+                super().__init__("xx")
+                self.batches = []
+
+            def predict(self, text):
+                raise AssertionError("one text at a time")
+
+            def predict_batch(self, texts):
+                self.batches.append(list(texts))
+                return [MarkPredictor.predict(self, text) for text in texts]
+
+        class FailsEveryThird(AlternatingMarkTranslator):
+            def translate(self, text, source, target):
+                if target != "en" and text.endswith(("0 with words", "3 with words", "6 with words")):
+                    raise TranslatorError("unsupported")
+                return super().translate(text, source, target)
+
+        for mode in ("loose", "strict"):
+            predictor = BatchOnly()
+            got = rtt_langid_chrf(SOURCES, "xx", FailsEveryThird(), predictor, mode)
+            assert len(predictor.batches) == 1
+            assert len(predictor.batches[0]) == len(SOURCES) - 6  # sources 0, 3, 6, 10, 13 and 16 fail
+            assert got == rtt_langid_chrf(SOURCES, "xx", FailsEveryThird(), MarkPredictor("xx"), mode)
+
     def test_translator_errors_counted_as_excluded(self):
         result = rtt_langid_chrf(SOURCES, "xx", FailingTranslator(), ConstPredictor("xx"), "loose")
         assert result.invalid

@@ -9,7 +9,7 @@ from monomine import corpus as corpus_mod
 from monomine import filters, langid, pipeline
 from monomine.clustering import ClusterMap
 from monomine.corpus import Document, load_documents, read_corpus
-from monomine.errors import ConfigError
+from monomine.errors import ConfigError, ParseError
 from monomine.langid import load_model
 from monomine.pipeline import (
     ANNOTATE_CHUNK,
@@ -402,3 +402,18 @@ class TestIngestManifest:
         result = run_pipeline(config)
         ingest = next(m for m in result.manifests if m.stage == "ingest")
         assert ingest.per_language["*"]["dropped_by_reason"] == {"malformed": 1}
+        assert "duplicate_ids" not in ingest.per_language["*"]
+
+    def test_duplicate_ids_counted_in_manifest(self, env, tmp_path):
+        crawl = tmp_path / "dup.jsonl"
+        crawl.write_text('{"id":"d1","sentences":["ok"]}\n{"id":"d1","sentences":["again"]}\n')
+        raw = env.config_dict()
+        raw["input"] = str(crawl)
+        raw["output_dir"] = str(tmp_path / "out")
+        result = run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
+        ingest = next(m for m in result.manifests if m.stage == "ingest")
+        assert ingest.per_language["*"]["duplicate_ids"] == 1
+        assert ingest.per_language["*"]["out"] == 2  # counted, not dropped
+        raw["strict"] = True
+        with pytest.raises(ParseError, match="line 2: duplicate document id 'd1'"):
+            run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
