@@ -18,7 +18,7 @@ from . import anomaly as anomaly_mod
 from . import clustering, filters, metrics, pipeline
 from . import corpus as corpus_mod
 from . import langid
-from .errors import MiningError, TranslatorError
+from .errors import MiningError, ParseError, TranslatorError, read_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,14 +145,20 @@ def cmd_eval_langid(args) -> dict:
 
 
 def _load_confusion(path: str) -> langid.ConfusionMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return langid.ConfusionMatrix.from_dict(json.load(fh))
+    """A confusion matrix as `eval-langid --output` writes it; any other
+    JSON raises ParseError with the path."""
+    obj = read_json(path, dict, "a {languages, counts} object")
+    try:
+        return langid.ConfusionMatrix.from_dict(obj)
+    except KeyError as exc:
+        raise ParseError(None, f"missing key {exc}", path) from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(None, str(exc), path) from exc
 
 
 def cmd_pare(args) -> dict:
     cm = _load_confusion(args.confusion)
-    with open(args.train_sizes, "r", encoding="utf-8") as fh:
-        sizes = {k: int(v) for k, v in json.load(fh).items()}
+    sizes = {k: int(v) for k, v in read_json(args.train_sizes, dict, "a {lang: count} object").items()}
     thresholds = langid.PareThresholds(
         min_precision=args.min_precision,
         max_confusion=args.max_confusion,
@@ -191,14 +197,12 @@ def cmd_annotate(args) -> dict:
 
 
 def cmd_filter_doc_consistency(args) -> dict:
-    docs = corpus_mod.read_annotated(args.input)
-    reports: dict[int, filters.StageReport] = {}
-    corpora = filters.filter_doc_consistency(docs, reports)
+    corpora, reports = filters.filter_doc_consistency(corpus_mod.read_annotated(args.input))
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for cid, corpus in corpora.items():
         corpus_mod.write_corpus(corpus, out_dir / f"cluster-{cid}.txt")
-    return {f"cluster:{cid}": rep.to_dict() for cid, rep in sorted(reports.items())}
+    return pipeline._entries(reports)
 
 
 def cmd_filter_wordlist(args) -> dict:
@@ -208,8 +212,7 @@ def cmd_filter_wordlist(args) -> dict:
         lang: filters.WordList.load_tsv(Path(args.lists) / f"{lang}.txt", lang, "frequency")
         for lang in langs
     }
-    report = filters.StageReport()
-    filtered = filters.filter_wordlist(corpus, lists, args.threshold, report)
+    filtered, report = filters.filter_wordlist(corpus, lists, args.threshold)
     corpus_mod.write_corpus(filtered, args.output)
     return report.to_dict()
 
@@ -221,20 +224,18 @@ def cmd_filter_decluster(args) -> dict:
     for path in sorted(Path(args.input_dir).glob("cluster-*.txt")):
         cid = int(path.stem.split("-", 1)[1])
         cluster_corpora[cid] = corpus_mod.read_corpus(path, f"cluster:{cid}")
-    reports: dict[str, filters.StageReport] = {}
-    corpora = filters.decluster(cluster_corpora, model, clusters, reports)
+    corpora, reports = filters.decluster(cluster_corpora, model, clusters)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for lang, corpus in corpora.items():
         corpus_mod.write_corpus(corpus, out_dir / f"{lang}.txt")
-    return {lang: rep.to_dict() for lang, rep in sorted(reports.items())}
+    return pipeline._entries(reports)
 
 
 def cmd_filter_tfiif(args) -> dict:
     corpus = corpus_mod.read_corpus(args.corpus, args.lang)
     wordlist = filters.WordList.load_tsv(args.list, args.lang, "tfiif")
-    report = filters.StageReport()
-    filtered = filters.filter_tfiif(corpus, wordlist, args.threshold, report)
+    filtered, report = filters.filter_tfiif(corpus, wordlist, args.threshold)
     corpus_mod.write_corpus(filtered, args.output)
     return report.to_dict()
 
@@ -242,8 +243,7 @@ def cmd_filter_tfiif(args) -> dict:
 def cmd_filter_negative(args) -> dict:
     corpus = corpus_mod.read_corpus(args.corpus, args.lang)
     rules = [r for r in filters.load_negative_rules(args.rules) if r.lang == args.lang]
-    report = filters.StageReport()
-    filtered = filters.negative_filter(corpus, rules, report)
+    filtered, report = filters.negative_filter(corpus, rules)
     corpus_mod.write_corpus(filtered, args.output)
     return report.to_dict()
 
@@ -361,8 +361,7 @@ def cmd_chrf(args) -> dict:
 def cmd_hitrate(args) -> dict:
     hyps = _read_lines(args.hyp)
     refs = _read_lines(args.ref)
-    with open(args.bins, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(args.bins, dict, "a {ranked_tokens, boundaries} object")
     bins = metrics.build_bins(raw["ranked_tokens"], raw["boundaries"])
     out = []
     for i in range(bins.n_bins):

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidCut
+from .errors import InvalidCut, ParseError, read_json
 from .langid import ConfusionMatrix
 
 
@@ -66,11 +66,16 @@ class ClusterMap:
 
     @classmethod
     def load_json(cls, path: str | Path) -> "ClusterMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        """The mapping `save_json` writes. Bad JSON raises ParseError with
+        its line; any other shape, or a cluster id that is not an integer,
+        with the path."""
+        obj = read_json(path, dict, "a {lang: cluster_id} object")
         by_cluster: dict[int, list[str]] = {}
         for lang, cid in obj.items():
-            by_cluster.setdefault(int(cid), []).append(lang)
+            try:
+                by_cluster.setdefault(int(cid), []).append(lang)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(None, f"cluster id of {lang!r}: {exc}", path) from exc
         return cls.from_groups(by_cluster.values())
 
     def save_tsv(self, path: str | Path) -> None:
@@ -135,7 +140,6 @@ def _replay(n: int, merges: Iterable[tuple[float, int, int]]) -> list[list[int]]
 def agglomerative_cluster(
     dist: np.ndarray,
     labels: Sequence[str],
-    linkage: str = "average",
     n_clusters: Optional[int] = None,
     distance_threshold: Optional[float] = None,
 ) -> ClusterMap:
@@ -144,8 +148,6 @@ def agglomerative_cluster(
     With a threshold, merging stops when the smallest linkage distance is at
     or above it (sklearn-style semantics).
     """
-    if linkage != "average":
-        raise ValueError(f"unsupported linkage: {linkage!r}")
     n = dist.shape[0]
     if len(labels) != n:
         raise ValueError("labels must match the distance matrix size")

@@ -164,7 +164,6 @@ def _document_from_obj(obj: object) -> Document:
 
 def load_documents(
     path: str | Path,
-    format: str = "jsonl",
     strict: bool = False,
     report: Optional[IngestReport] = None,
 ) -> Iterator[Document]:
@@ -175,8 +174,6 @@ def load_documents(
     document whose id an earlier line used raises ParseError in strict mode;
     in lenient mode it is counted in `report` and kept.
     """
-    if format != "jsonl":
-        raise ValueError(f"unsupported format: {format!r}")
     first_line: dict[str, int] = {}  # document id -> the line that first used it
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -249,8 +246,10 @@ def read_annotated(path: str | Path) -> Iterator[Document]:
                 continue
             try:
                 yield document_from_annotated_obj(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(line_no, str(exc)) from exc
+            except KeyError as exc:
+                raise ParseError(line_no, f"missing key {exc}", path) from exc
+            except (json.JSONDecodeError, TypeError, ValueError) as exc:
+                raise ParseError(line_no, str(exc), path) from exc
 
 
 def _dedup(corpus: MonoCorpus, seen: set[str]) -> tuple[MonoCorpus, DedupReport]:

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit."""
 
-from typing import Optional
+import json
+from typing import Any, Optional
 
 
 class MiningError(Exception):
@@ -18,6 +19,20 @@ class ParseError(MiningError):
         super().__init__(f"{', '.join(where)}: {message}" if where else message)
         self.line_no = line_no
         self.path = path
+
+
+def read_json(path: object, kind: type, what: str) -> Any:
+    """The JSON value in the file at `path`, which must be a `kind`. Bad JSON
+    raises ParseError with its line; another value, ParseError saying `what`
+    was expected."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, f"bad JSON: {exc.msg}", path) from exc
+    if not isinstance(obj, kind):
+        raise ParseError(None, f"expected {what}, got {type(obj).__name__}", path)
+    return obj
 
 
 class ConfigError(MiningError):

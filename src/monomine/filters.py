@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     UnknownLanguage,
     WrongListKind,
+    read_json,
 )
 from .langid import ConfusionMatrix, Predictor
 
@@ -71,7 +72,7 @@ Tokenizer = Callable[[str], Sequence[str]]
 class StageReport:
     """What one filter stage did to one corpus: {in, out, dropped_by_reason}."""
 
-    stage: str = ""
+    stage: str
     n_in: int = 0
     n_out: int = 0
     dropped_by_reason: dict[str, int] = field(default_factory=dict)
@@ -136,17 +137,9 @@ def _read_tsv_pairs(path: str | Path, convert: Callable[[str], T]) -> Iterator[t
             yield token, parsed
 
 
-def predict_many(predictor: Predictor, texts: Sequence[str]) -> list[tuple[str, float]]:
-    """Use the predictor's batch path when it has one."""
-    batch = getattr(predictor, "predict_batch", None)
-    if batch is not None:
-        return batch(texts)
-    return [predictor.predict(t) for t in texts]
-
-
 def annotate_document(doc: Document, predictor: Predictor, clusters: ClusterMap) -> Document:
     """Attach a language, cluster, and confidence to every sentence."""
-    predictions = predict_many(predictor, doc.texts)
+    predictions = predictor.predict_batch(doc.texts)
     annotated = []
     for record, (lang, confidence) in zip(doc.sentences, predictions):
         if lang not in clusters.assignment:
@@ -185,13 +178,13 @@ def consistency_score(doc: Document, sentence_index: int) -> float:
 
 def filter_doc_consistency(
     docs: Iterable[Document],
-    reports: Optional[dict[int, StageReport]] = None,
-) -> dict[int, MonoCorpus]:
+) -> tuple[dict[int, MonoCorpus], dict[str, StageReport]]:
     """Keep only sentences whose cluster matches their document's cluster.
 
-    Output corpora are cluster-level, labeled ``cluster:<id>``. A sentence
-    with a consistency score over 0.5 is in the strict majority and can
-    never be dropped here.
+    Output corpora are cluster-level, labeled ``cluster:<id>``, and so are
+    the reports, in cluster-id order; they also cover clusters that never
+    won a document majority. A sentence with a consistency score over 0.5 is
+    in the strict majority and can never be dropped here.
 
     A refinement that would also keep minority sentences of genuinely
     multilingual pages (those below some consistency threshold) is a known
@@ -211,18 +204,17 @@ def filter_doc_consistency(
             else:
                 cid = record.predicted_cluster
                 dropped[cid] = dropped.get(cid, 0) + 1
-    out: dict[int, MonoCorpus] = {}
-    for cid in sorted(kept):
-        out[cid] = MonoCorpus.from_sentences(f"cluster:{cid}", kept[cid], stage="doc_consistency")
-    if reports is not None:
-        # report covers clusters that never won a document majority too
-        for cid in sorted(set(kept) | set(dropped)):
-            n_kept = len(kept.get(cid, ()))
-            rep = StageReport("doc_consistency", n_in=n_kept + dropped.get(cid, 0), n_out=n_kept)
-            if dropped.get(cid):
-                rep.dropped_by_reason["cluster_mismatch"] = dropped[cid]
-            reports[cid] = rep
-    return out
+    out = {
+        cid: MonoCorpus.from_sentences(f"cluster:{cid}", kept[cid], stage="doc_consistency")
+        for cid in sorted(kept)
+    }
+    reports = {}
+    for cid in sorted(set(kept) | set(dropped)):
+        n_kept = len(kept.get(cid, ()))
+        rep = reports[f"cluster:{cid}"] = StageReport("doc_consistency", n_kept + dropped.get(cid, 0), n_kept)
+        if dropped.get(cid):
+            rep.dropped_by_reason["cluster_mismatch"] = dropped[cid]
+    return out, reports
 
 
 @dataclass(frozen=True)
@@ -275,19 +267,14 @@ def _keep_by_fraction(
     sentences: Sequence[str],
     token_sets: Sequence[frozenset[str]],
     threshold: float,
-    report: Optional[StageReport] = None,
     tokens_of: Optional[Tokenizer] = None,
-) -> list[str]:
-    """Sentences with >= threshold of their tokens in at least one token set.
-
-    Sentences with no tokens at all are dropped and counted separately in
-    `report`, which is filled for `stage` when given.
+) -> tuple[list[str], StageReport]:
+    """Sentences with >= threshold of their tokens in at least one token set,
+    and the report of `stage`. Sentences with no tokens at all are dropped
+    and counted separately.
     """
     tokens_of = tokens_of or tokenize
-    if report is None:
-        report = StageReport()
-    report.stage = stage
-    report.n_in = len(sentences)
+    report = StageReport(stage, n_in=len(sentences))
     kept = []
     for sentence in sentences:
         tokens = tokens_of(sentence)
@@ -298,16 +285,15 @@ def _keep_by_fraction(
         else:
             report.drop("below_threshold")
     report.n_out = len(kept)
-    return kept
+    return kept, report
 
 
 def filter_wordlist(
     corpus: MonoCorpus,
     lists: Mapping[str, WordList],
     threshold: float = 0.2,
-    report: Optional[StageReport] = None,
     tokens_of: Optional[Tokenizer] = None,
-) -> MonoCorpus:
+) -> tuple[MonoCorpus, StageReport]:
     """Keep a sentence if it looks in-language for at least one cluster member.
 
     A sentence needs >= threshold of its tokens in some language's wordlist.
@@ -316,25 +302,25 @@ def filter_wordlist(
     if not lists:
         raise MissingWordlist(f"no wordlists supplied for {corpus.lang}")
     token_sets = [wl.tokens for _, wl in sorted(lists.items())]
-    kept = _keep_by_fraction("wordlist", corpus.sentences, token_sets, threshold, report, tokens_of)
-    return corpus.advanced("wordlist", kept)
+    kept, report = _keep_by_fraction("wordlist", corpus.sentences, token_sets, threshold, tokens_of)
+    return corpus.advanced("wordlist", kept), report
 
 
 def decluster(
     cluster_corpora: Mapping[int, MonoCorpus],
     predictor: Predictor,
     clusters: Optional[ClusterMap],
-    reports: Optional[dict[str, StageReport]] = None,
     predicted: Optional[Mapping[str, str]] = None,
-) -> dict[str, MonoCorpus]:
+) -> tuple[dict[str, MonoCorpus], dict[str, StageReport]]:
     """Split cluster corpora into per-language corpora by a second prediction.
 
     Earlier annotations are ignored, unless `predicted` holds each
     sentence's language as `predictor` already gave it: then the predictor
     is not called again. A sentence whose predicted language falls outside
-    its cluster is dropped. With no cluster map every language is a member
-    of every cluster: nothing is dropped, and only languages predicted at
-    least once get a corpus.
+    its cluster is dropped, and counted in the report of its cluster corpus;
+    the reports are in label order. With no cluster map every language is a
+    member of every cluster: nothing is dropped, and only languages
+    predicted at least once get a corpus.
     """
     routed: dict[str, list[str]] = {}
     dropped: dict[str, int] = {}
@@ -344,7 +330,7 @@ def decluster(
         for lang in members or ():
             routed.setdefault(lang, [])
         if predicted is None:
-            langs = [lang for lang, _ in predict_many(predictor, list(corpus.sentences))]
+            langs = [lang for lang, _ in predictor.predict_batch(corpus.sentences)]
         else:
             langs = [predicted[sentence] for sentence in corpus.sentences]
         for sentence, lang in zip(corpus.sentences, langs):
@@ -352,17 +338,13 @@ def decluster(
                 routed.setdefault(lang, []).append(sentence)
             else:
                 dropped[corpus.lang] = dropped.get(corpus.lang, 0) + 1
-    out: dict[str, MonoCorpus] = {}
-    for lang in sorted(routed):
-        out[lang] = MonoCorpus.from_sentences(lang, routed[lang], stage="decluster")
-        if reports is not None:
-            reports[lang] = StageReport("decluster", n_in=len(routed[lang]), n_out=len(routed[lang]))
-    if reports is not None:
-        for label, n in sorted(dropped.items()):
-            rep = reports.setdefault(label, StageReport("decluster"))
-            rep.n_in += n
-            rep.dropped_by_reason["out_of_cluster"] = n
-    return out
+    out = {lang: MonoCorpus.from_sentences(lang, routed[lang], stage="decluster") for lang in sorted(routed)}
+    reports = {lang: StageReport("decluster", len(kept), len(kept)) for lang, kept in routed.items()}
+    for label, n in dropped.items():
+        rep = reports.setdefault(label, StageReport("decluster"))
+        rep.n_in += n
+        rep.dropped_by_reason["out_of_cluster"] = n
+    return out, dict(sorted(reports.items()))
 
 
 @dataclass(frozen=True)
@@ -428,14 +410,13 @@ def filter_tfiif(
     corpus: MonoCorpus,
     wordlist: WordList,
     threshold: float = 0.2,
-    report: Optional[StageReport] = None,
     tokens_of: Optional[Tokenizer] = None,
-) -> MonoCorpus:
+) -> tuple[MonoCorpus, StageReport]:
     """Keep sentences with >= threshold of their tokens in the TF-IIF list."""
     if wordlist.kind != "tfiif":
         raise WrongListKind(f"expected a tfiif list, got {wordlist.kind!r}")
-    kept = _keep_by_fraction("tfiif", corpus.sentences, [wordlist.tokens], threshold, report, tokens_of)
-    return corpus.advanced("tfiif", kept)
+    kept, report = _keep_by_fraction("tfiif", corpus.sentences, [wordlist.tokens], threshold, tokens_of)
+    return corpus.advanced("tfiif", kept), report
 
 
 def survival_fraction(
@@ -447,7 +428,7 @@ def survival_fraction(
     """Fraction of sentences the TF-IIF filter would keep. Empty input -> 1.0."""
     if not sentences:
         return 1.0
-    kept = _keep_by_fraction("tfiif", sentences, [wordlist.tokens], threshold, None, tokens_of)
+    kept, _ = _keep_by_fraction("tfiif", sentences, [wordlist.tokens], threshold, tokens_of)
     return len(kept) / len(sentences)
 
 
@@ -564,13 +545,7 @@ def load_negative_rules(path: str | Path) -> list[NegativeFilterRule]:
     """Rules from a JSON list of {lang, rule, pattern[, case_sensitive]}.
     Bad JSON raises ParseError with its line; a bad rule, with its 0-based
     index in the list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, f"bad JSON: {exc.msg}", path) from exc
-    if not isinstance(raw, list):
-        raise ParseError(None, f"expected a list of rules, got {type(raw).__name__}", path)
+    raw = read_json(path, list, "a list of rules")
     rules = []
     for index, obj in enumerate(raw):
         try:
@@ -588,16 +563,14 @@ def load_negative_rules(path: str | Path) -> list[NegativeFilterRule]:
 def negative_filter(
     corpus: MonoCorpus,
     rules: Sequence[NegativeFilterRule],
-    report: Optional[StageReport] = None,
     tokens_of: Optional[Tokenizer] = None,
-) -> MonoCorpus:
-    """Drop any sentence matched by one of the hand-authored rules."""
+) -> tuple[MonoCorpus, StageReport]:
+    """Drop any sentence matched by one of the hand-authored rules; the
+    report counts each drop under the first rule that matched."""
     for rule in rules:
         if rule.lang != corpus.lang:
             raise ValueError(f"rule for {rule.lang!r} applied to corpus {corpus.lang!r}")
-    if report is not None:
-        report.stage = "negative"
-        report.n_in = len(corpus.sentences)
+    report = StageReport("negative", n_in=len(corpus.sentences))
     tokens_of = tokens_of or tokenize
     folded = any(r.rule == "token" and not r.case_sensitive for r in rules)
     cased = any(r.rule == "token" and r.case_sensitive for r in rules)
@@ -609,8 +582,7 @@ def negative_filter(
         hit = next((r for r in rules if r.matches(sentence, tokens, cased_tokens)), None)
         if hit is None:
             kept.append(sentence)
-        elif report is not None:
+        else:
             report.drop(f"{hit.rule}:{hit.pattern}")
-    if report is not None:
-        report.n_out = len(kept)
-    return corpus.advanced("negative", kept)
+    report.n_out = len(kept)
+    return corpus.advanced("negative", kept), report

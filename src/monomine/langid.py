@@ -53,12 +53,13 @@ def extract_features(text: str, spec: FeatureSpec) -> dict[int, float]:
 
 
 class Predictor(Protocol):
-    """Anything that maps text to a (language, confidence) pair."""
+    """Anything that maps each of a batch of texts to a (language, confidence)
+    pair, in order."""
 
     @property
     def languages(self) -> Sequence[str]: ...
 
-    def predict(self, text: str) -> tuple[str, float]: ...
+    def predict_batch(self, texts: Sequence[str]) -> list[tuple[str, float]]: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +92,6 @@ class LangIdModel:
         # row by row: no boolean temporary the size of the whole matrix
         if not all(np.isfinite(row).all() for row in self.weights) or not np.isfinite(self.bias).all():
             raise ValueError("weights and bias must be finite")
-
-    def predict(self, text: str) -> tuple[str, float]:
-        return predict(self, text)
 
     def predict_batch(self, texts: Sequence[str]) -> list[tuple[str, float]]:
         return predict_batch(self, texts)

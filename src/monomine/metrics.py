@@ -19,7 +19,7 @@ from .errors import (
     LengthMismatch,
     TranslatorError,
 )
-from .filters import predict_many, tokenize
+from .filters import tokenize
 from .langid import Predictor
 
 logger = logging.getLogger(__name__)
@@ -236,7 +236,7 @@ def rtt_langid_chrf(
         except TranslatorError:
             continue
     # one batch call: a per-text call pays the predictor's fixed cost per text
-    predictions = predict_many(predictor, [intermediate for _, intermediate in trips])
+    predictions = predictor.predict_batch([intermediate for _, intermediate in trips])
     originals: list[str] = []
     round_trips: list[str] = []
     n_valid = 0

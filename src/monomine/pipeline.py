@@ -16,7 +16,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 import yaml
 
@@ -263,12 +263,16 @@ def _load_wordlists_for(langs: list[str], directory: Path) -> dict[str, WordList
     return lists
 
 
+def _entries(reports: Mapping[str, StageReport]) -> dict[str, dict]:
+    """A stage's manifest entries, in the order of its reports."""
+    return {label: rep.to_dict() for label, rep in reports.items()}
+
+
 def _pass_through(stage: str, corpora: dict) -> dict[str, dict]:
-    """Entries of a stage that dropped nothing."""
-    return {
-        c.lang: StageReport(stage, len(c.sentences), len(c.sentences)).to_dict()
-        for _, c in sorted(corpora.items())
-    }
+    """Entries of a disabled filter stage: it dropped nothing."""
+    return _entries(
+        {c.lang: StageReport(stage, len(c.sentences), len(c.sentences)) for _, c in sorted(corpora.items())}
+    )
 
 
 def _ingest(run: _Run, _: None) -> tuple[list[Document], dict[str, dict]]:
@@ -301,17 +305,13 @@ def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str
 
 
 def _doc_consistency(run: _Run, docs: list[Document]) -> tuple[dict, dict[str, dict]]:
-    reports: dict[int, StageReport] = {}
-    cluster_corpora = filters.filter_doc_consistency(docs, reports)
-    return cluster_corpora, {f"cluster:{cid}": rep.to_dict() for cid, rep in sorted(reports.items())}
-
-
-def _route_by_cluster(run: _Run, docs: list[Document]) -> dict[int, MonoCorpus]:
-    """Disabled doc-consistency: a one-sentence document always agrees with
-    itself, so every sentence goes to its own predicted cluster."""
-    return filters.filter_doc_consistency(
-        Document(doc.id, (record,)) for doc in docs for record in doc.sentences
-    )
+    """Disabled, the stage still groups the sentences by cluster: a
+    one-sentence document always agrees with itself, so every sentence goes
+    to its own predicted cluster."""
+    if not run.config.doc_consistency.enabled:
+        docs = (Document(doc.id, (record,)) for doc in docs for record in doc.sentences)
+    cluster_corpora, reports = filters.filter_doc_consistency(docs)
+    return cluster_corpora, _entries(reports)
 
 
 def _wordlist(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
@@ -319,39 +319,33 @@ def _wordlist(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, 
     if not config.wordlist.dir:
         raise ConfigError("wordlist stage enabled but no wordlist dir configured")
     wl_dir = config.resolve(config.wordlist.dir)
-    filtered, entries = {}, {}
+    filtered, reports = {}, {}
     for cid, corpus in sorted(cluster_corpora.items()):
         lists = _load_wordlists_for(list(run.clusters.members.get(cid, ())), wl_dir)
-        rep = StageReport()
-        filtered[cid] = filters.filter_wordlist(corpus, lists, config.wordlist.threshold, rep, run.tokens_of)
-        entries[corpus.lang] = rep.to_dict()
-    return filtered, entries
-
-
-def _by_language(
-    run: _Run,
-    cluster_corpora: dict[int, MonoCorpus],
-    clusters: Optional[ClusterMap] = None,
-    reports: Optional[dict[str, StageReport]] = None,
-) -> dict[str, MonoCorpus]:
-    """Each sentence to its predicted language, dropping those outside their
-    cluster. Without `clusters` (a disabled decluster) nothing is dropped.
-    With no decluster model of its own, the stage routes on annotate's
-    predictions rather than predicting again."""
-    model = run.config.decluster.model
-    if model:
-        return filters.decluster(cluster_corpora, load_model(run.config.resolve(model)), clusters, reports)
-    return filters.decluster(cluster_corpora, run.model, clusters, reports, predicted=run.predicted)
+        filtered[cid], reports[corpus.lang] = filters.filter_wordlist(
+            corpus, lists, config.wordlist.threshold, run.tokens_of
+        )
+    return filtered, _entries(reports)
 
 
 def _decluster(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
-    reports: dict[str, StageReport] = {}
-    corpora = _by_language(run, cluster_corpora, run.clusters, reports)
-    return corpora, {label: rep.to_dict() for label, rep in sorted(reports.items())}
+    """Each sentence to its predicted language, dropping those outside their
+    cluster; disabled, the stage routes with no cluster map and drops
+    nothing. With no decluster model of its own, it routes on annotate's
+    predictions rather than predicting again."""
+    cfg = run.config.decluster
+    clusters = run.clusters if cfg.enabled else None
+    if cfg.model:
+        corpora, reports = filters.decluster(cluster_corpora, load_model(run.config.resolve(cfg.model)), clusters)
+    else:
+        corpora, reports = filters.decluster(cluster_corpora, run.model, clusters, predicted=run.predicted)
+    return corpora, _entries(reports)
 
 
 def _tfiif(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
-    """TF-IIF, applied to a language only where its RRR gate says so."""
+    """TF-IIF, applied to a language only where its RRR gate says so. The
+    filter runs once on the crawl: its survival fraction feeds the gate, and
+    its survivors are kept only if the gate opens."""
     config, cfg = run.config, run.config.tfiif
     if not cfg.iif:
         raise ConfigError("tfiif stage enabled but no iif table configured")
@@ -371,9 +365,10 @@ def _tfiif(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, d
         else:
             wordlist = filters.build_tfiif_wordlist(corpus, iif, cfg.tau, run.tokens_of)
             gold = corpus_mod.read_corpus(gold_path, lang)
+            survivors, survived = filters.filter_tfiif(corpus, wordlist, cfg.threshold, run.tokens_of)
             gate = filters.rrr_gate(
                 r_gold=filters.survival_fraction(gold.sentences, wordlist, cfg.threshold, run.tokens_of),
-                r_crawl=filters.survival_fraction(corpus.sentences, wordlist, cfg.threshold, run.tokens_of),
+                r_crawl=survived.n_out / survived.n_in,
                 rho=cfg.rho,
                 rrr_threshold=cfg.rrr_threshold,
                 min_crawl_removed=cfg.min_crawl_removed,
@@ -382,7 +377,7 @@ def _tfiif(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, d
             )
             extras = {"rrr": gate.to_dict(), "decision": "filtered" if gate.apply_filter else "skipped:gate"}
             if gate.apply_filter:
-                kept = filters.filter_tfiif(corpus, wordlist, cfg.threshold, rep, run.tokens_of).sentences
+                kept, rep = survivors.sentences, survived
         filtered[lang] = corpus.advanced("tfiif", kept)
         entries[lang] = {**rep.to_dict(), **extras}
     return filtered, entries
@@ -394,12 +389,10 @@ def _negative(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str
     if config.negative.rules:
         for rule in filters.load_negative_rules(config.resolve(config.negative.rules)):
             rules_by_lang.setdefault(rule.lang, []).append(rule)
-    filtered, entries = {}, {}
+    filtered, reports = {}, {}
     for lang, corpus in sorted(corpora.items()):
-        rep = StageReport()
-        filtered[lang] = filters.negative_filter(corpus, rules_by_lang.get(lang, []), rep, run.tokens_of)
-        entries[lang] = rep.to_dict()
-    return filtered, entries
+        filtered[lang], reports[lang] = filters.negative_filter(corpus, rules_by_lang.get(lang, []), run.tokens_of)
+    return filtered, _entries(reports)
 
 
 def _dedup(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
@@ -415,19 +408,20 @@ def _dedup(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, d
 
 
 # The cascade in run order: (name, its `stages:` config section, the stage,
-# what a disabled stage does to the corpora). Ingest and annotate have no
-# section and always run. A disabled stage drops nothing: a filter stage
-# passes its corpora on untouched, and the two stages that regroup the
-# corpora still route every sentence.
+# whether it regroups the corpora). Ingest and annotate have no section and
+# always run. A disabled stage drops nothing: a filter stage is skipped and
+# passes its corpora on untouched, while the two stages that regroup the
+# corpora always run, read their own `enabled` flag and still route every
+# sentence.
 STAGES = (
-    ("ingest", None, _ingest, None),
-    ("annotate", None, _annotate, None),
-    ("doc_consistency", StageToggle, _doc_consistency, _route_by_cluster),
-    ("wordlist", WordlistStageConfig, _wordlist, None),
-    ("decluster", DeclusterStageConfig, _decluster, _by_language),
-    ("tfiif", TfiifStageConfig, _tfiif, None),
-    ("negative", NegativeStageConfig, _negative, None),
-    ("dedup", StageToggle, _dedup, None),
+    ("ingest", None, _ingest, False),
+    ("annotate", None, _annotate, False),
+    ("doc_consistency", StageToggle, _doc_consistency, True),
+    ("wordlist", WordlistStageConfig, _wordlist, False),
+    ("decluster", DeclusterStageConfig, _decluster, True),
+    ("tfiif", TfiifStageConfig, _tfiif, False),
+    ("negative", NegativeStageConfig, _negative, False),
+    ("dedup", StageToggle, _dedup, False),
 )
 _SECTIONS = {name: section for name, section, _, _ in STAGES if section is not None}
 
@@ -452,13 +446,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     run = _Run(config)
     manifests: list[StageManifest] = []
     corpora: Any = None  # the documents, until doc-consistency groups them
-    for name, section, stage, route in STAGES:
+    for name, section, stage, regroups in STAGES:
         t0, c0 = time.perf_counter(), time.process_time()
-        if section is None or getattr(config, name).enabled:
+        if section is None or regroups or getattr(config, name).enabled:
             corpora, per_language = stage(run, corpora)
         else:
-            if route is not None:
-                corpora = route(run, corpora)
             per_language = _pass_through(name, corpora)
         wall, cpu = time.perf_counter() - t0, time.process_time() - c0
         manifests.append(StageManifest(name, per_language, wall, cpu, cfg_hash))

@@ -78,7 +78,7 @@ def make_57_sentence_doc():
 def test_document_consistency_worked_example():
     doc = make_57_sentence_doc()
     assert document_cluster(doc) == 0
-    out = filter_doc_consistency([doc])
+    out, _ = filter_doc_consistency([doc])
     assert set(out) == {0}
     assert out[0].sentences == tuple(f"sentence {i}" for i in range(20))
 
@@ -100,7 +100,7 @@ def test_majority_guarantee():
             )
         )
     kept = set()
-    for corpus in filter_doc_consistency(docs).values():
+    for corpus in filter_doc_consistency(docs)[0].values():
         kept.update(corpus.sentences)
     for doc in docs:
         for i, record in enumerate(doc.sentences):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from monomine import filters, langid, pipeline
-from monomine.corpus import load_documents
+from monomine.clustering import ClusterMap
+from monomine.corpus import Document, MonoCorpus, SentenceRecord, load_documents
 from monomine.pipeline import ANNOTATE_CHUNK, PipelineConfig, run_pipeline
 
 from pipeline_env import build_env
@@ -80,9 +81,11 @@ def test_batch_predictions_reach_the_traced_function(monkeypatch):
     monkeypatch.setattr(langid, "predict_batch", recording)
     model = _zero_model()
     model.predict_batch(["a"])
-    filters.predict_many(model, ["b", "c"])
-    langid.predict(model, "d")
-    assert seen == [["a"], ["b", "c"], ["d"]]
+    doc = Document("d", (SentenceRecord("b"), SentenceRecord("c")))
+    filters.annotate_document(doc, model, ClusterMap.from_groups([["aa", "bb"]]))
+    filters.decluster({0: MonoCorpus.from_sentences("cluster:0", ["d"])}, model, None)
+    langid.predict(model, "e")
+    assert seen == [["a"], ["b", "c"], ["d"], ["e"]]
 
 
 @pytest.fixture(scope="module")

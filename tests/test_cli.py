@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
+from monomine import filters, langid, pipeline
 from monomine.cli import main
+from monomine.clustering import ClusterMap
+from monomine.corpus import MonoCorpus, load_documents, read_corpus, write_corpus
 
 from pipeline_env import build_env
 
@@ -50,6 +53,38 @@ class TestExitCodes:
         bad.write_text("not json\n")
         code = main(["ingest", "--input", str(bad), "--strict"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "expected a {languages, counts} object, got list"),
+            ('{"languages": ["aa"]}', "missing key 'counts'"),
+            ('{"languages": ["aa", "bb"], "counts": [[1]]}', "counts must be square over the language list"),
+        ],
+        ids=["list", "missing-key", "wrong-shape"],
+    )
+    def test_malformed_confusion_is_2_and_names_the_path(self, capsys, tmp_path, text, message):
+        confusion = tmp_path / "cm.json"
+        confusion.write_text(text)
+        code = main(["cluster", "--confusion", str(confusion), "--output", str(tmp_path / "c.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"monomine: error: {confusion}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pare", "--confusion", "{cm}", "--train-sizes", "{bad}"], "expected a {lang: count} object, got list"),
+            (["hitrate", "--hyp", "{cm}", "--ref", "{cm}", "--bins", "{bad}"],
+             "expected a {ranked_tokens, boundaries} object, got list"),
+        ],
+        ids=["pare-train-sizes", "hitrate-bins"],
+    )
+    def test_other_json_inputs_of_the_wrong_shape_are_2(self, capsys, tmp_path, argv, message):
+        paths = {"cm": tmp_path / "cm.json", "bad": tmp_path / "bad.json"}
+        paths["cm"].write_text('{"languages": ["aa"], "counts": [[1]]}')
+        paths["bad"].write_text("[1]")
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err == f"monomine: error: {paths['bad']}: {message}\n"
 
     def test_incomplete_mode_flags_are_2(self, capsys, tmp_path):
         assert main(["anomaly", "--corpus", str(tmp_path / "c.txt")]) == 2
@@ -293,3 +328,67 @@ class TestPipelineCommands:
         )
         assert len(list(out_dir.glob("cluster-*.txt"))) >= 1
         assert all(entry["out"] <= entry["in"] for entry in report.values())
+
+
+class TestFilterCommands:
+    """Each `filter` subcommand prints the report of the library call it wraps
+    and writes that call's corpora."""
+
+    @pytest.mark.parametrize("stage", ["wordlist", "decluster", "tfiif", "negative"])
+    def test_report_and_corpus_equal_the_library_call(self, capsys, env, tmp_path, stage):
+        crawl = [s.text for doc in load_documents(env.crawl_path) for s in doc.sentences]
+        clusters = ClusterMap.load_json(env.root / "clusters.json")
+        # aa's sentences with bb's mixed in, so that every stage drops some
+        mixed = [t for t in crawl if env.truth[t] in ("aa", "bb")]
+        path = tmp_path / "in.txt"
+        write_corpus(MonoCorpus.from_sentences("aa", mixed), path)
+        out = tmp_path / "out"
+        if stage == "wordlist":
+            lists = {"aa": filters.WordList.load_tsv(env.root / "wordlists" / "aa.txt", "aa", "frequency")}
+            want = filters.filter_wordlist(read_corpus(path, "cluster:0"), lists, 0.3)
+            argv = ["--corpus", path, "--label", "cluster:0", "--langs", "aa",
+                    "--lists", env.root / "wordlists", "--threshold", "0.3", "--output", out]
+        elif stage == "decluster":
+            # every cluster's corpus holds the whole mix: each sentence is
+            # kept in its own cluster and dropped from the others
+            (tmp_path / "in").mkdir()
+            for cid in clusters.members:
+                write_corpus(MonoCorpus.from_sentences("x", mixed), tmp_path / "in" / f"cluster-{cid}.txt")
+            model = langid.load_model(env.root / "langid.bin")
+            corpora = {cid: read_corpus(path, f"cluster:{cid}") for cid in sorted(clusters.members)}
+            got, reports = filters.decluster(corpora, model, clusters)
+            want = (got, pipeline._entries(reports))
+            argv = ["--input-dir", tmp_path / "in", "--model", env.root / "langid.bin",
+                    "--clusters", env.root / "clusters.json", "--output-dir", out]
+        elif stage == "tfiif":
+            corpus = read_corpus(path, "aa")
+            iif = filters.IifTable.load(env.root / "iif.tsv")
+            filters.build_tfiif_wordlist(corpus, iif, tau=30).save_tsv(tmp_path / "aa.tfiif")
+            wordlist = filters.WordList.load_tsv(tmp_path / "aa.tfiif", "aa", "tfiif")
+            want = filters.filter_tfiif(corpus, wordlist, 0.4)
+            argv = ["--corpus", path, "--lang", "aa", "--list", tmp_path / "aa.tfiif", "--threshold", "0.4",
+                    "--output", out]
+        else:
+            rules = [
+                {"lang": "aa", "rule": "token", "pattern": mixed[0].split()[0]},
+                {"lang": "aa", "rule": "substring", "pattern": mixed[1].split()[-1]},
+                {"lang": "bb", "rule": "substring", "pattern": " "},  # another language's: not applied
+            ]
+            (tmp_path / "rules.json").write_text(json.dumps(rules))
+            aa_rules = [r for r in filters.load_negative_rules(tmp_path / "rules.json") if r.lang == "aa"]
+            want = filters.negative_filter(read_corpus(path, "aa"), aa_rules)
+            argv = ["--corpus", path, "--lang", "aa", "--rules", tmp_path / "rules.json", "--output", out]
+
+        report = run_json(capsys, "filter", stage, *map(str, argv))
+        if stage == "decluster":
+            corpora, entries = want
+            assert report == entries
+            assert sorted(p.stem for p in out.glob("*.txt")) == sorted(corpora)
+            for lang, corpus in corpora.items():
+                assert read_corpus(out / f"{lang}.txt", lang).sentences == corpus.sentences
+            assert any(e["dropped_by_reason"] for e in entries.values())
+        else:
+            corpus, rep = want
+            assert report == rep.to_dict()
+            assert read_corpus(out, corpus.lang).sentences == corpus.sentences
+            assert 0 < report["out"] < report["in"]

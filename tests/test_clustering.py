@@ -10,7 +10,7 @@ from monomine.clustering import (
     fnr_distance_matrix,
     resplit,
 )
-from monomine.errors import InvalidCut
+from monomine.errors import InvalidCut, ParseError
 from monomine.langid import ConfusionMatrix
 
 
@@ -346,6 +346,23 @@ class TestClusterMapIO:
         path = tmp_path / "clusters.json"
         cmap.save_json(path)
         assert json.loads(path.read_text()) == {"aa": 0, "bb": 0, "cc": 1}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('["aa", "bb"]', "expected a {lang: cluster_id} object, got list"),
+            ('{"aa": 0, "bb": "one"}', "cluster id of 'bb'"),
+            ('{"aa": 0, "bb": null}', "cluster id of 'bb'"),
+            ('{"aa": 0,\n "bb": }', "line 2: bad JSON"),
+        ],
+        ids=["list", "non-integer-id", "null-id", "bad-json"],
+    )
+    def test_malformed_json_raises_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "clusters.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            ClusterMap.load_json(path)
+        assert str(err.value).startswith(str(path)) and message in str(err.value)
 
     def test_tsv_export(self, tmp_path):
         cmap = ClusterMap.from_groups([["bb", "aa"], ["cc"]])

@@ -155,6 +155,23 @@ class TestDocumentModel:
         (back,) = read_annotated(path)
         assert back == doc
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id": "d", "sentences": [{"lang": "aa"}]}', "line 2: missing key 'text'"),
+            ('["d", "hello"]', "line 2: "),
+            ('{"id": "d", "sentences": [', "line 2: "),
+        ],
+        ids=["missing-key", "not-an-object", "bad-json"],
+    )
+    def test_malformed_annotated_line_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "ann.jsonl"
+        path.write_text('{"id": "ok", "sentences": []}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            list(read_annotated(path))
+        assert err.value.line_no == 2
+        assert str(err.value).startswith(f"{path}, {message}")
+
     def test_obj_roundtrip(self):
         doc = Document("d", (SentenceRecord("s", "aa", 1, 0.5),))
         assert document_from_annotated_obj(document_to_obj(doc)) == doc

@@ -19,7 +19,6 @@ from monomine.errors import (
 from monomine.filters import (
     IifTable,
     NegativeFilterRule,
-    StageReport,
     WordList,
     annotate_document,
     build_frequency_wordlist,
@@ -56,6 +55,9 @@ class MappingPredictor:
 
     def predict(self, text):
         return self.mapping.get(text, self.default), self.confidence
+
+    def predict_batch(self, texts):
+        return [self.predict(text) for text in texts]
 
 
 def annotated_doc(doc_id, cluster_ids, texts=None):
@@ -196,24 +198,24 @@ class TestConsistencyScore:
 class TestFilterDocConsistency:
     def test_homogeneous_doc_keeps_all(self):
         docs = [annotated_doc("d", [1, 1, 1])]
-        out = filter_doc_consistency(docs)
+        out, _ = filter_doc_consistency(docs)
         assert out[1].sentences == ("s0", "s1", "s2")
 
     def test_paper_worked_example(self):
         doc = annotated_doc("d", [0] * 20 + [1] * 19 + [2] * 18)
-        reports = {}
-        out = filter_doc_consistency([doc], reports)
+        out, reports = filter_doc_consistency([doc])
         assert set(out) == {0}
         assert len(out[0].sentences) == 20
         assert out[0].sentences == tuple(f"s{i}" for i in range(20))
-        assert reports[0].n_out == 20
+        assert list(reports) == ["cluster:0", "cluster:1", "cluster:2"]
+        assert reports["cluster:0"].n_out == 20
 
     def test_matches_loop_oracle(self, rng):
         docs = [
             annotated_doc(f"d{k}", [rng.randint(0, 2) for _ in range(rng.randint(1, 10))])
             for k in range(40)
         ]
-        out = filter_doc_consistency(docs)
+        out, _ = filter_doc_consistency(docs)
         expected = {}
         for doc in docs:
             votes = Counter(s.predicted_cluster for s in doc.sentences)
@@ -225,16 +227,15 @@ class TestFilterDocConsistency:
         assert {cid: list(c.sentences) for cid, c in out.items()} == expected
 
     def test_empty_docs_skipped(self):
-        assert filter_doc_consistency([Document("d", ())]) == {}
+        assert filter_doc_consistency([Document("d", ())]) == ({}, {})
 
     def test_report_covers_drop_only_clusters(self):
         # cluster 9 never wins a majority; its drops must still be reported
         doc = annotated_doc("d", [0, 0, 0, 9])
-        reports = {}
-        out = filter_doc_consistency([doc], reports)
+        out, reports = filter_doc_consistency([doc])
         assert set(out) == {0}
-        assert reports[9].n_in == 1 and reports[9].n_out == 0
-        assert reports[9].dropped_by_reason == {"cluster_mismatch": 1}
+        assert reports["cluster:9"].n_in == 1 and reports["cluster:9"].n_out == 0
+        assert reports["cluster:9"].dropped_by_reason == {"cluster_mismatch": 1}
 
 
 class TestConsistencyHistogram:
@@ -335,21 +336,19 @@ def make_wordlist(lang, tokens, kind="frequency"):
 class TestFilterWordlist:
     def test_full_in_list_kept(self):
         corpus = MonoCorpus.from_sentences("cluster:0", ["foo bar"])
-        out = filter_wordlist(corpus, {"aa": make_wordlist("aa", ["foo", "bar"])})
+        out, _ = filter_wordlist(corpus, {"aa": make_wordlist("aa", ["foo", "bar"])})
         assert out.sentences == ("foo bar",)
 
     def test_below_threshold_dropped(self):
         sentence = " ".join(["foo"] + [f"junk{i}" for i in range(9)])
         corpus = MonoCorpus.from_sentences("cluster:0", [sentence])
-        report = StageReport()
-        out = filter_wordlist(corpus, {"aa": make_wordlist("aa", ["foo"])}, 0.2, report)
+        out, report = filter_wordlist(corpus, {"aa": make_wordlist("aa", ["foo"])}, 0.2)
         assert out.sentences == ()
         assert report.dropped_by_reason == {"below_threshold": 1}
 
     def test_empty_token_sentence_counted_separately(self):
         corpus = MonoCorpus.from_sentences("cluster:0", ["...", "foo"])
-        report = StageReport()
-        out = filter_wordlist(corpus, {"aa": make_wordlist("aa", ["foo"])}, 0.2, report)
+        out, report = filter_wordlist(corpus, {"aa": make_wordlist("aa", ["foo"])}, 0.2)
         assert out.sentences == ("foo",)
         assert report.dropped_by_reason == {"empty_tokens": 1}
 
@@ -359,7 +358,7 @@ class TestFilterWordlist:
             "aa": make_wordlist("aa", ["foo"]),
             "bb": make_wordlist("bb", ["uno", "dos", "tres"]),
         }
-        assert filter_wordlist(corpus, lists).sentences == ("uno dos tres",)
+        assert filter_wordlist(corpus, lists)[0].sentences == ("uno dos tres",)
 
     def test_missing_wordlist(self):
         with pytest.raises(MissingWordlist):
@@ -369,7 +368,7 @@ class TestFilterWordlist:
         # exactly 20% in-list survives ("at least 20%")
         sentence = "foo j1 j2 j3 j4"
         corpus = MonoCorpus.from_sentences("cluster:0", [sentence])
-        out = filter_wordlist(corpus, {"aa": make_wordlist("aa", ["foo"])}, 0.2)
+        out, _ = filter_wordlist(corpus, {"aa": make_wordlist("aa", ["foo"])}, 0.2)
         assert out.sentences == (sentence,)
 
 
@@ -379,7 +378,7 @@ class TestDecluster:
         cid = clusters.cluster_of("aa")
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x", "y", "x2"])}
         predictor = MappingPredictor({"x": "aa", "x2": "aa", "y": "bb"})
-        out = decluster(corpora, predictor, clusters)
+        out, _ = decluster(corpora, predictor, clusters)
         assert out["aa"].sentences == ("x", "x2")
         assert out["bb"].sentences == ("y",)
 
@@ -387,8 +386,7 @@ class TestDecluster:
         clusters = ClusterMap.from_groups([["aa"], ["zz"]])
         cid = clusters.cluster_of("aa")
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x", "y"])}
-        reports = {}
-        out = decluster(corpora, MappingPredictor({"y": "zz"}, default="aa"), clusters, reports)
+        out, reports = decluster(corpora, MappingPredictor({"y": "zz"}, default="aa"), clusters)
         assert out["aa"].sentences == ("x",)
         assert reports[f"cluster:{cid}"].dropped_by_reason == {"out_of_cluster": 1}
 
@@ -399,7 +397,7 @@ class TestDecluster:
         mapping = {s: rng.choice(["aa", "bb", "zz"]) for s in sentences}
         predictor = MappingPredictor(mapping)
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", sentences)}
-        out = decluster(corpora, predictor, clusters)
+        out, _ = decluster(corpora, predictor, clusters)
         for lang in ("aa", "bb"):
             assert list(out[lang].sentences) == [s for s in sentences if mapping[s] == lang]
 
@@ -411,8 +409,8 @@ class TestDecluster:
             clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", sentences[:25]),
             clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", sentences[25:]),
         }
-        out = decluster(corpora, MappingPredictor(mapping), clusters)
-        seen = [s for lang in sorted(out) for s in out[lang].sentences]
+        out, _ = decluster(corpora, MappingPredictor(mapping), clusters)
+        seen =  [s for lang in sorted(out) for s in out[lang].sentences]
         assert len(seen) == len(set(seen))  # pairwise disjoint
 
     def test_recorded_predictions_replace_the_predictor(self, rng):
@@ -423,18 +421,15 @@ class TestDecluster:
             clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", sentences[:25]),
             clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", sentences[25:]),
         }
-        fresh_reports, recorded_reports = {}, {}
-        fresh = decluster(corpora, MappingPredictor(mapping), clusters, fresh_reports)
-        recorded = decluster(corpora, None, clusters, recorded_reports, predicted=mapping)
-        assert recorded == fresh
-        assert recorded_reports == fresh_reports
+        fresh = decluster(corpora, MappingPredictor(mapping), clusters)
+        recorded = decluster(corpora, None, clusters, predicted=mapping)
+        assert recorded == fresh  # corpora and reports
 
     def test_member_predicted_nowhere_gets_an_empty_corpus(self):
         clusters = ClusterMap.from_groups([["aa", "bb"]])
         cid = clusters.cluster_of("aa")
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x"])}
-        reports = {}
-        out = decluster(corpora, MappingPredictor({}, default="aa"), clusters, reports)
+        out, reports = decluster(corpora, MappingPredictor({}, default="aa"), clusters)
         assert out["bb"].sentences == ()
         assert (reports["bb"].n_in, reports["bb"].n_out) == (0, 0)
 
@@ -444,8 +439,7 @@ class TestDecluster:
             clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", ["x", "y"]),
             clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", ["z"]),
         }
-        reports = {}
-        out = decluster(corpora, MappingPredictor({"x": "cc", "y": "aa", "z": "aa"}), None, reports)
+        out, reports = decluster(corpora, MappingPredictor({"x": "cc", "y": "aa", "z": "aa"}), None)
         assert {lang: c.sentences for lang, c in out.items()} == {"aa": ("y", "z"), "cc": ("x",)}
         assert all(rep.n_in == rep.n_out for rep in reports.values())
 
@@ -530,8 +524,7 @@ class TestFilterTfiif:
     def test_kept_and_dropped(self):
         wl = make_wordlist("aa", ["foo", "bar"], kind="tfiif")
         corpus = MonoCorpus.from_sentences("aa", ["foo bar", "junk " * 10])
-        report = StageReport()
-        out = filter_tfiif(corpus, wl, 0.2, report)
+        out, report = filter_tfiif(corpus, wl, 0.2)
         assert out.sentences == ("foo bar",)
         assert report.dropped_by_reason == {"below_threshold": 1}
 
@@ -617,12 +610,12 @@ class TestNegativeFilter:
     def test_substring_rule(self):
         rule = NegativeFilterRule("ar", "substring", "casino")
         corpus = MonoCorpus.from_sentences("ar", ["best casino bonus", "ordinary text"])
-        out = negative_filter(corpus, [rule])
+        out, _ = negative_filter(corpus, [rule])
         assert out.sentences == ("ordinary text",)
 
     def test_no_rules_identity(self):
         corpus = MonoCorpus.from_sentences("ar", ["a", "b"])
-        assert negative_filter(corpus, []).sentences == corpus.sentences
+        assert negative_filter(corpus, [])[0].sentences == corpus.sentences
 
     def test_token_rule_matches_oracle(self, rng):
         rule = NegativeFilterRule("aa", "token", "bad")
@@ -630,21 +623,21 @@ class TestNegativeFilter:
             " ".join(rng.choices(["bad", "good", "fine", "badge"], k=5)) for _ in range(60)
         ]
         corpus = MonoCorpus.from_sentences("aa", sentences)
-        out = negative_filter(corpus, [rule])
+        out, _ = negative_filter(corpus, [rule])
         expected = [s for s in sentences if "bad" not in s.split()]
         assert list(out.sentences) == expected
 
     def test_token_rule_does_not_match_substring(self):
         rule = NegativeFilterRule("aa", "token", "bad")
         corpus = MonoCorpus.from_sentences("aa", ["badge of honor"])
-        assert negative_filter(corpus, [rule]).sentences == ("badge of honor",)
+        assert negative_filter(corpus, [rule])[0].sentences == ("badge of honor",)
 
     def test_case_sensitivity(self):
         corpus = MonoCorpus.from_sentences("aa", ["Casino night"])
         insensitive = NegativeFilterRule("aa", "substring", "casino", case_sensitive=False)
         sensitive = NegativeFilterRule("aa", "substring", "casino", case_sensitive=True)
-        assert negative_filter(corpus, [insensitive]).sentences == ()
-        assert negative_filter(corpus, [sensitive]).sentences == ("Casino night",)
+        assert negative_filter(corpus, [insensitive])[0].sentences == ()
+        assert negative_filter(corpus, [sensitive])[0].sentences == ("Casino night",)
 
     def test_wrong_language_rule_rejected(self):
         rule = NegativeFilterRule("bb", "substring", "x")
@@ -703,8 +696,7 @@ class TestNegativeFilter:
         ]
         sentences = [" ".join(rng.choices(words, k=rng.randint(1, 5))) for _ in range(200)]
         for chosen in (rules, rules[::-1], rules[2:], rules[:1]):
-            report = StageReport()
-            out = negative_filter(MonoCorpus.from_sentences("aa", sentences), chosen, report)
+            out, report = negative_filter(MonoCorpus.from_sentences("aa", sentences), chosen)
             expected, reasons = [], Counter()
             for sentence in sentences:
                 hit = next((r for r in chosen if matches(r, sentence)), None)
@@ -717,8 +709,7 @@ class TestNegativeFilter:
 
     def test_report_names_rule(self):
         rule = NegativeFilterRule("ar", "substring", "casino")
-        report = StageReport()
-        negative_filter(MonoCorpus.from_sentences("ar", ["casino"]), [rule], report)
+        _, report = negative_filter(MonoCorpus.from_sentences("ar", ["casino"]), [rule])
         assert report.dropped_by_reason == {"substring:casino": 1}
 
 
@@ -728,9 +719,9 @@ class TestFilterProperties:
         tf = make_wordlist("aa", ["foo", "bar"], kind="tfiif")
         rules = [NegativeFilterRule("aa", "token", "bad")]
         return [
-            lambda c: filter_wordlist(c, freq, 0.4),
-            lambda c: filter_tfiif(c, tf, 0.4),
-            lambda c: negative_filter(c, rules),
+            lambda c: filter_wordlist(c, freq, 0.4)[0],
+            lambda c: filter_tfiif(c, tf, 0.4)[0],
+            lambda c: negative_filter(c, rules)[0],
         ]
 
     def corpus(self, rng):

@@ -301,6 +301,9 @@ class ConstPredictor:
     def predict(self, text):
         return self.lang, 0.99
 
+    def predict_batch(self, texts):
+        return [self.predict(text) for text in texts]
+
 
 class MarkPredictor:
     """Says `lang` iff the text carries the translator's mark."""
@@ -317,6 +320,9 @@ class MarkPredictor:
         if text.startswith(self.mark):
             return self.lang, 0.9
         return "other", 0.9
+
+    def predict_batch(self, texts):
+        return [self.predict(text) for text in texts]
 
 
 SOURCES = [f"sentence number {i} with words" for i in range(20)]

@@ -4,11 +4,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monomine import corpus as corpus_mod
 from monomine import filters, langid, pipeline
 from monomine.clustering import ClusterMap
-from monomine.corpus import Document, load_documents, read_corpus
+from monomine.corpus import Document, SentenceRecord, load_documents, read_corpus
 from monomine.errors import ConfigError, ParseError
 from monomine.langid import load_model
 from monomine.pipeline import (
@@ -185,35 +186,42 @@ class TestCompositionOracle:
             filters.annotate_document(d, model, clusters)
             for d in load_documents(env.crawl_path)
         ]
-        cluster_corpora = filters.filter_doc_consistency(docs)
+        cluster_corpora, _ = filters.filter_doc_consistency(docs)
         filtered = {}
         for cid, corpus in cluster_corpora.items():
             lists = {
                 lang: filters.WordList.load_tsv(env.root / "wordlists" / f"{lang}.txt", lang, "frequency")
                 for lang in clusters.members[cid]
             }
-            filtered[cid] = filters.filter_wordlist(corpus, lists, 0.2)
-        corpora = filters.decluster(filtered, model, clusters)
+            filtered[cid], _ = filters.filter_wordlist(corpus, lists, 0.2)
+        corpora, _ = filters.decluster(filtered, model, clusters)
         iif = filters.IifTable.load(env.root / "iif.tsv")
-        final = {}
+        final, gates = {}, {}
         rules = filters.load_negative_rules(env.root / "rules.json")
         for lang, corpus in corpora.items():
             if corpus.sentences:
                 wl = filters.build_tfiif_wordlist(corpus, iif, 1000)
                 gold = read_corpus(env.root / "gold" / f"{lang}.txt", lang)
-                gate = filters.rrr_gate(
+                gate = gates[lang] = filters.rrr_gate(
                     filters.survival_fraction(gold.sentences, wl, 0.2),
                     filters.survival_fraction(corpus.sentences, wl, 0.2),
                     rho=2.0,
                     rrr_threshold=1.0,
+                    lang=lang,
                 )
                 if gate.apply_filter:
-                    corpus = filters.filter_tfiif(corpus, wl, 0.2)
-            corpus = filters.negative_filter(corpus, [r for r in rules if r.lang == lang])
+                    corpus, _ = filters.filter_tfiif(corpus, wl, 0.2)
+            corpus, _ = filters.negative_filter(corpus, [r for r in rules if r.lang == lang])
             corpus, _ = corpus_mod.dedup(corpus)
             final[lang] = corpus
         for lang in env.langs:
             assert result.corpora[lang].sentences == final[lang].sentences, lang
+        # the run's gate reads the crawl's survival off its one filter pass;
+        # it must see the very floats the separate definition gives
+        tfiif = next(m for m in result.manifests if m.stage == "tfiif")
+        assert {lang: e["rrr"] for lang, e in tfiif.per_language.items() if "rrr" in e} == {
+            lang: gate.to_dict() for lang, gate in gates.items()
+        }
 
 
 class TestAnnotateChunks:
@@ -284,6 +292,7 @@ class TestAnnotateChunks:
         assert output_bytes(tmp_path / "out") == output_bytes(config.resolve(config.output_dir))
 
 
+LANGS = st.sampled_from(["aa", "bb", "cc", "dd"])
 TOGGLED_STAGES = ("doc_consistency", "wordlist", "decluster", "tfiif", "negative", "dedup")
 
 
@@ -340,6 +349,36 @@ class TestDisabledStages:
         result = without("decluster")
         totals = {m.stage: sum(e["out"] for e in m.per_language.values()) for m in result.manifests}
         assert totals["decluster"] == totals["wordlist"]
+
+    # A disabled doc-consistency or decluster stage still regroups the
+    # sentences, but drops none: its entries are those of a disabled filter
+    # stage. Documents are drawn as their sentences' annotated languages, and
+    # decluster's reading of a sentence may fall outside its cluster.
+    @settings(max_examples=200, deadline=None)
+    @given(docs=st.lists(st.lists(LANGS, max_size=6), max_size=8), data=st.data())
+    def test_disabled_regrouping_stages_drop_nothing(self, docs, data):
+        clusters = ClusterMap.from_groups([["aa", "bb"], ["cc"], ["dd"]])
+        docs = [
+            Document(f"d{k}", tuple(
+                SentenceRecord(f"d{k}s{i}", lang, clusters.cluster_of(lang), 0.9) for i, lang in enumerate(langs)
+            ))
+            for k, langs in enumerate(docs)
+        ]
+        annotated = {s.text: s.predicted_cluster for doc in docs for s in doc.sentences}
+        texts = sorted(annotated)
+        config = PipelineConfig("crawl.jsonl", "out", "langid.bin", "clusters.json")
+        config.doc_consistency.enabled = config.decluster.enabled = False
+        run = pipeline._Run(config, clusters=clusters, predicted={text: data.draw(LANGS) for text in texts})
+
+        cluster_corpora, entries = pipeline._doc_consistency(run, docs)
+        assert sorted(s for c in cluster_corpora.values() for s in c.sentences) == texts
+        assert all(annotated[s] == cid for cid, c in cluster_corpora.items() for s in c.sentences)
+        assert list(entries.items()) == list(pipeline._pass_through("doc_consistency", cluster_corpora).items())
+
+        corpora, entries = pipeline._decluster(run, cluster_corpora)
+        assert sorted(s for c in corpora.values() for s in c.sentences) == texts
+        assert all(run.predicted[s] == lang for lang, c in corpora.items() for s in c.sentences)
+        assert list(entries.items()) == list(pipeline._pass_through("decluster", corpora).items())
 
     def test_model_language_missing_from_clusters(self, env, tmp_path):
         # a cluster map that does not cover the model's languages is a config error
