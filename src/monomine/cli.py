@@ -18,7 +18,7 @@ from . import anomaly as anomaly_mod
 from . import clustering, filters, metrics, pipeline
 from . import corpus as corpus_mod
 from . import langid
-from .errors import MiningError, ParseError, TranslatorError, read_json
+from .errors import ConfigError, MiningError, ParseError, TranslatorError, read_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,23 +56,9 @@ def _emit(obj, pretty: bool) -> None:
         print(json.dumps(obj, ensure_ascii=False))
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
-
-
 def _read_labeled(path: str) -> list[tuple[str, str]]:
     """TSV lines of lang<TAB>text -> (text, lang) pairs."""
-    pairs = []
-    for i, line in enumerate(_read_lines(path), start=1):
-        if not line:
-            continue
-        try:
-            lang, text = line.split("\t", 1)
-        except ValueError:
-            raise MiningError(f"{path}:{i}: expected lang<TAB>text") from None
-        pairs.append((text, lang))
-    return pairs
+    return [(text, lang) for lang, text in filters.read_tsv_pairs(path, str)]
 
 
 class CommandTranslator:
@@ -274,7 +260,7 @@ def cmd_build_tfiif_list(args) -> dict:
 
 
 def cmd_build_bins(args) -> dict:
-    ranking = [line for line in _read_lines(args.ranking) if line]
+    ranking = [token for token in corpus_mod.read_corpus(args.ranking, "").sentences if token]
     boundaries = tuple(int(b) for b in args.boundaries.split(","))
     bins = metrics.build_bins(ranking, boundaries)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -353,14 +339,14 @@ def cmd_audit_score(args) -> dict:
 
 
 def cmd_chrf(args) -> dict:
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    hyps = corpus_mod.read_corpus(args.hyp, "").sentences
+    refs = corpus_mod.read_corpus(args.ref, "").sentences
     return {"chrf": metrics.corpus_chrf(hyps, refs), "n_segments": len(hyps)}
 
 
 def cmd_hitrate(args) -> dict:
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    hyps = corpus_mod.read_corpus(args.hyp, "").sentences
+    refs = corpus_mod.read_corpus(args.ref, "").sentences
     raw = read_json(args.bins, dict, "a {ranked_tokens, boundaries} object")
     bins = metrics.build_bins(raw["ranked_tokens"], raw["boundaries"])
     out = []
@@ -373,7 +359,7 @@ def cmd_hitrate(args) -> dict:
 
 
 def cmd_rtt(args) -> dict:
-    sources = _read_lines(args.src)
+    sources = corpus_mod.read_corpus(args.src, "").sentences
     model = langid.load_model(args.model)
     translator = CommandTranslator(args.translator_cmd)
     result = metrics.rtt_langid_chrf(sources, args.lang, translator, model, mode=args.mode)
@@ -383,6 +369,8 @@ def cmd_rtt(args) -> dict:
 def cmd_pipeline_run(args) -> dict:
     config = pipeline.PipelineConfig.from_yaml(args.config)
     if args.workers is not None:
+        if args.workers < 1:
+            raise ConfigError("workers must be >= 1")
         config.workers = args.workers
     result = pipeline.run_pipeline(config)
     return result.summary

@@ -67,15 +67,14 @@ class ClusterMap:
     @classmethod
     def load_json(cls, path: str | Path) -> "ClusterMap":
         """The mapping `save_json` writes. Bad JSON raises ParseError with
-        its line; any other shape, or a cluster id that is not an integer,
-        with the path."""
+        its line; any other shape, or a cluster id that is not a JSON
+        integer, with the path."""
         obj = read_json(path, dict, "a {lang: cluster_id} object")
         by_cluster: dict[int, list[str]] = {}
         for lang, cid in obj.items():
-            try:
-                by_cluster.setdefault(int(cid), []).append(lang)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(None, f"cluster id of {lang!r}: {exc}", path) from exc
+            if type(cid) is not int:  # nor a bool, nor a float to truncate
+                raise ParseError(None, f"cluster id of {lang!r} must be an integer, got {cid!r}", path)
+            by_cluster.setdefault(cid, []).append(lang)
         return cls.from_groups(by_cluster.values())
 
     def save_tsv(self, path: str | Path) -> None:

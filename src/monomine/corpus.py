@@ -1,8 +1,10 @@
 """Document and corpus data model: ingestion, normalization, dedup, stats.
 
 Documents arrive as JSON-lines (one object per line, with an "id" and either
-a "sentences" list or a "text" blob split on newlines). Sentence text is
-normalized at ingestion so that exact-match dedup downstream is meaningful.
+a "sentences" list or a "text" blob split on newlines); a sentence is a
+string, or an object with its annotation as `write_annotated` writes it.
+Sentence text is normalized at ingestion so that exact-match dedup
+downstream is meaningful.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, check_json_strings, read_lines, utf8
 
 
 def normalize_sentence(text: str) -> str:
@@ -137,29 +139,68 @@ class IngestReport:
         }
 
 
+def _optional(obj: dict, key: str, kinds: tuple[type, ...], what: str):
+    """obj[key] if its type is one of `kinds` (so a bool is no number), None
+    if it is missing or null."""
+    value = obj.get(key)
+    if value is not None and type(value) not in kinds:
+        raise ValueError(f"'{key}' must be {what}")
+    return value
+
+
+def _annotated_sentence(obj: object) -> SentenceRecord:
+    """A sentence given as a {text, lang?, cluster?, confidence?} object, as
+    `document_to_obj` writes it."""
+    if not isinstance(obj, dict):
+        raise ValueError("'sentences' must be a list of strings or objects")
+    if "text" not in obj:
+        raise ValueError("missing key 'text'")
+    if not isinstance(obj["text"], str):
+        raise ValueError("'text' must be a string")
+    return SentenceRecord(
+        normalize_sentence(obj["text"]),
+        predicted_lang=_optional(obj, "lang", (str,), "a string"),
+        predicted_cluster=_optional(obj, "cluster", (int,), "an integer"),
+        confidence=_optional(obj, "confidence", (int, float), "a number"),
+    )
+
+
 def _document_from_obj(obj: object) -> Document:
+    """A document from its JSON object: a crawl line, or a line that
+    `write_annotated` wrote. Sentence text is normalized either way."""
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
     doc_id = obj.get("id")
     if not isinstance(doc_id, str) or not doc_id:
         raise ValueError("missing or empty 'id'")
     if "sentences" in obj:
-        raw = obj["sentences"]
-        if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-            raise ValueError("'sentences' must be a list of strings")
-        texts = [normalize_sentence(s) for s in raw]
+        if not isinstance(obj["sentences"], list):
+            raise ValueError("'sentences' must be a list of strings or objects")
+        records = tuple(
+            SentenceRecord(normalize_sentence(s)) if isinstance(s, str) else _annotated_sentence(s)
+            for s in obj["sentences"]
+        )
     elif "text" in obj:
         if not isinstance(obj["text"], str):
             raise ValueError("'text' must be a string")
         # Newline splitting is the only sentence detection performed; blank
         # segments are not sentences.
-        texts = [t for t in (normalize_sentence(p) for p in obj["text"].split("\n")) if t]
+        texts = (normalize_sentence(p) for p in obj["text"].split("\n"))
+        records = tuple(SentenceRecord(t) for t in texts if t)
     else:
         raise ValueError("needs 'sentences' or 'text'")
-    url = obj.get("url")
-    if url is not None and not isinstance(url, str):
-        raise ValueError("'url' must be a string")
-    return Document(doc_id, tuple(SentenceRecord(t) for t in texts), url=url)
+    return Document(doc_id, records, url=_optional(obj, "url", (str,), "a string"))
+
+
+def _document_at(line_no: int, line: str, path: str | Path) -> Document:
+    """The document on one line of a JSON-lines file; bad bytes, bad JSON, a
+    lone surrogate in a string or a bad document raise ParseError."""
+    try:
+        obj = json.loads(utf8(line_no, line, path))
+        check_json_strings(line_no, line, path)
+        return _document_from_obj(obj)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError; deep nesting recurses
+        raise ParseError(line_no, str(exc), path) from exc
 
 
 def load_documents(
@@ -169,36 +210,36 @@ def load_documents(
 ) -> Iterator[Document]:
     """Stream Documents from a JSONL file in file order.
 
-    Whitespace-only lines are ignored. A malformed line raises ParseError in
-    strict mode; in lenient mode it is counted in `report` and skipped. A
-    document whose id an earlier line used raises ParseError in strict mode;
-    in lenient mode it is counted in `report` and kept.
+    Whitespace-only lines are ignored. A malformed line (bad bytes, bad JSON
+    or a bad document) raises ParseError in strict mode; in lenient mode it
+    is counted in `report` and skipped. A document whose id an earlier line
+    used raises ParseError in strict mode; in lenient mode it is counted in
+    `report` and kept.
     """
     first_line: dict[str, int] = {}  # document id -> the line that first used it
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    for line_no, line in read_lines(path):
+        if report is not None:
+            report.lines += 1
+        if not line.strip():
+            continue
+        try:
+            doc = _document_at(line_no, line, path)
+        except ParseError as exc:
+            if strict:
+                raise
             if report is not None:
-                report.lines += 1
-            if not line.strip():
-                continue
-            try:
-                doc = _document_from_obj(json.loads(line))
-            except (json.JSONDecodeError, ValueError) as exc:
-                if strict:
-                    raise ParseError(line_no, str(exc), path) from exc
-                if report is not None:
-                    report.skipped += 1
-                    report.errors.append((line_no, str(exc)))
-                continue
-            first = first_line.setdefault(doc.id, line_no)
-            if first != line_no:
-                if strict:
-                    raise ParseError(line_no, f"duplicate document id {doc.id!r}, first used on line {first}", path)
-                if report is not None:
-                    report.duplicate_ids += 1
+                report.skipped += 1
+                report.errors.append((line_no, exc.message))
+            continue
+        first = first_line.setdefault(doc.id, line_no)
+        if first != line_no:
+            if strict:
+                raise ParseError(line_no, f"duplicate document id {doc.id!r}, first used on line {first}", path)
             if report is not None:
-                report.documents += 1
-            yield doc
+                report.duplicate_ids += 1
+        if report is not None:
+            report.documents += 1
+        yield doc
 
 
 def document_to_obj(doc: Document) -> dict:
@@ -218,20 +259,6 @@ def document_to_obj(doc: Document) -> dict:
     return out
 
 
-def document_from_annotated_obj(obj: dict) -> Document:
-    records = []
-    for s in obj["sentences"]:
-        records.append(
-            SentenceRecord(
-                text=s["text"],
-                predicted_lang=s.get("lang"),
-                predicted_cluster=s.get("cluster"),
-                confidence=s.get("confidence"),
-            )
-        )
-    return Document(obj["id"], tuple(records), url=obj.get("url"))
-
-
 def write_annotated(docs: Iterable[Document], path: str | Path) -> None:
     """One annotated document per line."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -240,16 +267,11 @@ def write_annotated(docs: Iterable[Document], path: str | Path) -> None:
 
 
 def read_annotated(path: str | Path) -> Iterator[Document]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield document_from_annotated_obj(json.loads(line))
-            except KeyError as exc:
-                raise ParseError(line_no, f"missing key {exc}", path) from exc
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise ParseError(line_no, str(exc), path) from exc
+    """The documents `write_annotated` wrote, in file order. A malformed line
+    raises ParseError; unlike strict `load_documents`, ids may repeat."""
+    for line_no, line in read_lines(path):
+        if line.strip():
+            yield _document_at(line_no, line, path)
 
 
 def _dedup(corpus: MonoCorpus, seen: set[str]) -> tuple[MonoCorpus, DedupReport]:
@@ -309,6 +331,7 @@ def write_corpus(corpus: MonoCorpus, path: str | Path) -> None:
 
 
 def read_corpus(path: str | Path, lang: str) -> MonoCorpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        sentences = [line.rstrip("\n") for line in fh]
+    """The sentences `write_corpus` wrote, one a line. A line that is not
+    UTF-8 raises ParseError with the path and line."""
+    sentences = [utf8(line_no, line, path) for line_no, line in read_lines(path)]
     return MonoCorpus.from_sentences(lang, sentences, stage="loaded")

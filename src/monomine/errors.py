@@ -1,7 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the readers of text and
+JSON files that raise them."""
 
 import json
-from typing import Any, Optional
+import re
+from typing import Any, Iterator, Optional
 
 
 class MiningError(Exception):
@@ -10,26 +12,71 @@ class MiningError(Exception):
 
 class ParseError(MiningError):
     """Malformed input. Carries the 1-based line number, or None where the
-    fault has no one line, and, when known, the path of the file."""
+    fault has no one line, when known the path of the file, and the message
+    without either."""
 
     def __init__(self, line_no: Optional[int], message: str, path: object = None):
         where = [] if path is None else [str(path)]
         if line_no is not None:
             where.append(f"line {line_no}")
         super().__init__(f"{', '.join(where)}: {message}" if where else message)
+        self.message = message
         self.line_no = line_no
         self.path = path
 
 
-def read_json(path: object, kind: type, what: str) -> Any:
-    """The JSON value in the file at `path`, which must be a `kind`. Bad JSON
-    raises ParseError with its line; another value, ParseError saying `what`
-    was expected."""
-    with open(path, "r", encoding="utf-8") as fh:
+# No UTF-8 text holds a surrogate code point. `read_lines` decodes a byte that
+# is not UTF-8 to one (U+DC80-U+DCFF), and a JSON escape such as "\ud800"
+# with no partner leaves one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def read_lines(path: object) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line without its newline) for each line of the
+    UTF-8 file at `path`, split where text mode splits ("\\n", "\\r\\n",
+    "\\r"). A byte that is not UTF-8 comes through as a surrogate, which
+    `utf8` rejects."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            yield line_no, line.rstrip("\n")
+
+
+def utf8(line_no: int, line: str, path: object) -> str:
+    """`line`, unless it holds a byte that was not UTF-8: then ParseError
+    with the path and line."""
+    if not line.isascii():
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, f"bad JSON: {exc.msg}", path) from exc
+            line.encode("utf-8")  # several times faster than searching for a surrogate
+        except UnicodeEncodeError:
+            raise ParseError(line_no, "not UTF-8", path) from None
+    return line
+
+
+def check_json_strings(line_no: int, line: str, path: object) -> None:
+    """ParseError if a string on this line of valid JSON decodes to a lone
+    surrogate. A JSON string cannot span lines, so the line starts outside
+    one and `_JSON_STRING` finds each."""
+    if _SURROGATE_ESCAPE.search(line):
+        for literal in _JSON_STRING.findall(line):
+            if _SURROGATE.search(json.loads(literal)):
+                raise ParseError(line_no, "not UTF-8: an escape leaves a lone surrogate", path)
+
+
+def read_json(path: object, kind: type, what: str) -> Any:
+    """The JSON value in the file at `path`, which must be a `kind`. Bad
+    bytes, bad JSON or a lone surrogate in a string raise ParseError with
+    the line; another value, ParseError saying `what` was expected."""
+    lines = [utf8(line_no, line, path) for line_no, line in read_lines(path)]
+    try:
+        obj = json.loads("\n".join(lines))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"bad JSON: {exc.msg}", path) from exc
+    except RecursionError as exc:
+        raise ParseError(None, f"bad JSON: {exc}", path) from exc
+    for line_no, line in enumerate(lines, start=1):
+        check_json_strings(line_no, line, path)
     if not isinstance(obj, kind):
         raise ParseError(None, f"expected {what}, got {type(obj).__name__}", path)
     return obj

@@ -27,6 +27,8 @@ from .errors import (
     UnknownLanguage,
     WrongListKind,
     read_json,
+    read_lines,
+    utf8,
 )
 from .langid import ConfusionMatrix, Predictor
 
@@ -118,23 +120,22 @@ class WordList:
 
     @classmethod
     def load_tsv(cls, path: str | Path, lang: str, kind: str) -> "WordList":
-        return cls(lang, kind, tuple(_read_tsv_pairs(path, float)))
+        return cls(lang, kind, tuple(read_tsv_pairs(path, float)))
 
 
-def _read_tsv_pairs(path: str | Path, convert: Callable[[str], T]) -> Iterator[tuple[str, T]]:
-    """(token, convert(value)) per non-empty `token<TAB>value` line; a
+def read_tsv_pairs(path: str | Path, convert: Callable[[str], T]) -> Iterator[tuple[str, T]]:
+    """(key, convert(value)) for each non-empty `key<TAB>value` line, split
+    at the first tab: wordlists, IIF tables and labeled LangID data. A
     malformed line raises ParseError with the path and its line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                token, value = line.split("\t")
-                parsed = convert(value)
-            except ValueError as exc:
-                raise ParseError(line_no, f"expected token<TAB>value: {exc}", path) from exc
-            yield token, parsed
+    for line_no, line in read_lines(path):
+        if not line:
+            continue
+        try:
+            key, value = utf8(line_no, line, path).split("\t", 1)
+            parsed = convert(value)
+        except ValueError as exc:
+            raise ParseError(line_no, f"expected key<TAB>value: {exc}", path) from exc
+        yield key, parsed
 
 
 def annotate_document(doc: Document, predictor: Predictor, clusters: ClusterMap) -> Document:
@@ -384,11 +385,19 @@ class IifTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "IifTable":
+        """The table `save` wrote: the TSV at `path` and its JSON sidecar."""
         path = Path(path)
-        freqs = dict(_read_tsv_pairs(path, int))
-        with open(path.with_suffix(path.suffix + ".json"), "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        return cls(freqs, int(meta["kappa"]), float(meta["alpha"]))
+        freqs = dict(read_tsv_pairs(path, int))
+        sidecar = path.with_suffix(path.suffix + ".json")
+        meta = read_json(sidecar, dict, "a {kappa, alpha} object")
+        kappa, alpha = meta.get("kappa"), meta.get("alpha")
+        if type(kappa) is not int or type(alpha) not in (int, float):
+            message = f"expected an integer kappa and a numeric alpha, got {kappa!r} and {alpha!r}"
+            raise ParseError(None, message, sidecar)
+        try:
+            return cls(freqs, kappa, float(alpha))
+        except ValueError as exc:
+            raise ParseError(None, str(exc), sidecar) from exc
 
 
 def build_tfiif_wordlist(

@@ -24,6 +24,11 @@ from .errors import DegenerateData, ModelFormatError, UnknownLanguage
 MODEL_MAGIC = b"MMLI"
 MODEL_VERSION = 2
 
+# Most texts `predict_batch` featurizes and scores at once, so that its memory
+# is bounded however many texts a caller passes. Rows are scored
+# independently, so the batching changes no prediction.
+BATCH_ROWS = 256
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -321,10 +326,14 @@ def _probabilities(model: LangIdModel, texts: Sequence[str]) -> np.ndarray:
 
 
 def predict_batch(model: LangIdModel, texts: Sequence[str]) -> list[tuple[str, float]]:
-    """Predict every text; rows are independent, so sharding cannot change results."""
-    probs = _probabilities(model, texts)
-    best = np.argmax(probs, axis=1)  # first max wins: earliest language breaks ties
-    return [(model.languages[i], float(probs[row, i])) for row, i in enumerate(best)]
+    """Predict every text, `BATCH_ROWS` at a time; rows are independent, so
+    sharding cannot change results."""
+    out: list[tuple[str, float]] = []
+    for start in range(0, len(texts), BATCH_ROWS):
+        probs = _probabilities(model, texts[start : start + BATCH_ROWS])
+        best = np.argmax(probs, axis=1)  # first max wins: earliest language breaks ties
+        out += [(model.languages[i], float(probs[row, i])) for row, i in enumerate(best)]
+    return out
 
 
 def predict(model: LangIdModel, text: str) -> tuple[str, float]:

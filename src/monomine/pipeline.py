@@ -13,10 +13,10 @@ import json
 import os
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 import yaml
 
@@ -24,9 +24,9 @@ from . import corpus as corpus_mod
 from . import filters
 from .clustering import ClusterMap
 from .corpus import Document, IngestReport, MonoCorpus, load_documents
-from .errors import ConfigError, MissingWordlist
+from .errors import ConfigError, MissingWordlist, ParseError, read_json, read_lines, utf8
 from .filters import StageReport, WordList
-from .langid import Predictor, load_model
+from .langid import BATCH_ROWS, Predictor, load_model
 
 
 @dataclass
@@ -118,9 +118,16 @@ class PipelineConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "PipelineConfig":
+        """The config in the YAML file at `path`; bad bytes or bad YAML raise
+        ParseError with the path and line."""
         path = Path(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        text = "\n".join(utf8(line_no, line, path) for line_no, line in read_lines(path))
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            problem = getattr(exc, "problem", None) or str(exc)
+            raise ParseError(None if mark is None else mark.line + 1, f"bad YAML: {problem}", path) from exc
         return cls.from_dict(raw or {}, base_dir=path.parent)
 
     def resolve(self, p: str) -> Path:
@@ -199,10 +206,17 @@ class _Run:
         return tokens
 
 
-# Sentences per annotate batch. Chunks run across document boundaries, so a
-# LangID call's fixed cost is paid per chunk however the crawl is split into
-# documents, and the featurizer's memory is bounded for any document length.
-ANNOTATE_CHUNK = 256
+# Sentences per annotate batch: as many as one LangID scoring call takes.
+# Chunks run across document boundaries, so a LangID call's fixed cost is paid
+# per chunk however the crawl is split into documents.
+ANNOTATE_CHUNK = BATCH_ROWS
+
+
+def _run_now(fn: Callable[[Document], Document], arg: Document) -> Future:
+    """`fn(arg)`, run on this thread, as a completed future."""
+    future: Future = Future()
+    future.set_result(fn(arg))
+    return future
 
 
 def _annotate_all(
@@ -213,9 +227,11 @@ def _annotate_all(
     The sentences are annotated in chunks of `ANNOTATE_CHUNK`, each passed to
     `filters.annotate_document` as one pseudo-document, and the annotated
     records are sliced back into their documents. Rows are predicted
-    independently, so the chunking changes no prediction, and `pool.map`
-    yields in input order, so the worker count changes nothing either. With
-    one worker, documents are read only as the chunks need them.
+    independently, so the chunking changes no prediction, and chunks are
+    taken back in input order, so the worker count changes nothing either.
+    At most `workers` chunks are in flight, so documents are read only as
+    the chunks need them. One worker annotates on the calling thread, which
+    measured faster than handing each chunk to a pool thread.
     """
     pending: deque[Document] = deque()  # read, not yet yielded
 
@@ -246,11 +262,18 @@ def _annotate_all(
         for doc in pending:
             yield Document(doc.id, (), url=doc.url)
 
-    if workers <= 1:
-        yield from split(map(annotate, chunks()))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from split(pool.map(annotate, chunks()))
+    def annotated() -> Iterator[Document]:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            submit = pool.submit if workers > 1 else _run_now
+            in_flight: deque[Future] = deque()
+            for chunk in chunks():
+                in_flight.append(submit(annotate, chunk))
+                if len(in_flight) == workers:
+                    yield in_flight.popleft().result()
+            while in_flight:
+                yield in_flight.popleft().result()
+
+    yield from split(annotated())
 
 
 def _load_wordlists_for(langs: list[str], directory: Path) -> dict[str, WordList]:
@@ -431,8 +454,7 @@ def _clear_previous_run(out_dir: Path, langs: set[str]) -> None:
     not overwrite, so the directory holds one run's output only."""
     manifest = out_dir / "manifests.json"
     if manifest.exists():
-        with open(manifest, "r", encoding="utf-8") as fh:
-            previous = json.load(fh)["summary"]["languages"]
+        previous = read_json(manifest, dict, "a manifests object")["summary"]["languages"]
         manifest.unlink()
         for lang in set(previous) - langs:
             (out_dir / f"{lang}.txt").unlink(missing_ok=True)
@@ -481,8 +503,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
 def report(manifests_path: str | Path) -> dict:
     """Aggregate written manifests into a per-language funnel summary."""
-    with open(manifests_path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(manifests_path, dict, "a manifests object")
     stages = data["stages"]
     funnel: dict[str, dict[str, int]] = {}
     for stage in stages:

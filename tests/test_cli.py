@@ -2,11 +2,12 @@ import json
 import sys
 
 import pytest
+import yaml
 
 from monomine import filters, langid, pipeline
 from monomine.cli import main
 from monomine.clustering import ClusterMap
-from monomine.corpus import MonoCorpus, load_documents, read_corpus, write_corpus
+from monomine.corpus import MonoCorpus, load_documents, read_annotated, read_corpus, write_corpus
 
 from pipeline_env import build_env
 
@@ -85,6 +86,29 @@ class TestExitCodes:
         paths["bad"].write_text("[1]")
         assert main([a.format(**paths) for a in argv]) == 2
         assert capsys.readouterr().err == f"monomine: error: {paths['bad']}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, data, where",
+        [
+            (["stats", "--corpus", "{bad}"], b"ok\nnot \xff ok\n", "line 2: not UTF-8"),
+            (["dedup", "--input", "{bad}", "--output", "{out}"], b"ok\nnot \xff ok\n", "line 2: not UTF-8"),
+            (["build", "wordlist", "--corpus", "{bad}", "--lang", "aa", "--output", "{out}"], b"\xe9\n",
+             "line 1: not UTF-8"),
+            (["chrf", "--hyp", "{bad}", "--ref", "{bad}"], b"a\n\xe9\n", "line 2: not UTF-8"),
+            (["ingest", "--input", "{bad}", "--strict"], b'{"id": "\\ud800", "sentences": []}\n', "line 1: not UTF-8"),
+            (["train-langid", "--train", "{bad}", "--output", "{out}"], b"aa\tone\nno tab\n",
+             "line 2: expected key<TAB>value"),
+            (["pipeline", "run", "--config", "{bad}"], b"input: crawl.jsonl\nstages: [wordlist\n",
+             "line 2: bad YAML: expected ',' or ']'"),
+            (["pipeline", "report", "--manifests", "{bad}"], b"", "line 1: bad JSON"),
+        ],
+        ids=["stats", "dedup", "build-wordlist", "chrf", "ingest", "train-langid", "pipeline-run", "pipeline-report"],
+    )
+    def test_input_errors_are_2_and_name_the_path_and_line(self, capsys, tmp_path, argv, data, where):
+        paths = {"bad": tmp_path / "bad", "out": tmp_path / "out"}
+        paths["bad"].write_bytes(data)
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"monomine: error: {paths['bad']}, {where}")
 
     def test_incomplete_mode_flags_are_2(self, capsys, tmp_path):
         assert main(["anomaly", "--corpus", str(tmp_path / "c.txt")]) == 2
@@ -328,6 +352,31 @@ class TestPipelineCommands:
         )
         assert len(list(out_dir.glob("cluster-*.txt"))) >= 1
         assert all(entry["out"] <= entry["in"] for entry in report.values())
+
+    def test_worker_override_below_one_is_2(self, capsys, env):
+        assert main(["pipeline", "run", "--config", str(env.config_path), "--workers", "0"]) == 2
+        assert capsys.readouterr().err == "monomine: error: workers must be >= 1\n"
+
+    def test_normalized_crawl_runs_through_every_command(self, capsys, env, tmp_path):
+        normalized, annotated = tmp_path / "normalized.jsonl", tmp_path / "annotated.jsonl"
+        first = run_json(capsys, "ingest", "--input", str(env.crawl_path), "--output", str(normalized))
+        again = run_json(capsys, "ingest", "--input", str(normalized), "--strict")
+        assert again == {**first, "lines": first["documents"]}
+        run_json(
+            capsys, "annotate", "--input", str(normalized), "--model", str(env.root / "langid.bin"),
+            "--clusters", str(env.root / "clusters.json"), "--output", str(annotated), "--strict",
+        )
+        assert list(load_documents(annotated, strict=True)) == list(read_annotated(annotated))
+        outputs = {}
+        for name, crawl in (("raw", env.crawl_path), ("normalized", normalized), ("annotated", annotated)):
+            raw = env.config_dict()
+            raw["input"] = str(crawl)
+            raw["output_dir"] = str(tmp_path / name)
+            config = env.root / f"chain-{name}.yaml"  # beside the model and lists it names
+            config.write_text(yaml.safe_dump(raw))
+            run_json(capsys, "pipeline", "run", "--config", str(config))
+            outputs[name] = {p.name: p.read_bytes() for p in sorted((tmp_path / name).glob("*.txt"))}
+        assert outputs["raw"] and outputs["normalized"] == outputs["raw"] == outputs["annotated"]
 
 
 class TestFilterCommands:

@@ -353,9 +353,11 @@ class TestClusterMapIO:
             ('["aa", "bb"]', "expected a {lang: cluster_id} object, got list"),
             ('{"aa": 0, "bb": "one"}', "cluster id of 'bb'"),
             ('{"aa": 0, "bb": null}', "cluster id of 'bb'"),
+            ('{"aa": 0.5, "bb": 0}', "cluster id of 'aa' must be an integer, got 0.5"),
+            ('{"aa": 0, "bb": true}', "cluster id of 'bb' must be an integer, got True"),
             ('{"aa": 0,\n "bb": }', "line 2: bad JSON"),
         ],
-        ids=["list", "non-integer-id", "null-id", "bad-json"],
+        ids=["list", "non-integer-id", "null-id", "fractional-id", "bool-id", "bad-json"],
     )
     def test_malformed_json_raises_parse_error(self, tmp_path, text, message):
         path = tmp_path / "clusters.json"

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monomine.corpus import (
     CorpusStats,
@@ -13,8 +13,8 @@ from monomine.corpus import (
     SentenceRecord,
     corpus_stats,
     dedup,
+    _document_from_obj,
     dedup_corpora,
-    document_from_annotated_obj,
     document_to_obj,
     load_documents,
     normalize_sentence,
@@ -174,7 +174,137 @@ class TestDocumentModel:
 
     def test_obj_roundtrip(self):
         doc = Document("d", (SentenceRecord("s", "aa", 1, 0.5),))
-        assert document_from_annotated_obj(document_to_obj(doc)) == doc
+        assert _document_from_obj(document_to_obj(doc)) == doc
+
+    def test_crawl_reader_reads_annotated_lines(self, tmp_path):
+        doc = Document("d", (SentenceRecord("hello", "aa", 0, 0.9), SentenceRecord("plain")), url="http://x")
+        path = tmp_path / "ann.jsonl"
+        write_annotated([doc, doc], path)
+        assert list(load_documents(path, report=IngestReport())) == [doc, doc]
+        with pytest.raises(ParseError, match="duplicate document id"):
+            list(load_documents(path, strict=True))
+        assert list(read_annotated(path)) == [doc, doc]  # ids may repeat here
+
+    def test_annotated_text_is_normalized(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        write_jsonl(path, ['{"id": "d", "sentences": [{"text": " e\u0301tude  x ", "lang": "aa", "cluster": 0}]}'])
+        (doc,) = read_annotated(path)
+        assert doc.sentences == (SentenceRecord("\u00e9tude x", "aa", 0),)
+
+    @pytest.mark.parametrize(
+        "sentence, message",
+        [
+            ('{"text": "a", "lang": "aa", "cluster": true}', "'cluster' must be an integer"),
+            ('{"text": "a", "lang": "aa", "cluster": 0.5}', "'cluster' must be an integer"),
+            ('{"text": "a", "confidence": false}', "'confidence' must be a number"),
+            ('{"text": "a", "confidence": "0.5"}', "'confidence' must be a number"),
+            ('{"text": "a", "lang": 7, "cluster": 0}', "'lang' must be a string"),
+            ('{"text": "a", "lang": "aa"}', "predicted_lang and predicted_cluster must be set together"),
+            ('{"text": 1}', "'text' must be a string"),
+            ("3", "'sentences' must be a list of strings or objects"),
+        ],
+        ids=["bool-cluster", "float-cluster", "bool-confidence", "string-confidence", "int-lang", "lang-only",
+             "int-text", "int-sentence"],
+    )
+    def test_every_sentence_field_is_type_checked(self, tmp_path, sentence, message):
+        path = tmp_path / "ann.jsonl"
+        write_jsonl(path, ['{"id": "d", "sentences": [' + sentence + "]}"])
+        for read in (read_annotated, lambda p: load_documents(p, strict=True)):
+            with pytest.raises(ParseError, match=re.escape(f"{path}, line 1: {message}")):
+                list(read(path))
+
+
+NORMALIZED = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20).map(normalize_sentence)
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+SENTENCES = st.one_of(
+    st.builds(SentenceRecord, NORMALIZED),
+    st.builds(SentenceRecord, NORMALIZED, confidence=st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(
+        SentenceRecord,
+        NORMALIZED,
+        predicted_lang=NAMES,
+        predicted_cluster=st.integers(-(2**70), 2**70),
+        confidence=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    ),
+)
+DOCUMENTS = st.lists(
+    st.builds(Document, NAMES, st.lists(SENTENCES, max_size=4).map(tuple), url=st.none() | NAMES), max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=DOCUMENTS)
+def test_written_documents_read_back_equal(tmp_path_factory, docs):
+    path = tmp_path_factory.mktemp("roundtrip") / "docs.jsonl"
+    write_annotated(docs, path)
+    assert list(read_annotated(path)) == docs
+    report = IngestReport()
+    assert list(load_documents(path, report=report)) == docs
+    assert report.skipped == 0
+
+
+class TestMalformedText:
+    """A byte that is not UTF-8, or a JSON escape that leaves a lone
+    surrogate, makes a line malformed for every reader."""
+
+    BAD = {
+        "not-utf8-text": b'{"id": "x", "sentences": ["a \xff b"]}',
+        "not-utf8-ignored-field": b'{"id": "x", "sentences": ["a"], "meta": "\xc3"}',
+        "lone-high-surrogate": b'{"id": "x", "sentences": ["a \\ud800 b"]}',
+        "lone-low-surrogate-url": b'{"id": "x", "url": "\\udc00", "sentences": []}',
+        "lone-surrogate-id": b'{"id": "x\\uDBFF", "sentences": []}',
+        "lone-surrogate-lang": b'{"id": "x", "sentences": [{"text": "a", "lang": "\\ud800", "cluster": 0}]}',
+    }
+    GOOD = b'{"id": "ok", "sentences": ["a"]}'
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_lenient_ingest_counts_it_and_goes_on(self, tmp_path, bad):
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(b"\n".join([self.GOOD, bad, self.GOOD.replace(b"ok", b"ok2")]) + b"\n")
+        report = IngestReport()
+        assert [d.id for d in load_documents(path, report=report)] == ["ok", "ok2"]
+        assert (report.skipped, report.documents) == (1, 2)
+        assert [n for n, _ in report.errors] == [2]
+        assert report.errors[0][1].startswith("not UTF-8")
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_strict_readers_name_the_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(self.GOOD + b"\n" + bad + b"\n")
+        for read in (read_annotated, lambda p: load_documents(p, strict=True)):
+            with pytest.raises(ParseError, match=re.escape(f"{path}, line 2: not UTF-8")):
+                list(read(path))
+
+    def test_deep_nesting_is_a_malformed_line(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(b"[" * 100_000 + b"\n" + self.GOOD + b"\n")
+        report = IngestReport()
+        assert [d.id for d in load_documents(path, report=report)] == ["ok"]
+        assert [n for n, _ in report.errors] == [1]
+        with pytest.raises(ParseError, match=re.escape(f"{path}, line 1: maximum recursion depth")):
+            list(read_annotated(path))
+
+    @pytest.mark.parametrize(
+        "escaped, text",
+        [("\\ud83d\\ude00 x", "\U0001f600 x"), ("\\\\ud800", "\\ud800"), ("\\\"\\ud83d\\ude00", '"\U0001f600')],
+        ids=["surrogate-pair", "escaped-backslash", "escaped-quote-then-pair"],
+    )
+    def test_escapes_that_make_text_are_read(self, tmp_path, escaped, text):
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(path, ['{"id": "d", "sentences": ["' + escaped + '"]}'])
+        (doc,) = load_documents(path, strict=True)
+        assert doc.texts == [text]
+
+    def test_corpus_line_not_utf8(self, tmp_path):
+        path = tmp_path / "aa.txt"
+        path.write_bytes(b"one\ntw\xffo\nthree\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}, line 2: not UTF-8")):
+            read_corpus(path, "aa")
+
+    def test_corpus_lines_split_as_text_mode_splits(self, tmp_path):
+        path = tmp_path / "aa.txt"
+        path.write_bytes("a\r\nb\rc\u2028d\x85e\nf".encode("utf-8"))
+        assert read_corpus(path, "aa").sentences == ("a", "b", "c\u2028d\x85e", "f")
 
 
 class TestDedup:

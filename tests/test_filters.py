@@ -1,3 +1,5 @@
+import random
+import re
 import sys
 import unicodedata
 from collections import Counter
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monomine import langid
 from monomine.clustering import ClusterMap
 from monomine.corpus import Document, MonoCorpus, SentenceRecord
 from monomine.errors import (
@@ -33,6 +36,7 @@ from monomine.filters import (
     filter_wordlist,
     load_negative_rules,
     negative_filter,
+    read_tsv_pairs,
     rrr_gate,
     survival_fraction,
     tokenize,
@@ -444,6 +448,31 @@ class TestDecluster:
         assert all(rep.n_in == rep.n_out for rep in reports.values())
 
 
+    def test_own_model_scores_in_bounded_batches(self, two_lang_model, monkeypatch):
+        langs, model = two_lang_model
+        rng = random.Random(600)
+        clusters = ClusterMap.from_groups([["aa"], ["bb"]])
+        cid = clusters.cluster_of("aa")
+        sentences = [langs[rng.choice(["aa", "bb"])].sentence(rng) for _ in range(600)]
+        corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", sentences)}
+        # the reference: one scoring pass over the whole cluster corpus
+        best = np.argmax(langid._probabilities(model, sentences), axis=1)
+        want = tuple(s for s, i in zip(sentences, best) if model.languages[i] == "aa")
+        assert 0 < len(want) < len(sentences)
+        batches = []
+        real = langid._feature_matrix
+
+        def recording(texts, spec):
+            batches.append(len(texts))
+            return real(texts, spec)
+
+        monkeypatch.setattr(langid, "_feature_matrix", recording)
+        out, reports = decluster(corpora, model, clusters)
+        assert batches == [256, 256, 88]
+        assert {lang: c.sentences for lang, c in out.items()} == {"aa": want}
+        assert reports[f"cluster:{cid}"].dropped_by_reason == {"out_of_cluster": len(sentences) - len(want)}
+
+
 class TestIifTable:
     def test_alpha_is_kappa_th_count(self):
         counts = {"w1": 100, "w2": 50, "w3": 5, "w4": 2}
@@ -477,6 +506,41 @@ class TestIifTable:
             IifTable.load(path)
         assert err.value.line_no == 3
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ('{"kappa": 1', "line 1: bad JSON"),
+            ('{"alpha": 3.0}', "expected an integer kappa and a numeric alpha, got None and 3.0"),
+            ('{"kappa": 1.5, "alpha": 3.0}', "expected an integer kappa and a numeric alpha, got 1.5 and 3.0"),
+            ('{"kappa": true, "alpha": 3.0}', "expected an integer kappa and a numeric alpha, got True and 3.0"),
+            ('{"kappa": 1, "alpha": "3"}', "expected an integer kappa and a numeric alpha, got 1 and '3'"),
+            ('{"kappa": 1, "alpha": 0}', "alpha must be positive"),
+            ("[1, 3.0]", "expected a {kappa, alpha} object, got list"),
+        ],
+        ids=["bad-json", "missing-kappa", "fractional-kappa", "bool-kappa", "string-alpha", "zero-alpha", "list"],
+    )
+    def test_malformed_sidecar_names_its_path(self, tmp_path, sidecar, message):
+        path = tmp_path / "iif.tsv"
+        IifTable.from_counts({"a": 7, "b": 3}, kappa=1).save(path)
+        (tmp_path / "iif.tsv.json").write_text(sidecar, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            IifTable.load(path)
+        assert err.value.path == tmp_path / "iif.tsv.json"
+        assert message in str(err.value)
+
+
+class TestReadTsvPairs:
+    def test_splits_at_the_first_tab(self, tmp_path):
+        path = tmp_path / "labeled.tsv"
+        path.write_text("aa\tone\ttwo\n\nbb\t\n", encoding="utf-8")
+        assert list(read_tsv_pairs(path, str)) == [("aa", "one\ttwo"), ("bb", "")]
+
+    def test_line_not_utf8(self, tmp_path):
+        path = tmp_path / "aa.txt"
+        path.write_bytes(b"a\t2\nb\xff\t1\n")
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}, line 2: not UTF-8"):
+            WordList.load_tsv(path, "aa", "frequency")
 
 
 class TestTfiifWordlist:

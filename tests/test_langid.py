@@ -463,6 +463,28 @@ class TestPredict:
         texts = [langs["aa"].sentence(rng) for _ in range(5)] + [langs["bb"].sentence(rng) for _ in range(5)]
         assert predict_batch(model, texts) == [predict(model, t) for t in texts]
 
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    def test_scores_at_most_batch_rows_at_once(self, two_lang_model, monkeypatch, n):
+        langs, model = two_lang_model
+        rng = random.Random(n)
+        texts = [langs[rng.choice(["aa", "bb"])].sentence(rng) for _ in range(n)]
+        # the reference: one scoring pass over every text
+        probs = langid._probabilities(model, texts) if texts else np.zeros((0, 2))
+        want = [(model.languages[i], float(probs[row, i])) for row, i in enumerate(np.argmax(probs, axis=1))]
+        batches = []
+        real = langid._feature_matrix
+
+        def recording(texts, spec):
+            batches.append(len(texts))
+            return real(texts, spec)
+
+        monkeypatch.setattr(langid, "_feature_matrix", recording)
+        assert predict_batch(model, texts) == want  # bit for bit
+        assert batches == [len(texts[i : i + langid.BATCH_ROWS]) for i in range(0, n, langid.BATCH_ROWS)]
+        batches.clear()
+        evaluate(model, [(t, "aa") for t in texts])
+        assert max(batches, default=0) <= langid.BATCH_ROWS
+
     def test_duplication_scale_invariance(self, two_lang_model):
         # identical n-gram distribution => identical prediction
         _, model = two_lang_model

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -261,18 +262,20 @@ class TestAnnotateChunks:
     def test_documents_are_read_as_chunks_need_them(self, env, annotator):
         model, clusters = annotator
         docs = self.documents(env, [10] * 100)
-        read = []
+        for workers in (1, 2):
+            read = []
 
-        def stream():
-            for doc in docs:
-                read.append(doc.id)
-                yield doc
+            def stream():
+                for doc in docs:
+                    read.append(doc.id)
+                    yield doc
 
-        annotated = _annotate_all(stream(), model, clusters, workers=1)
-        assert next(annotated).id == "d0"
-        # the first chunk ends inside the 26th document
-        assert len(read) == -(-ANNOTATE_CHUNK // 10)
-        assert [d.id for d in annotated] == [d.id for d in docs[1:]]
+            annotated = _annotate_all(stream(), model, clusters, workers=workers)
+            assert next(annotated).id == "d0"
+            # one chunk in flight a worker: with one, the first chunk ends
+            # inside the 26th document; with two, the second inside the 52nd
+            assert len(read) == -(-workers * ANNOTATE_CHUNK // 10), workers
+            assert [d.id for d in annotated] == [d.id for d in docs[1:]]
 
     def test_own_decluster_model_records_no_predictions(self, env, first_run, monkeypatch, tmp_path):
         runs = []
@@ -428,6 +431,62 @@ class TestReport:
         assert "totals:" in text
         for lang in env.langs:
             assert f"\n{lang}\t" in text
+
+
+class TestMalformedFiles:
+    def test_bad_bytes_are_malformed_lines(self, env, first_run, tmp_path):
+        crawl = tmp_path / "crawl.jsonl"
+        lines = env.crawl_path.read_bytes().splitlines(keepends=True)
+        lines.insert(3, b'{"id": "bad-bytes", "sentences": ["caf\xff"]}\n')
+        lines.insert(9, b'{"id": "bad-escape", "sentences": ["a \\ud800 b"]}\n')
+        crawl.write_bytes(b"".join(lines))
+        raw = env.config_dict()
+        raw["input"] = str(crawl)
+        raw["output_dir"] = str(tmp_path / "out")
+        result = run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
+        ingest = next(m for m in result.manifests if m.stage == "ingest")
+        assert ingest.per_language["*"]["dropped_by_reason"] == {"malformed": 2}
+        config, _ = first_run
+        assert output_bytes(tmp_path / "out") == output_bytes(config.resolve(config.output_dir))
+        raw["strict"] = True
+        with pytest.raises(ParseError, match=re.escape(f"{crawl}, line 4: not UTF-8")):
+            run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("input: [a\nmodel: b\n", 2, "bad YAML: expected ',' or ']'"),
+            ("a: 1\n  b: 2\n", 2, "bad YAML: mapping values"),
+        ],
+        ids=["unclosed-list", "bad-indent"],
+    )
+    def test_bad_yaml_names_the_path_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "pipeline.yaml"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}, line {line}: {message}")):
+            PipelineConfig.from_yaml(path)
+
+    def test_yaml_not_utf8(self, tmp_path):
+        path = tmp_path / "pipeline.yaml"
+        path.write_bytes(b"input: crawl.jsonl\nmodel: m\xe9.bin\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}, line 2: not UTF-8")):
+            PipelineConfig.from_yaml(path)
+
+    @pytest.mark.parametrize("text", ["", '{"stages": [}', "[]"], ids=["empty", "bad-json", "list"])
+    def test_report_of_a_bad_manifest_names_its_path(self, tmp_path, text):
+        path = tmp_path / "manifests.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}"):
+            report(path)
+
+    def test_corrupt_previous_manifest_stops_the_run(self, env, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifests.json").write_text('{"stages": [')
+        raw = env.config_dict()
+        raw["output_dir"] = str(out)
+        with pytest.raises(ParseError, match=re.escape(f"{out / 'manifests.json'}, line 1: bad JSON")):
+            run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
 
 
 class TestIngestManifest:
