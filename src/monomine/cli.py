@@ -144,7 +144,10 @@ def _load_confusion(path: str) -> langid.ConfusionMatrix:
 
 def cmd_pare(args) -> dict:
     cm = _load_confusion(args.confusion)
-    sizes = {k: int(v) for k, v in read_json(args.train_sizes, dict, "a {lang: count} object").items()}
+    sizes = read_json(args.train_sizes, dict, "a {lang: count} object")
+    for lang, size in sizes.items():
+        if type(size) is not int:  # nor a bool, nor a float to truncate
+            raise ParseError(None, f"train size of {lang!r} must be an integer, got {size!r}", args.train_sizes)
     thresholds = langid.PareThresholds(
         min_precision=args.min_precision,
         max_confusion=args.max_confusion,
@@ -348,7 +351,12 @@ def cmd_hitrate(args) -> dict:
     hyps = corpus_mod.read_corpus(args.hyp, "").sentences
     refs = corpus_mod.read_corpus(args.ref, "").sentences
     raw = read_json(args.bins, dict, "a {ranked_tokens, boundaries} object")
-    bins = metrics.build_bins(raw["ranked_tokens"], raw["boundaries"])
+    tokens, boundaries = raw.get("ranked_tokens"), raw.get("boundaries")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise ParseError(None, "'ranked_tokens' must be a list of strings", args.bins)
+    if not (isinstance(boundaries, list) and all(type(b) is int for b in boundaries)):
+        raise ParseError(None, "'boundaries' must be a list of integers", args.bins)
+    bins = metrics.build_bins(tokens, boundaries)
     out = []
     for i in range(bins.n_bins):
         score = metrics.hit_rate(hyps, refs, bins.bin_tokens(i))

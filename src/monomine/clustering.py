@@ -98,7 +98,10 @@ def _merges(dist: np.ndarray) -> list[tuple[float, int, int]]:
     Clusters are keyed by their smallest original point index; merging j into
     i keeps key i. Each merge takes the smallest (average distance, i, j)
     over the open pairs, which pins down every tie. Pair sums are accumulated
-    instead of recomputed, so a merge is O(n^2) array work.
+    instead of recomputed, and each open row caches its nearest open column
+    to the right (Müllner's "generic" algorithm, kept exact), so a merge is
+    O(n) array work plus an O(n) rescan per row whose cached column was i or
+    j: O(n^2) time in all but contrived cases, and O(n^2) memory.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -112,19 +115,35 @@ def _merges(dist: np.ndarray) -> list[tuple[float, int, int]]:
     sums += sums.T
     sizes = np.ones(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
-    rows, cols = np.triu_indices(n, 1)  # row-major, so argmin breaks ties by (i, j)
-    merges = []
+    # per open row k: its smallest average to an open c > k, the first such c,
+    # and whether there is any (a mask, not a sentinel: inf is a valid distance)
+    nearest_avg, nearest, has = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+
+    def rescan(k: int) -> None:
+        cols = k + 1 + np.flatnonzero(alive[k + 1 :])
+        has[k] = cols.size > 0
+        if has[k]:
+            avgs = sums[k, cols] / (sizes[k] * sizes[cols])
+            at = int(np.argmin(avgs))  # the first minimum: ties go to the smaller c
+            nearest_avg[k], nearest[k] = avgs[at], cols[at]
+
+    stale, merges = range(n), []  # every row is scanned before the first merge
     for _ in range(n - 1):
-        pairs = np.flatnonzero(alive[rows] & alive[cols])
-        r, c = rows[pairs], cols[pairs]
-        avgs = sums[r, c] / (sizes[r] * sizes[c])
-        best = int(np.argmin(avgs))
-        i, j = int(r[best]), int(c[best])
-        merges.append((float(avgs[best]), i, j))
+        for k in stale:
+            rescan(k)
+        i = int(np.flatnonzero(has)[np.argmin(nearest_avg[has])])  # the first row: smallest (avg, i, j)
+        j = int(nearest[i])
+        merges.append((float(nearest_avg[i]), i, j))
         sums[i] += sums[j]
         sums[:, i] = sums[i]
         sizes[i] += sizes[j]
-        alive[j] = False
+        alive[j] = has[j] = False
+        stale = np.flatnonzero(has & ((nearest == i) | (nearest == j)))
+        # a row left of i takes i if its new average is smaller, or equal and i the smaller column
+        rows = np.flatnonzero(has[:i])
+        avgs = sums[rows, i] / (sizes[rows] * sizes[i])
+        won = (avgs < nearest_avg[rows]) | ((avgs == nearest_avg[rows]) & (i < nearest[rows]))
+        nearest_avg[rows[won]], nearest[rows[won]] = avgs[won], i
     return merges
 
 

@@ -449,15 +449,25 @@ STAGES = (
 _SECTIONS = {name: section for name, section, _, _ in STAGES if section is not None}
 
 
-def _clear_previous_run(out_dir: Path, langs: set[str]) -> None:
-    """Delete the last run's manifest and those of its corpora this run will
-    not overwrite, so the directory holds one run's output only."""
+def _previous_languages(out_dir: Path) -> set[str]:
+    """The languages of the manifest a previous run left in `out_dir`. It is
+    read before the first stage, so a corrupt one stops the run at once."""
     manifest = out_dir / "manifests.json"
-    if manifest.exists():
-        previous = read_json(manifest, dict, "a manifests object")["summary"]["languages"]
-        manifest.unlink()
-        for lang in set(previous) - langs:
-            (out_dir / f"{lang}.txt").unlink(missing_ok=True)
+    if not manifest.exists():
+        return set()
+    summary = read_json(manifest, dict, "a manifests object").get("summary")
+    languages = summary.get("languages") if isinstance(summary, dict) else None
+    if not isinstance(languages, dict):
+        raise ParseError(None, "expected a {language: ...} object under summary.languages", manifest)
+    return set(languages)
+
+
+def _clear_previous_run(out_dir: Path, previous: set[str], langs: set[str]) -> None:
+    """Delete the last run's manifest and those of its corpora (`previous`)
+    this run will not overwrite, so the directory holds one run's output only."""
+    (out_dir / "manifests.json").unlink(missing_ok=True)
+    for lang in previous - langs:
+        (out_dir / f"{lang}.txt").unlink(missing_ok=True)
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -465,6 +475,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     cfg_hash = config.config_hash()
     out_dir = config.resolve(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    previous = _previous_languages(out_dir)
     run = _Run(config)
     manifests: list[StageManifest] = []
     corpora: Any = None  # the documents, until doc-consistency groups them
@@ -479,7 +490,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     # write corpora + summary; the manifest goes last, so a complete one
     # always describes the corpora beside it
-    _clear_previous_run(out_dir, set(corpora))
+    _clear_previous_run(out_dir, previous, set(corpora))
     summary: dict = {"config_hash": cfg_hash, "languages": {}}
     for lang in sorted(corpora):
         corpus = corpora[lang]
@@ -504,20 +515,30 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 def report(manifests_path: str | Path) -> dict:
     """Aggregate written manifests into a per-language funnel summary."""
     data = read_json(manifests_path, dict, "a manifests object")
-    stages = data["stages"]
+    stages, summary = data.get("stages"), data.get("summary", {})
+
+    def bad(what: str) -> ParseError:
+        return ParseError(None, f"expected {what}", manifests_path)
+
+    if not isinstance(stages, list):
+        raise bad(f"a list of stages under 'stages', got {stages!r}")
     funnel: dict[str, dict[str, int]] = {}
+    totals: dict[str, int] = {}
     for stage in stages:
-        for label, entry in stage["per_language"].items():
-            funnel.setdefault(label, {})[stage["stage"]] = entry["out"]
-    totals = {
-        stage["stage"]: sum(entry["out"] for entry in stage["per_language"].values())
-        for stage in stages
-    }
-    return {
-        "funnel": {k: funnel[k] for k in sorted(funnel)},
-        "totals": totals,
-        "summary": data.get("summary", {}),
-    }
+        if not isinstance(stage, dict) or not isinstance(stage.get("stage"), str):
+            raise bad(f"a {{stage, per_language}} object, got {stage!r}")
+        name, per_language = stage["stage"], stage.get("per_language")
+        if not isinstance(per_language, dict):
+            raise bad(f"a per_language object in stage {name!r}")
+        for label, entry in per_language.items():
+            if not isinstance(entry, dict) or type(entry.get("out")) is not int:
+                raise bad(f"an integer 'out' for {label!r} in stage {name!r}, got {entry!r}")
+            funnel.setdefault(label, {})[name] = entry["out"]
+        totals[name] = sum(entry["out"] for entry in per_language.values())
+    rows = summary.get("languages", {}) if isinstance(summary, dict) else None
+    if not isinstance(rows, dict) or not all(isinstance(row, dict) for row in rows.values()):
+        raise bad("a {language: object} map under summary.languages")
+    return {"funnel": {k: funnel[k] for k in sorted(funnel)}, "totals": totals, "summary": summary}
 
 
 def render_report_text(rep: dict) -> str:

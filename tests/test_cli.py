@@ -88,6 +88,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"monomine: error: {paths['bad']}: {message}\n"
 
     @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["pare", "--confusion", "{cm}", "--train-sizes", "{bad}"], '{"aa": 1.5}',
+             "train size of 'aa' must be an integer, got 1.5"),
+            (["pare", "--confusion", "{cm}", "--train-sizes", "{bad}"], '{"aa": 3, "bb": true}',
+             "train size of 'bb' must be an integer, got True"),
+            (["pare", "--confusion", "{cm}", "--train-sizes", "{bad}"], '{"bb": "x"}',
+             "train size of 'bb' must be an integer, got 'x'"),
+            (["pipeline", "report", "--manifests", "{bad}"], '{"stages": 1}',
+             "expected a list of stages under 'stages', got 1"),
+            (["pipeline", "report", "--manifests", "{bad}"], '{"summary": {}}',
+             "expected a list of stages under 'stages', got None"),
+            (["hitrate", "--hyp", "{cm}", "--ref", "{cm}", "--bins", "{bad}"], '{"ranked_tokens": []}',
+             "'boundaries' must be a list of integers"),
+            (["hitrate", "--hyp", "{cm}", "--ref", "{cm}", "--bins", "{bad}"],
+             '{"ranked_tokens": "ab", "boundaries": [0]}', "'ranked_tokens' must be a list of strings"),
+        ],
+        ids=["pare-float", "pare-bool", "pare-string", "report-stages-not-a-list", "report-no-stages",
+             "hitrate-no-boundaries", "hitrate-tokens-not-a-list"],
+    )
+    def test_json_values_of_the_wrong_type_are_2(self, capsys, tmp_path, argv, text, message):
+        paths = {"cm": tmp_path / "cm.json", "bad": tmp_path / "bad.json"}
+        paths["cm"].write_text('{"languages": ["aa"], "counts": [[1]]}')
+        paths["bad"].write_text(text)
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err == f"monomine: error: {paths['bad']}: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv, data, where",
         [
             (["stats", "--corpus", "{bad}"], b"ok\nnot \xff ok\n", "line 2: not UTF-8"),

@@ -1,10 +1,14 @@
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monomine.clustering import (
     ClusterMap,
+    _merges,
     add_singletons,
     agglomerative_cluster,
     fnr_distance_matrix,
@@ -15,9 +19,10 @@ from monomine.langid import ConfusionMatrix
 
 
 def naive_average_linkage(dist, n_clusters):
-    """Oracle: O(n^3) agglomeration recomputing all pairwise averages each
-    step from the raw matrix. Clusters keyed by smallest original index;
-    merges pick the lexicographically smallest (avg, i, j)."""
+    """Oracle: agglomeration recomputing all pairwise averages each step from
+    the raw matrix, O(n^2) per merge and O(n^3) in all (`_merges` is O(n^2)
+    in all). Clusters keyed by smallest original index; merges pick the
+    lexicographically smallest (avg, i, j)."""
     clusters = {i: [i] for i in range(dist.shape[0])}
     while len(clusters) > n_clusters:
         best = None
@@ -35,6 +40,31 @@ def naive_average_linkage(dist, n_clusters):
         clusters[i] = clusters[i] + clusters[j]
         del clusters[j]
     return {frozenset(m) for m in clusters.values()}
+
+
+def reference_merges(dist):
+    """Reference for `_merges`: the same merge list from a rescan of every
+    open pair on each merge, O(n^2) per merge and O(n^3) in all, with the
+    same pair sums and float expression."""
+    n = dist.shape[0]
+    sums = np.triu(dist, 1).astype(float)
+    sums += sums.T
+    sizes = np.ones(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    rows, cols = np.triu_indices(n, 1)  # row-major, so argmin breaks ties by (i, j)
+    merges = []
+    for _ in range(n - 1):
+        pairs = np.flatnonzero(alive[rows] & alive[cols])
+        r, c = rows[pairs], cols[pairs]
+        avgs = sums[r, c] / (sizes[r] * sizes[c])
+        best = int(np.argmin(avgs))
+        i, j = int(r[best]), int(c[best])
+        merges.append((float(avgs[best]), i, j))
+        sums[i] += sums[j]
+        sums[:, i] = sums[i]
+        sizes[i] += sizes[j]
+        alive[j] = False
+    return merges
 
 
 def naive_dendrogram_resplit(indices, dist, max_size):
@@ -56,6 +86,31 @@ def random_distance_matrix(rng, n):
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = rng.random()
     return dist
+
+
+def symmetric(n, upper):
+    dist = np.zeros((n, n))
+    dist[np.triu_indices(n, 1)] = upper
+    return dist + dist.T
+
+
+# quarters and halves sum exactly, so equal averages are real ties; inf is a
+# valid distance that no sentinel may stand for
+VALUES = st.sampled_from(
+    [
+        st.sampled_from((0.25, 0.5, 0.75, 1.0)),
+        st.sampled_from((0.5, 1.0)),
+        st.sampled_from((0.5, 1.0, math.inf)),
+        st.floats(0.0, 1.0),
+    ]
+)
+
+
+@st.composite
+def distance_matrices(draw):
+    n = draw(st.integers(1, 30))
+    values = draw(VALUES)
+    return symmetric(n, draw(st.lists(values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
 
 
 def partition_of(cluster_map, labels):
@@ -241,6 +296,30 @@ class TestAgglomerative:
             cmap = agglomerative_cluster(dist, labels, n_clusters=rng.randint(1, n))
             assert sorted(lang for m in cmap.members.values() for lang in m) == sorted(labels)
             assert set(cmap.assignment) == set(labels)
+
+
+class TestMerges:
+    @settings(max_examples=300, deadline=None)
+    @given(dist=distance_matrices())
+    def test_matches_reference(self, dist):
+        assert _merges(dist) == reference_merges(dist)
+
+    def test_matches_reference_at_250_languages(self):
+        n = 250
+        rng = np.random.default_rng(250)
+        dist = symmetric(n, rng.choice((0.25, 0.5, 0.75, 1.0), size=n * (n - 1) // 2))
+        assert _merges(dist) == reference_merges(dist)
+
+    def test_peak_memory_is_below_three_matrices(self):
+        n = 400
+        dist = symmetric(n, np.random.default_rng(400).random(n * (n - 1) // 2))
+        tracemalloc.start()
+        try:
+            _merges(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
 
 class TestResplit:

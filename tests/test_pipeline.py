@@ -472,21 +472,53 @@ class TestMalformedFiles:
         with pytest.raises(ParseError, match=re.escape(f"{path}, line 2: not UTF-8")):
             PipelineConfig.from_yaml(path)
 
-    @pytest.mark.parametrize("text", ["", '{"stages": [}', "[]"], ids=["empty", "bad-json", "list"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            '{"stages": [}',
+            "[]",
+            '{"stages": 1}',
+            '{"summary": {}}',
+            '{"stages": [1]}',
+            '{"stages": [{"stage": "ingest"}]}',
+            '{"stages": [{"stage": "ingest", "per_language": {"aa": {"out": 1.5}}}]}',
+            '{"stages": [], "summary": {"languages": []}}',
+        ],
+        ids=["empty", "bad-json", "list", "stages-not-a-list", "no-stages", "stage-not-an-object",
+             "no-per-language", "float-out", "languages-not-an-object"],
+    )
     def test_report_of_a_bad_manifest_names_its_path(self, tmp_path, text):
         path = tmp_path / "manifests.json"
         path.write_text(text)
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}"):
             report(path)
 
-    def test_corrupt_previous_manifest_stops_the_run(self, env, tmp_path):
+    def assert_previous_manifest_stops_the_run(self, env, tmp_path, monkeypatch, text, message):
+        """A run into a directory holding the manifest `text` raises ParseError
+        `message` before any stage runs, and leaves that manifest in place."""
         out = tmp_path / "out"
         out.mkdir()
-        (out / "manifests.json").write_text('{"stages": [')
+        (out / "manifests.json").write_text(text)
         raw = env.config_dict()
         raw["output_dir"] = str(out)
-        with pytest.raises(ParseError, match=re.escape(f"{out / 'manifests.json'}, line 1: bad JSON")):
+        ingested = []
+        monkeypatch.setattr(pipeline, "load_documents", lambda path, **_: ingested.append(path) or iter(()))
+        with pytest.raises(ParseError, match=re.escape(f"{out / 'manifests.json'}{message}")):
             run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
+        assert ingested == []
+        assert (out / "manifests.json").read_text() == text
+
+    def test_corrupt_previous_manifest_stops_the_run(self, env, tmp_path, monkeypatch):
+        message = ", line 1: bad JSON"
+        self.assert_previous_manifest_stops_the_run(env, tmp_path, monkeypatch, '{"stages": [', message)
+
+    @pytest.mark.parametrize(
+        "text", ['{"stages": []}', '{"summary": {"languages": []}}'], ids=["no-summary", "languages-not-an-object"]
+    )
+    def test_previous_manifest_of_a_bad_shape_stops_the_run(self, env, tmp_path, monkeypatch, text):
+        message = ": expected a {language: ...} object under summary.languages"
+        self.assert_previous_manifest_stops_the_run(env, tmp_path, monkeypatch, text, message)
 
 
 class TestIngestManifest:
