@@ -57,7 +57,6 @@ from .langid import (
 )
 from .metrics import (
     AuditLabels,
-    ChrfParams,
     FrequencyBins,
     RttResult,
     Translator,

@@ -10,13 +10,11 @@ recovered the training data.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus import MonoCorpus
-from .errors import EmptyCorpus
-from .filters import tokenize
+from .filters import token_counts
 
 SUSPICIOUS_HARMONIC = 0.70
 SUSPICIOUS_MIN_SENTENCES = 20000
@@ -29,7 +27,6 @@ class TokenDistribution:
 
     lang: str
     entries: tuple[tuple[str, float], ...]
-    source: str  # "reference" or "empirical"
 
     def freq(self, token: str) -> float:
         for t, f in self.entries:
@@ -42,16 +39,12 @@ class TokenDistribution:
         return [t for t, _ in self.entries]
 
 
-def token_distribution(corpus: MonoCorpus, top_n: int = 40, source: str = "empirical") -> TokenDistribution:
+def token_distribution(corpus: MonoCorpus, top_n: int = 40) -> TokenDistribution:
     """Relative frequencies over the whole token stream; keep the top_n head."""
-    counts: Counter[str] = Counter()
-    for sentence in corpus.sentences:
-        counts.update(tokenize(sentence))
-    if not counts:
-        raise EmptyCorpus(f"no tokens in corpus for {corpus.lang}")
+    counts = token_counts(corpus)
     total = sum(counts.values())
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
-    return TokenDistribution(corpus.lang, tuple((t, c / total) for t, c in ranked), source)
+    return TokenDistribution(corpus.lang, tuple((t, c / total) for t, c in ranked))
 
 
 def two_n_overlap(empirical: TokenDistribution, reference: TokenDistribution) -> float:
@@ -119,8 +112,8 @@ def anomaly_report(
     corpus: MonoCorpus, reference_corpus: MonoCorpus, n: int = 40
 ) -> AnomalyReport:
     """Score one corpus against its reference and flag the extremes."""
-    empirical = token_distribution(corpus, top_n=n, source="empirical")
-    reference = token_distribution(reference_corpus, top_n=2 * n, source="reference")
+    empirical = token_distribution(corpus, top_n=n)
+    reference = token_distribution(reference_corpus, top_n=2 * n)
     overlap = two_n_overlap(empirical, reference)
     euclid = euclidean_similarity(empirical, reference, top_n=n)
     return AnomalyReport.from_scores(corpus.lang, overlap, euclid, len(corpus.sentences))

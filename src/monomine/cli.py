@@ -11,7 +11,6 @@ import json
 import shlex
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import anomaly as anomaly_mod
@@ -246,10 +245,7 @@ def cmd_build_wordlist(args) -> dict:
 
 def cmd_build_iif(args) -> dict:
     corpus = corpus_mod.read_corpus(args.corpus, "internet")
-    counts: Counter[str] = Counter()
-    for sentence in corpus.sentences:
-        counts.update(filters.tokenize(sentence))
-    table = filters.IifTable.from_counts(counts, kappa=args.kappa)
+    table = filters.IifTable.from_counts(filters.token_counts(corpus), kappa=args.kappa)
     table.save(args.output)
     return {"tokens": len(table.freqs), "kappa": table.kappa, "alpha": table.alpha}
 

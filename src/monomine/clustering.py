@@ -106,6 +106,8 @@ def _merges(dist: np.ndarray) -> list[tuple[float, int, int]]:
     n = dist.shape[0]
     if dist.shape != (n, n):
         raise ValueError("distance matrix must be square")
+    if not (dist >= 0).all():  # also false at NaN; inf is a valid distance
+        raise ValueError("distance matrix must be non-negative")
     if not np.allclose(dist, dist.T):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diagonal(dist) != 0):

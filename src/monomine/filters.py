@@ -248,14 +248,20 @@ def consistency_histogram(docs: Iterable[Document], bin_width: float = 0.1) -> H
     return Histogram(bin_width, tuple(counts))
 
 
+def token_counts(corpus: MonoCorpus, tokens_of: Optional[Tokenizer] = None) -> Counter[str]:
+    """How often each token occurs over all the corpus's sentences; EmptyCorpus if none."""
+    tokens_of = tokens_of or tokenize
+    counts: Counter[str] = Counter()
+    for sentence in corpus.sentences:
+        counts.update(tokens_of(sentence))
+    if not counts:
+        raise EmptyCorpus(f"no tokens in corpus for {corpus.lang}")
+    return counts
+
+
 def build_frequency_wordlist(train_corpus: MonoCorpus, top: int = 800) -> WordList:
     """Most frequent tokens of the corpus; ties broken lexicographically."""
-    counts: Counter[str] = Counter()
-    for sentence in train_corpus.sentences:
-        counts.update(tokenize(sentence))
-    if not counts:
-        raise EmptyCorpus(f"no tokens in corpus for {train_corpus.lang}")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
+    ranked = sorted(token_counts(train_corpus).items(), key=lambda kv: (-kv[1], kv[0]))[:top]
     return WordList(train_corpus.lang, "frequency", tuple((t, float(c)) for t, c in ranked))
 
 
@@ -404,12 +410,7 @@ def build_tfiif_wordlist(
     lang_corpus: MonoCorpus, iif: IifTable, tau: int = 1000, tokens_of: Optional[Tokenizer] = None
 ) -> WordList:
     """Rank tokens by corpus frequency over clipped internet frequency."""
-    tokens_of = tokens_of or tokenize
-    counts: Counter[str] = Counter()
-    for sentence in lang_corpus.sentences:
-        counts.update(tokens_of(sentence))
-    if not counts:
-        raise EmptyCorpus(f"no tokens in corpus for {lang_corpus.lang}")
+    counts = token_counts(lang_corpus, tokens_of)
     scored = [(token, count / iif.clipped_freq(token)) for token, count in counts.items()]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return WordList(lang_corpus.lang, "tfiif", tuple(scored[:tau]))

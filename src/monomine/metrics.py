@@ -24,44 +24,21 @@ from .langid import Predictor
 
 logger = logging.getLogger(__name__)
 
-_EPS = 1e-16
-
-
-@dataclass(frozen=True)
-class ChrfParams:
-    max_char_order: int = 6
-    word_order: int = 0
-    beta: float = 2.0
-    remove_whitespace: bool = True
-    effective_order: bool = True
-    case: str = "mixed"
-
-    def __post_init__(self) -> None:
-        if self.word_order != 0:
-            raise ValueError("word n-grams (chrF++) are not supported; word_order must be 0")
-        if self.case != "mixed":
-            raise ValueError("only case='mixed' is supported")
-        if self.max_char_order < 1:
-            raise ValueError("max_char_order must be >= 1")
-
-
-def _preprocess(segment: str, params: ChrfParams) -> str:
-    segment = segment.strip()
-    if params.remove_whitespace:
-        segment = "".join(segment.split())
-    return segment
+# the sacreBLEU chrF signature nc:6, nw:0, beta 2, eff:yes, space:no, nrefs:1
+CHAR_ORDER = 6
+BETA = 2.0
 
 
 def _char_ngrams(segment: str, n: int) -> Counter:
     return Counter(segment[i : i + n] for i in range(len(segment) - n + 1))
 
 
-def segment_statistics(hypothesis: str, reference: str, params: ChrfParams) -> list[int]:
-    """Flat [n_hyp, n_ref, n_match] per order 1..max_char_order."""
-    hyp = _preprocess(hypothesis, params)
-    ref = _preprocess(reference, params)
+def segment_statistics(hypothesis: str, reference: str) -> list[int]:
+    """Flat [n_hyp, n_ref, n_match] per order 1..CHAR_ORDER."""
+    hyp = "".join(hypothesis.split())
+    ref = "".join(reference.split())
     stats: list[int] = []
-    for n in range(1, params.max_char_order + 1):
+    for n in range(1, CHAR_ORDER + 1):
         hyp_ngrams = _char_ngrams(hyp, n)
         ref_ngrams = _char_ngrams(ref, n)
         match = sum(min(count, ref_ngrams[ng]) for ng, count in hyp_ngrams.items() if ng in ref_ngrams)
@@ -69,21 +46,16 @@ def segment_statistics(hypothesis: str, reference: str, params: ChrfParams) -> l
     return stats
 
 
-def fscore_from_statistics(stats: Sequence[int], params: ChrfParams) -> float:
+def fscore_from_statistics(stats: Sequence[int]) -> float:
     """F-beta over per-order precision/recall averages, on the 0-100 scale."""
-    factor = params.beta**2
+    factor = BETA**2
     avg_prec = avg_rec = 0.0
     effective = 0
     for i in range(0, len(stats), 3):
         n_hyp, n_ref, n_match = stats[i : i + 3]
-        if params.effective_order:
-            if n_hyp > 0 and n_ref > 0:
-                avg_prec += n_match / n_hyp
-                avg_rec += n_match / n_ref
-                effective += 1
-        else:
-            avg_prec += n_match / n_hyp if n_hyp > 0 else _EPS
-            avg_rec += n_match / n_ref if n_ref > 0 else _EPS
+        if n_hyp > 0 and n_ref > 0:
+            avg_prec += n_match / n_hyp
+            avg_rec += n_match / n_ref
             effective += 1
     if effective == 0:
         return 0.0
@@ -94,26 +66,22 @@ def fscore_from_statistics(stats: Sequence[int], params: ChrfParams) -> float:
     return 100.0 * (1 + factor) * avg_prec * avg_rec / (factor * avg_prec + avg_rec)
 
 
-def chrf(hypothesis: str, references: Sequence[str], params: Optional[ChrfParams] = None) -> float:
+def chrf(hypothesis: str, references: Sequence[str]) -> float:
     """Sentence-level ChrF against a single reference."""
-    params = params or ChrfParams()
     if len(references) != 1:
         raise ValueError("exactly one reference is supported (nrefs:1)")
-    return fscore_from_statistics(segment_statistics(hypothesis, references[0], params), params)
+    return fscore_from_statistics(segment_statistics(hypothesis, references[0]))
 
 
-def corpus_chrf(
-    hypotheses: Sequence[str], references: Sequence[str], params: Optional[ChrfParams] = None
-) -> float:
+def corpus_chrf(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     """Corpus-level ChrF: per-segment statistics summed, then one F-score."""
-    params = params or ChrfParams()
     if len(hypotheses) != len(references):
         raise LengthMismatch(f"{len(hypotheses)} hypotheses vs {len(references)} references")
-    totals = [0] * (3 * params.max_char_order)
+    totals = [0] * (3 * CHAR_ORDER)
     for hyp, ref in zip(hypotheses, references):
-        for i, v in enumerate(segment_statistics(hyp, ref, params)):
+        for i, v in enumerate(segment_statistics(hyp, ref)):
             totals[i] += v
-    return fscore_from_statistics(totals, params)
+    return fscore_from_statistics(totals)
 
 
 def scaled_chrf(chrf_01: float) -> float:
@@ -210,15 +178,14 @@ class RttResult:
         }
 
 
+# sources are translated out of and back into the pivot language
+RTT_PIVOT = "en"
+# below this share of intermediates LangID accepts, a language gets no score
+RTT_MIN_VALID_FRACTION = 0.10
+
+
 def rtt_langid_chrf(
-    source_corpus: Sequence[str],
-    lang: str,
-    translator: Translator,
-    predictor: Predictor,
-    mode: str = "loose",
-    params: Optional[ChrfParams] = None,
-    pivot_source: str = "en",
-    min_valid_fraction: float = 0.10,
+    source_corpus: Sequence[str], lang: str, translator: Translator, predictor: Predictor, mode: str = "loose"
 ) -> RttResult:
     """Round-trip ChrF, counting only trips whose intermediate passes LangID.
 
@@ -232,7 +199,7 @@ def rtt_langid_chrf(
     trips: list[tuple[str, str]] = []  # (source, intermediate)
     for source in source_corpus:
         try:
-            trips.append((source, translator.translate(source, pivot_source, lang)))
+            trips.append((source, translator.translate(source, RTT_PIVOT, lang)))
         except TranslatorError:
             continue
     # one batch call: a per-text call pays the predictor's fixed cost per text
@@ -245,16 +212,16 @@ def rtt_langid_chrf(
             continue
         n_valid += 1
         try:
-            round_trip = translator.translate(intermediate, lang, pivot_source)
+            round_trip = translator.translate(intermediate, lang, RTT_PIVOT)
         except TranslatorError:
             continue
         originals.append(source)
         round_trips.append(round_trip)
     total = len(source_corpus)
     valid_fraction = n_valid / total if total else 0.0
-    if valid_fraction < min_valid_fraction or not originals:
+    if valid_fraction < RTT_MIN_VALID_FRACTION or not originals:
         return RttResult(lang, mode, None, valid_fraction)
-    loose = corpus_chrf(round_trips, originals, params)
+    loose = corpus_chrf(round_trips, originals)
     score = loose if mode == "loose" else loose * valid_fraction
     return RttResult(lang, mode, score, valid_fraction)
 

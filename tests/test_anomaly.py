@@ -18,8 +18,8 @@ from monomine.corpus import MonoCorpus
 from monomine.errors import EmptyCorpus
 
 
-def dist_from_pairs(pairs, lang="xx", source="reference"):
-    return TokenDistribution(lang, tuple(pairs), source)
+def dist_from_pairs(pairs, lang="xx"):
+    return TokenDistribution(lang, tuple(pairs))
 
 
 class TestTokenDistribution:

@@ -144,6 +144,13 @@ class TestExitCodes:
         assert main(["dedup", "--input", str(tmp_path / "c.txt")]) == 2
         assert main(["dedup", "--input-dir", str(tmp_path)]) == 2
 
+    def test_empty_iif_corpus_is_2(self, capsys, tmp_path):
+        corpus = tmp_path / "web.txt"
+        corpus.write_text("\n \n")
+        assert main(["build", "iif", "--corpus", str(corpus), "--output", str(tmp_path / "iif.tsv")]) == 2
+        assert "no tokens in corpus" in capsys.readouterr().err
+        assert not (tmp_path / "iif.tsv").exists()
+
 
 class TestIngest:
     def test_report_on_stdout(self, capsys, tmp_path):

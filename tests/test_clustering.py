@@ -304,6 +304,13 @@ class TestMerges:
     def test_matches_reference(self, dist):
         assert _merges(dist) == reference_merges(dist)
 
+    @pytest.mark.parametrize("value", [-math.inf, -0.5, math.nan])
+    def test_negative_or_nan_distances_raise(self, value):
+        # {-inf, inf} would merge into nan heights, at which a threshold cut never stops
+        dist = symmetric(4, [value, math.inf, 0.5, 1.0, math.inf, 0.5])
+        with pytest.raises(ValueError, match="non-negative"):
+            _merges(dist)
+
     def test_matches_reference_at_250_languages(self):
         n = 250
         rng = np.random.default_rng(250)

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from monomine.errors import (
     InvalidBoundaries,
@@ -12,7 +12,6 @@ from monomine.errors import (
 )
 from monomine.metrics import (
     AuditLabels,
-    ChrfParams,
     RttResult,
     audit_score,
     build_bins,
@@ -91,6 +90,9 @@ def random_pairs(n, seed):
     return pairs
 
 
+ANY_TEXT = st.text(st.one_of(st.sampled_from("ab \t\n\u2003\u3000\x1c"), st.characters()), max_size=12)
+
+
 class TestChrf:
     def test_identity_is_100(self):
         for text in ("x", "hello world", "αβγ", "a b c d"):
@@ -135,9 +137,17 @@ class TestChrf:
         # 2-char identity: orders 3..6 are skipped, not scored as zero
         assert chrf("ab", ["ab"]) == pytest.approx(100.0)
 
-    def test_rejects_word_order(self):
-        with pytest.raises(ValueError):
-            ChrfParams(word_order=2)
+    # any code point, weighted toward a few letters (so n-grams match) and toward
+    # Unicode spaces, separators, tabs and newlines; many strings are shorter than
+    # the max order
+    @given(st.lists(st.tuples(ANY_TEXT, ANY_TEXT), min_size=1, max_size=5))
+    @example([("a\u2003b\u3000c\x1cd\te\nf", "abcdef"), ("abc", "ab\u3000c")])
+    def test_matches_oracle_on_any_text(self, pairs):
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        for hyp, ref in pairs:
+            assert chrf(hyp, [ref]) == pytest.approx(oracle_sentence_chrf(hyp, ref), abs=1e-4)
+        assert corpus_chrf(hyps, refs) == pytest.approx(oracle_corpus_chrf(hyps, refs), abs=1e-4)
 
     @given(st.text(alphabet="abc αβ", max_size=30), st.text(alphabet="abc αβ", max_size=30))
     def test_range_property(self, hyp, ref):
@@ -373,6 +383,12 @@ class TestRttLangIdChrf:
         result = rtt_langid_chrf(sources, "xx", IdentityTranslator(), AcceptNine(), "loose")
         assert result.valid_fraction == pytest.approx(0.09)
         assert result.invalid
+
+    def test_at_validity_threshold_is_scored(self):
+        sources = [f"»s{i}" if i < 10 else f"s{i}" for i in range(100)]
+        result = rtt_langid_chrf(sources, "xx", IdentityTranslator(), MarkPredictor("xx"), "loose")
+        assert result.valid_fraction == pytest.approx(0.10)
+        assert result.score == pytest.approx(100.0)
 
     def test_intermediates_predicted_in_one_batch(self):
         class BatchOnly(MarkPredictor):
