@@ -51,10 +51,10 @@ def extract_features(text: str, spec: FeatureSpec) -> dict[int, float]:
     """L1-normalized hashed character n-gram counts. Empty text -> {}.
 
     An n-gram's bucket is `zlib.crc32(ngram.encode("utf-8"), hash_seed) &
-    (n_buckets - 1)`; this is row 0 of `_feature_matrix([text], spec)`.
+    (n_buckets - 1)`; this is the one row of `_feature_matrix([text], spec)`.
     """
-    x = _feature_matrix([text], spec)
-    return dict(zip(x.indices.tolist(), x.data.tolist()))
+    cols, x = _feature_matrix([text], spec)
+    return dict(zip(cols[x.indices].tolist(), x.data.tolist()))
 
 
 class Predictor(Protocol):
@@ -132,8 +132,10 @@ def _crc_step(reg: np.ndarray, byte: np.ndarray) -> None:
     reg ^= _CRC_TABLE[low]
 
 
-def _ngram_keys(texts: Sequence[str], lens: np.ndarray, n_keys: int, spec: FeatureSpec, shift: int) -> np.ndarray:
-    """`row << shift | bucket` of each of the `n_keys` n-grams of the batch.
+def _ngram_keys(
+    texts: Sequence[str], lens: np.ndarray, n_keys: int, spec: FeatureSpec, row_bits: int, key_type: type
+) -> np.ndarray:
+    """`bucket << row_bits | row` of each of the `n_keys` n-grams of the batch.
 
     Every character starts a span. Step n extends each span's CRC-32 register
     by the UTF-8 bytes of its n-th character, after dropping the spans that
@@ -146,8 +148,8 @@ def _ngram_keys(texts: Sequence[str], lens: np.ndarray, n_keys: int, spec: Featu
     pos = np.flatnonzero((raw & 0xC0) != 0x80).astype(idx)
     reg = np.full(pos.size, ~spec.hash_seed & 0xFFFFFFFF, dtype=np.uint32)
     room = np.repeat(np.cumsum(lens).astype(idx), lens) - np.arange(pos.size, dtype=idx)
-    row = np.repeat(np.arange(len(lens), dtype=idx), lens)
-    keys = np.empty(n_keys, dtype=np.int64)
+    row = np.repeat(np.arange(len(lens), dtype=key_type), lens)
+    keys = np.empty(n_keys, dtype=key_type)
     filled = 0
     for n in range(1, spec.ngram_orders[-1] + 1):
         if n > 1:
@@ -173,63 +175,59 @@ def _ngram_keys(texts: Sequence[str], lens: np.ndarray, n_keys: int, spec: Featu
             more = more[lead[more] >= longer]
         if n in spec.ngram_orders:
             bucket = ~reg  # zlib.crc32's final complement
-            bucket &= (1 << shift) - 1
+            bucket &= (spec.n_buckets - 1) & 0xFFFFFFFF
             out = keys[filled : filled + pos.size]
-            np.left_shift(row, shift, out=out, dtype=np.int64)
-            out |= bucket
+            np.left_shift(bucket, row_bits, out=out, dtype=key_type)
+            out |= row
             filled += pos.size
     return keys
 
 
-def _feature_matrix(texts: Sequence[str], spec: FeatureSpec) -> sp.csr_matrix:
-    """`extract_features` of every text as the rows of one CSR matrix.
+def _runs(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in `a` starts."""
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
-    The whole batch is hashed in one numpy pass (`_ngram_keys`), then counted
-    by one sort. Each text's n-gram total is exact, so each value is
-    count / total, as the per-n-gram definition gives it, to the last bit.
+
+def _feature_matrix(texts: Sequence[str], spec: FeatureSpec) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The sorted buckets the batch touches, and `extract_features` of every
+    text over them as the rows of one CSR matrix, each row in bucket order.
+
+    The whole batch is hashed in one numpy pass (`_ngram_keys`) into
+    bucket-major keys, one per n-gram, then counted by one sort: each run of
+    equal keys is one (bucket, row) entry, and each run of equal buckets among
+    the entries is one column. So no array is `n_buckets` wide, and a product
+    with the touched weight columns adds the same terms in the same order as
+    one with the whole matrix. Each text's n-gram total is exact, so each
+    value is count / total, as the per-n-gram definition gives it, to the
+    last bit.
     """
     lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     totals = sum(np.maximum(lens - (n - 1), 0) for n in spec.ngram_orders)  # n-grams per text
     n_keys = int(totals.sum())
-    shift = min(spec.n_buckets.bit_length() - 1, 32)
-    keys = _ngram_keys(texts, lens, n_keys, spec, shift)
+    row_bits = (len(texts) - 1).bit_length()
+    # 32-bit keys while they fit: a 256-text batch up to 2^24 buckets
+    fits = min(spec.n_buckets.bit_length() - 1, 32) + row_bits <= 32
+    keys = _ngram_keys(texts, lens, n_keys, spec, row_bits, np.uint32 if fits else np.uint64)
     keys.sort()
-    # run-length count the sorted keys, dropping each array once used: the
-    # batch's peak memory is the key array and what is built beside it
-    first = np.ones(n_keys, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    at = np.flatnonzero(first)
-    del first
+    # drop each array once used: the batch's peak memory is the key array
+    # and what is built beside it
+    at = _runs(keys)
     keys = keys[at]
     counts = np.diff(at, append=n_keys)
     del at
-    indptr = np.searchsorted(keys, np.arange(len(texts) + 1, dtype=np.int64) << shift)
-    data = counts / np.repeat(totals, np.diff(indptr))
+    rows = keys & ((1 << row_bits) - 1)
+    keys >>= row_bits
+    colptr = _runs(keys)
+    cols = keys[colptr].astype(np.int64)
+    del keys
+    data = counts / totals[rows]
     del counts
-    keys &= (1 << shift) - 1
-    return sp.csr_matrix((data, keys, indptr), shape=(len(texts), spec.n_buckets))
-
-
-def _compact(x: sp.csr_matrix) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The sorted buckets `x` touches, and `x` re-indexed onto them.
-
-    Rows and the entries within each row keep their order, so a product with
-    the touched weight columns adds the same terms in the same order as the
-    product with the whole matrix: the result is bit-identical, and its cost
-    follows the n-grams seen rather than the bucket count. The buckets are
-    found by a mask over all of them, not a sort of the entries: O(nnz +
-    n_buckets) rather than O(nnz log nnz).
-    """
-    seen = np.zeros(x.shape[1], dtype=bool)
-    seen[x.indices] = True
-    cols = np.flatnonzero(seen)
-    del seen
-    # ranks are below len(cols), so the smallest unsigned type that holds
-    # len(cols) bounds this per-bucket array at 1-2 bytes a bucket for a
-    # batch of up to 2^16 distinct buckets
-    rank = np.empty(x.shape[1], dtype=np.min_scalar_type(len(cols)))
-    rank[cols] = np.arange(len(cols))
-    return cols, sp.csr_matrix((x.data, rank[x.indices], x.indptr), shape=(x.shape[0], len(cols)))
+    # a column-major matrix of the entries, turned row-major by scipy's
+    # counting pass, which keeps each row's entries in column order
+    x = sp.csc_matrix((data, rows, np.append(colptr, len(rows))), shape=(len(texts), len(cols)))
+    return cols, x.tocsr()
 
 
 def train(
@@ -257,7 +255,7 @@ def train(
         examples.sort(key=lambda pair: (pair[1], pair[0]))
     lang_index = {lang: i for i, lang in enumerate(langs)}
 
-    cols, x = _compact(_feature_matrix([text for text, _ in examples], spec))
+    cols, x = _feature_matrix([text for text, _ in examples], spec)
     y = np.asarray([lang_index[lang] for _, lang in examples], dtype=np.int64)
     n = len(examples)
     weights = np.zeros((len(langs), len(cols)), dtype=np.float64)
@@ -315,7 +313,7 @@ def _probabilities(model: LangIdModel, texts: Sequence[str]) -> np.ndarray:
     A touched bucket that the model does not store weighs 0.0, so the batch's
     block holds the very values a dense matrix would give it.
     """
-    cols, x = _compact(_feature_matrix(texts, model.spec))
+    cols, x = _feature_matrix(texts, model.spec)
     wanted = cols.astype(model.buckets.dtype, copy=False)
     at = np.searchsorted(model.buckets, wanted)
     stored = at < len(model.buckets)
@@ -344,13 +342,6 @@ def predict(model: LangIdModel, text: str) -> tuple[str, float]:
     return predict_batch(model, [text])[0]
 
 
-def cross_entropy(model: LangIdModel, labeled: Sequence[tuple[str, str]]) -> float:
-    lang_index = {lang: i for i, lang in enumerate(model.languages)}
-    y = np.asarray([lang_index[lang] for _, lang in labeled])
-    probs = _probabilities(model, [text for text, _ in labeled])
-    return float(-np.mean(np.log(probs[np.arange(len(labeled)), y] + 1e-300)))
-
-
 @dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """counts[true][predicted] over an evaluation set."""
@@ -370,12 +361,6 @@ class ConfusionMatrix:
             return self.languages.index(lang)
         except ValueError:
             raise UnknownLanguage(lang) from None
-
-    def row_sum(self, lang: str) -> int:
-        return int(self.counts[self.index(lang)].sum())
-
-    def col_sum(self, lang: str) -> int:
-        return int(self.counts[:, self.index(lang)].sum())
 
     def precision(self, lang: str) -> float:
         i = self.index(lang)
@@ -596,7 +581,9 @@ def load_model(path: str | Path) -> LangIdModel:
     The bucket ids, weights and bias are a read-only memory map of the file,
     not a copy: loading reads the stored columns once, to check the ids and
     that the weights are finite, and scoring pages in only the columns a
-    batch touches.
+    batch touches. Only ids that do not start on an 8-byte boundary (which
+    the language names' lengths decide) are copied, once, into an aligned
+    read-only array.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -640,8 +627,15 @@ def load_model(path: str | Path) -> LangIdModel:
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     # the arrays keep the map open; no offset need be a multiple of the item size
     buckets = np.frombuffer(mapped, dtype="<u8", count=n_stored, offset=offset)
+    if not buckets.flags.aligned:
+        # np.searchsorted would copy unaligned ids on every batch; copy them once
+        buckets = buckets.copy()
+        buckets.flags.writeable = False
     _check_bucket_ids(buckets, n_buckets)
     offset += 8 * n_stored
     weights = np.frombuffer(mapped, dtype="<f4", count=n_langs * n_stored, offset=offset).reshape(n_langs, n_stored)
     bias = np.frombuffer(mapped, dtype="<f4", count=n_langs, offset=offset + 4 * weights.size)
-    return LangIdModel(spec=spec, languages=tuple(languages), buckets=buckets, weights=weights, bias=bias)
+    try:
+        return LangIdModel(spec=spec, languages=tuple(languages), buckets=buckets, weights=weights, bias=bias)
+    except ValueError as exc:  # a repeated language, a weight that is not finite
+        raise ModelFormatError(f"{path}: {exc}") from exc
