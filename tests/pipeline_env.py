@@ -9,13 +9,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import yaml
 
 from monomine.clustering import agglomerative_cluster, fnr_distance_matrix, resplit
 from monomine.corpus import MonoCorpus, write_corpus
 from monomine.filters import IifTable, build_frequency_wordlist, tokenize
-from monomine.langid import FeatureSpec, TrainConfig, evaluate, save_model, train
+from monomine.langid import FeatureSpec, LangIdModel, TrainConfig, evaluate, save_model, train
 
 import synth
 
@@ -46,7 +47,10 @@ def build_env(
     epochs: int = 60,
     plant_negative: bool = False,
     workers: int = 1,
+    model: Optional[LangIdModel] = None,
 ) -> PipelineEnv:
+    """`model`, if given, is saved as the environment's LangID model in place
+    of one trained here; `n_buckets` and `epochs` then go unused."""
     root.mkdir(parents=True, exist_ok=True)
     langs = synth.make_langs(lang_names, seed=seed)
     rng = random.Random(seed + 100)
@@ -54,8 +58,8 @@ def build_env(
     train_set = synth.labeled_examples(langs, train_per_lang, seed + 1)
     gold_set = synth.labeled_examples(langs, gold_per_lang, seed + 2)
 
-    spec = FeatureSpec(n_buckets=n_buckets)
-    model = train(train_set, spec, TrainConfig(epochs=epochs, learning_rate=20.0))
+    if model is None:
+        model = train(train_set, FeatureSpec(n_buckets=n_buckets), TrainConfig(epochs=epochs, learning_rate=20.0))
     save_model(model, root / "langid.bin")
 
     cm = evaluate(model, gold_set)
