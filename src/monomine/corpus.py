@@ -13,8 +13,9 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
+from . import filters
 from .errors import ParseError, check_json_strings, read_lines, utf8
 
 
@@ -63,25 +64,31 @@ class MonoCorpus:
     """Per-language sentence list with a survival counter per pipeline stage.
 
     Cluster-level corpora (before declustering) use the synthetic label
-    ``cluster:<id>`` in the ``lang`` field.
+    ``cluster:<id>`` in the ``lang`` field. `table` holds the sentences'
+    tokens; a corpus derived from another shares its table.
     """
 
     lang: str
     sentences: tuple[str, ...]
     stage_counts: Mapping[str, int] = field(default_factory=dict)
+    # looked up when a corpus is made: this module may load while `filters` is still loading
+    table: filters.TokenTable = field(default_factory=lambda: filters.TokenTable(), compare=False, repr=False)
 
     @classmethod
-    def from_sentences(cls, lang: str, sentences: Iterable[str], stage: Optional[str] = None) -> "MonoCorpus":
+    def from_sentences(
+        cls, lang: str, sentences: Iterable[str], stage: Optional[str] = None, table: Optional[filters.TokenTable] = None
+    ) -> "MonoCorpus":
+        """A corpus on `table`, or on a fresh table if none is given."""
         sents = tuple(sentences)
         counts = {stage: len(sents)} if stage is not None else {}
-        return cls(lang, sents, counts)
+        return cls(lang, sents, counts, filters.TokenTable() if table is None else table)
 
     def advanced(self, stage: str, sentences: Iterable[str]) -> "MonoCorpus":
         """New corpus with `sentences` surviving `stage` appended to the funnel."""
         sents = tuple(sentences)
         counts = dict(self.stage_counts)
         counts[stage] = len(sents)
-        return MonoCorpus(self.lang, sents, counts)
+        return MonoCorpus(self.lang, sents, counts, self.table)
 
     def check_funnel(self) -> None:
         """Assert stage counts never increase along their recorded order."""
@@ -309,16 +316,11 @@ def dedup_corpora(
     return out, reports
 
 
-def corpus_stats(
-    corpus: MonoCorpus, tokens_of: Optional[Callable[[str], Sequence[str]]] = None
-) -> CorpusStats:
+def corpus_stats(corpus: MonoCorpus) -> CorpusStats:
     """Sentence/token/char counts. Chars are Unicode scalar values; tokens are
-    those of `filters.tokenize`, or of `tokens_of` when given."""
-    if tokens_of is None:
-        from .filters import tokenize as tokens_of  # deferred to avoid an import cycle
-
+    those of `filters.tokenize`."""
     n_sentences = len(corpus.sentences)
-    n_tokens = sum(len(tokens_of(s)) for s in corpus.sentences)
+    n_tokens = sum(map(len, corpus.table.rows(corpus.sentences)))
     n_chars = sum(len(s) for s in corpus.sentences)
     return CorpusStats(n_sentences, n_tokens, n_chars, n_chars / max(n_sentences, 1))
 
@@ -330,8 +332,8 @@ def write_corpus(corpus: MonoCorpus, path: str | Path) -> None:
             fh.write(s + "\n")
 
 
-def read_corpus(path: str | Path, lang: str) -> MonoCorpus:
-    """The sentences `write_corpus` wrote, one a line. A line that is not
-    UTF-8 raises ParseError with the path and line."""
+def read_corpus(path: str | Path, lang: str, table: Optional[filters.TokenTable] = None) -> MonoCorpus:
+    """The sentences `write_corpus` wrote, one a line, on `table` if given. A
+    line that is not UTF-8 raises ParseError with the path and line."""
     sentences = [utf8(line_no, line, path) for line_no, line in read_lines(path)]
-    return MonoCorpus.from_sentences(lang, sentences, stage="loaded")
+    return MonoCorpus.from_sentences(lang, sentences, "loaded", table)

@@ -9,16 +9,21 @@ rate, and hand-authored negative token filters.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
+import numpy as np
+
+# `corpus` imports this module for `TokenTable`, so its names are looked up
+# when a function runs, not when the module loads.
+from . import corpus as corpus_mod
 from .clustering import ClusterMap
-from .corpus import Document, MonoCorpus, SentenceRecord
 from .errors import (
     EmptyCorpus,
     EmptyDocument,
@@ -31,6 +36,9 @@ from .errors import (
     utf8,
 )
 from .langid import ConfusionMatrix, Predictor
+
+if TYPE_CHECKING:
+    from .corpus import Document, MonoCorpus
 
 T = TypeVar("T")
 
@@ -64,10 +72,34 @@ def tokenize(text: str) -> list[str]:
     return _split_tokens(text, fold=True)
 
 
-# A sentence's tokens as `tokenize` gives them. The kernels below take one so
-# that a caller holding each sentence's tokens need not tokenize it again;
-# without one they call `tokenize`.
-Tokenizer = Callable[[str], Sequence[str]]
+class TokenTable:
+    """Each distinct sentence's `tokenize` output as ids into one vocabulary,
+    computed the first time a stage asks for it.
+
+    Every `MonoCorpus` carries a table, and corpora derived from one another
+    share it, so a sentence is tokenized once however many stages read its
+    tokens. Only single-threaded stages fill a table.
+    """
+
+    def __init__(self) -> None:
+        # token -> id, in id order: looking up a token not seen before gives it the next id
+        self.vocab: dict[str, int] = defaultdict(itertools.count().__next__)
+        self._rows: dict[str, list[int]] = {}  # sentence -> its token ids
+
+    def rows(self, sentences: Sequence[str]) -> list[list[int]]:
+        """Each sentence's token ids."""
+        known, token_id = self._rows, self.vocab.__getitem__
+        for sentence in sentences:
+            if sentence not in known:
+                # a list: tuples grown from an iterator, then shrunk in place, raised peak RSS
+                known[sentence] = [*map(token_id, tokenize(sentence))]
+        return list(map(known.__getitem__, sentences))
+
+    def flat(self, sentences: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The sentences' token ids end to end, and each sentence's token count."""
+        rows = self.rows(sentences)
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        return np.fromiter(itertools.chain.from_iterable(rows), np.intp, int(lengths.sum())), lengths
 
 
 @dataclass
@@ -146,14 +178,14 @@ def annotate_document(doc: Document, predictor: Predictor, clusters: ClusterMap)
         if lang not in clusters.assignment:
             raise UnknownLanguage(f"predictor emitted unclustered language {lang!r}")
         annotated.append(
-            SentenceRecord(
+            corpus_mod.SentenceRecord(
                 text=record.text,
                 predicted_lang=lang,
                 predicted_cluster=clusters.cluster_of(lang),
                 confidence=confidence,
             )
         )
-    return Document(doc.id, tuple(annotated), url=doc.url)
+    return corpus_mod.Document(doc.id, tuple(annotated), url=doc.url)
 
 
 def document_cluster(doc: Document) -> int:
@@ -205,8 +237,9 @@ def filter_doc_consistency(
             else:
                 cid = record.predicted_cluster
                 dropped[cid] = dropped.get(cid, 0) + 1
+    table = TokenTable()
     out = {
-        cid: MonoCorpus.from_sentences(f"cluster:{cid}", kept[cid], stage="doc_consistency")
+        cid: corpus_mod.MonoCorpus.from_sentences(f"cluster:{cid}", kept[cid], "doc_consistency", table)
         for cid in sorted(kept)
     }
     reports = {}
@@ -248,15 +281,14 @@ def consistency_histogram(docs: Iterable[Document], bin_width: float = 0.1) -> H
     return Histogram(bin_width, tuple(counts))
 
 
-def token_counts(corpus: MonoCorpus, tokens_of: Optional[Tokenizer] = None) -> Counter[str]:
-    """How often each token occurs over all the corpus's sentences; EmptyCorpus if none."""
-    tokens_of = tokens_of or tokenize
-    counts: Counter[str] = Counter()
-    for sentence in corpus.sentences:
-        counts.update(tokens_of(sentence))
-    if not counts:
+def token_counts(corpus: MonoCorpus) -> dict[str, int]:
+    """How often each token occurs over all the corpus's sentences, in no
+    particular order; EmptyCorpus if none."""
+    ids, _ = corpus.table.flat(corpus.sentences)
+    if not len(ids):
         raise EmptyCorpus(f"no tokens in corpus for {corpus.lang}")
-    return counts
+    counts = np.bincount(ids).tolist()  # the vocabulary lists its tokens in id order
+    return dict(zip(itertools.compress(corpus.table.vocab, counts), filter(None, counts)))
 
 
 def build_frequency_wordlist(train_corpus: MonoCorpus, top: int = 800) -> WordList:
@@ -265,41 +297,37 @@ def build_frequency_wordlist(train_corpus: MonoCorpus, top: int = 800) -> WordLi
     return WordList(train_corpus.lang, "frequency", tuple((t, float(c)) for t, c in ranked))
 
 
-def _in_list_fraction(tokens: Sequence[str], token_set: frozenset[str]) -> float:
-    return sum(1 for t in tokens if t in token_set) / len(tokens)
-
-
 def _keep_by_fraction(
-    stage: str,
-    sentences: Sequence[str],
-    token_sets: Sequence[frozenset[str]],
-    threshold: float,
-    tokens_of: Optional[Tokenizer] = None,
+    stage: str, corpus: MonoCorpus, token_sets: Sequence[frozenset[str]], threshold: float
 ) -> tuple[list[str], StageReport]:
-    """Sentences with >= threshold of their tokens in at least one token set,
-    and the report of `stage`. Sentences with no tokens at all are dropped
-    and counted separately.
+    """The corpus's sentences with >= threshold of their tokens in at least
+    one token set, and the report of `stage`. Sentences with no tokens at all
+    are dropped and counted separately.
+
+    A sentence's in-list count is the rise of the running count of in-list
+    tokens over its span; its fraction, that count over its length in
+    float64, is the Python float division of the two.
     """
-    tokens_of = tokens_of or tokenize
-    report = StageReport(stage, n_in=len(sentences))
-    kept = []
-    for sentence in sentences:
-        tokens = tokens_of(sentence)
-        if not tokens:
-            report.drop("empty_tokens")
-        elif any(_in_list_fraction(tokens, ts) >= threshold for ts in token_sets):
-            kept.append(sentence)
-        else:
-            report.drop("below_threshold")
-    report.n_out = len(kept)
-    return kept, report
+    ids, lengths = corpus.table.flat(corpus.sentences)
+    vocab, ends = corpus.table.vocab, np.cumsum(lengths)
+    keep = np.zeros(len(lengths), bool)
+    for token_set in token_sets:
+        in_set = np.zeros(len(vocab), bool)  # one flag per id
+        in_set[[i for i in map(vocab.get, token_set) if i is not None]] = True
+        in_list = np.zeros(len(ids) + 1, np.intp)
+        np.cumsum(in_set[ids], out=in_list[1:])
+        with np.errstate(invalid="ignore"):  # 0 / 0 of a sentence with no tokens compares false
+            keep |= (in_list[ends] - in_list[ends - lengths]) / lengths >= threshold
+    kept = list(itertools.compress(corpus.sentences, keep.tolist()))
+    n_empty = int(np.count_nonzero(lengths == 0))
+    drops = {"empty_tokens": n_empty, "below_threshold": len(lengths) - len(kept) - n_empty}
+    return kept, StageReport(stage, len(lengths), len(kept), {reason: n for reason, n in drops.items() if n})
 
 
 def filter_wordlist(
     corpus: MonoCorpus,
     lists: Mapping[str, WordList],
     threshold: float = 0.2,
-    tokens_of: Optional[Tokenizer] = None,
 ) -> tuple[MonoCorpus, StageReport]:
     """Keep a sentence if it looks in-language for at least one cluster member.
 
@@ -309,7 +337,7 @@ def filter_wordlist(
     if not lists:
         raise MissingWordlist(f"no wordlists supplied for {corpus.lang}")
     token_sets = [wl.tokens for _, wl in sorted(lists.items())]
-    kept, report = _keep_by_fraction("wordlist", corpus.sentences, token_sets, threshold, tokens_of)
+    kept, report = _keep_by_fraction("wordlist", corpus, token_sets, threshold)
     return corpus.advanced("wordlist", kept), report
 
 
@@ -327,7 +355,8 @@ def decluster(
     its cluster is dropped, and counted in the report of its cluster corpus;
     the reports are in label order. With no cluster map every language is a
     member of every cluster: nothing is dropped, and only languages
-    predicted at least once get a corpus.
+    predicted at least once get a corpus. The output corpora share the
+    token table of the first input corpus.
     """
     routed: dict[str, list[str]] = {}
     dropped: dict[str, int] = {}
@@ -345,7 +374,8 @@ def decluster(
                 routed.setdefault(lang, []).append(sentence)
             else:
                 dropped[corpus.lang] = dropped.get(corpus.lang, 0) + 1
-    out = {lang: MonoCorpus.from_sentences(lang, routed[lang], stage="decluster") for lang in sorted(routed)}
+    table = next((cluster_corpora[cid].table for cid in sorted(cluster_corpora)), None)
+    out = {lang: corpus_mod.MonoCorpus.from_sentences(lang, routed[lang], "decluster", table) for lang in sorted(routed)}
     reports = {lang: StageReport("decluster", len(kept), len(kept)) for lang, kept in routed.items()}
     for label, n in dropped.items():
         rep = reports.setdefault(label, StageReport("decluster"))
@@ -406,11 +436,9 @@ class IifTable:
             raise ParseError(None, str(exc), sidecar) from exc
 
 
-def build_tfiif_wordlist(
-    lang_corpus: MonoCorpus, iif: IifTable, tau: int = 1000, tokens_of: Optional[Tokenizer] = None
-) -> WordList:
+def build_tfiif_wordlist(lang_corpus: MonoCorpus, iif: IifTable, tau: int = 1000) -> WordList:
     """Rank tokens by corpus frequency over clipped internet frequency."""
-    counts = token_counts(lang_corpus, tokens_of)
+    counts = token_counts(lang_corpus)
     scored = [(token, count / iif.clipped_freq(token)) for token, count in counts.items()]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return WordList(lang_corpus.lang, "tfiif", tuple(scored[:tau]))
@@ -420,26 +448,20 @@ def filter_tfiif(
     corpus: MonoCorpus,
     wordlist: WordList,
     threshold: float = 0.2,
-    tokens_of: Optional[Tokenizer] = None,
 ) -> tuple[MonoCorpus, StageReport]:
     """Keep sentences with >= threshold of their tokens in the TF-IIF list."""
     if wordlist.kind != "tfiif":
         raise WrongListKind(f"expected a tfiif list, got {wordlist.kind!r}")
-    kept, report = _keep_by_fraction("tfiif", corpus.sentences, [wordlist.tokens], threshold, tokens_of)
+    kept, report = _keep_by_fraction("tfiif", corpus, [wordlist.tokens], threshold)
     return corpus.advanced("tfiif", kept), report
 
 
-def survival_fraction(
-    sentences: Sequence[str],
-    wordlist: WordList,
-    threshold: float = 0.2,
-    tokens_of: Optional[Tokenizer] = None,
-) -> float:
-    """Fraction of sentences the TF-IIF filter would keep. Empty input -> 1.0."""
-    if not sentences:
+def survival_fraction(corpus: MonoCorpus, wordlist: WordList, threshold: float = 0.2) -> float:
+    """Fraction of the corpus's sentences the TF-IIF filter would keep. Empty corpus -> 1.0."""
+    if not corpus.sentences:
         return 1.0
-    kept, _ = _keep_by_fraction("tfiif", sentences, [wordlist.tokens], threshold, tokens_of)
-    return len(kept) / len(sentences)
+    kept, _ = _keep_by_fraction("tfiif", corpus, [wordlist.tokens], threshold)
+    return len(kept) / len(corpus.sentences)
 
 
 def distractibility(
@@ -530,17 +552,17 @@ class NegativeFilterRule:
         if not self.pattern:
             raise ValueError("pattern must be non-empty")
 
-    def matches(self, sentence: str, tokens: Sequence[str], cased_tokens: Sequence[str]) -> bool:
-        """`tokens` are the sentence's tokens as `tokenize` gives them and
-        `cased_tokens` the same without case folding; a rule reads only the
-        one its kind needs."""
+    def matches(self, sentence: str, ids: Sequence[int], cased: Sequence[str], vocab: Mapping[str, int]) -> bool:
+        """`ids` are the ids in `vocab` of the sentence's tokens as `tokenize`
+        gives them, and `cased` the same tokens without case folding; a rule
+        reads only the one its kind needs."""
         if self.rule == "substring":
             if self.case_sensitive:
                 return self.pattern in sentence
             return self.pattern.casefold() in sentence.casefold()
         if self.case_sensitive:
-            return self.pattern in cased_tokens
-        return self.pattern.casefold() in tokens
+            return self.pattern in cased
+        return vocab.get(self.pattern.casefold()) in ids
 
     def to_dict(self) -> dict:
         return {
@@ -570,26 +592,22 @@ def load_negative_rules(path: str | Path) -> list[NegativeFilterRule]:
     return rules
 
 
-def negative_filter(
-    corpus: MonoCorpus,
-    rules: Sequence[NegativeFilterRule],
-    tokens_of: Optional[Tokenizer] = None,
-) -> tuple[MonoCorpus, StageReport]:
+def negative_filter(corpus: MonoCorpus, rules: Sequence[NegativeFilterRule]) -> tuple[MonoCorpus, StageReport]:
     """Drop any sentence matched by one of the hand-authored rules; the
     report counts each drop under the first rule that matched."""
     for rule in rules:
         if rule.lang != corpus.lang:
             raise ValueError(f"rule for {rule.lang!r} applied to corpus {corpus.lang!r}")
     report = StageReport("negative", n_in=len(corpus.sentences))
-    tokens_of = tokens_of or tokenize
     folded = any(r.rule == "token" and not r.case_sensitive for r in rules)
     cased = any(r.rule == "token" and r.case_sensitive for r in rules)
+    # token ids only if a rule reads them
+    rows = corpus.table.rows(corpus.sentences) if folded else itertools.repeat(())
+    vocab = corpus.table.vocab
     kept = []
-    for sentence in corpus.sentences:
-        # tokenized once per sentence, not once per rule, and only if a rule reads the tokens
-        tokens = tokens_of(sentence) if folded else ()
+    for sentence, token_ids in zip(corpus.sentences, rows):
         cased_tokens = _split_tokens(sentence, fold=False) if cased else ()
-        hit = next((r for r in rules if r.matches(sentence, tokens, cased_tokens)), None)
+        hit = next((r for r in rules if r.matches(sentence, token_ids, cased_tokens, vocab)), None)
         if hit is None:
             kept.append(sentence)
         else:

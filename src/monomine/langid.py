@@ -43,8 +43,9 @@ class FeatureSpec:
         if not orders or any(n < 1 for n in orders):
             raise ValueError("ngram orders must be a non-empty set of ints >= 1")
         object.__setattr__(self, "ngram_orders", orders)
-        if self.n_buckets < (1 << 10) or self.n_buckets & (self.n_buckets - 1):
-            raise ValueError("n_buckets must be a power of two >= 2^10")
+        # a bucket is a masked CRC-32, so 2^32 buckets are all it can reach
+        if not (1 << 10) <= self.n_buckets <= (1 << 32) or self.n_buckets & (self.n_buckets - 1):
+            raise ValueError("n_buckets must be a power of two from 2^10 to 2^32")
 
 
 def extract_features(text: str, spec: FeatureSpec) -> dict[int, float]:
@@ -175,7 +176,7 @@ def _ngram_keys(
             more = more[lead[more] >= longer]
         if n in spec.ngram_orders:
             bucket = ~reg  # zlib.crc32's final complement
-            bucket &= (spec.n_buckets - 1) & 0xFFFFFFFF
+            bucket &= spec.n_buckets - 1
             out = keys[filled : filled + pos.size]
             np.left_shift(bucket, row_bits, out=out, dtype=key_type)
             out |= row
@@ -208,7 +209,7 @@ def _feature_matrix(texts: Sequence[str], spec: FeatureSpec) -> tuple[np.ndarray
     n_keys = int(totals.sum())
     row_bits = (len(texts) - 1).bit_length()
     # 32-bit keys while they fit: a 256-text batch up to 2^24 buckets
-    fits = min(spec.n_buckets.bit_length() - 1, 32) + row_bits <= 32
+    fits = spec.n_buckets.bit_length() - 1 + row_bits <= 32
     keys = _ngram_keys(texts, lens, n_keys, spec, row_bits, np.uint32 if fits else np.uint64)
     keys.sort()
     # drop each array once used: the batch's peak memory is the key array
@@ -332,14 +333,6 @@ def predict_batch(model: LangIdModel, texts: Sequence[str]) -> list[tuple[str, f
         best = np.argmax(probs, axis=1)  # first max wins: earliest language breaks ties
         out += [(model.languages[i], float(probs[row, i])) for row, i in enumerate(best)]
     return out
-
-
-def predict(model: LangIdModel, text: str) -> tuple[str, float]:
-    """Most likely language and its softmax probability.
-
-    Empty text scores on the bias alone.
-    """
-    return predict_batch(model, [text])[0]
 
 
 @dataclass(frozen=True, eq=False)

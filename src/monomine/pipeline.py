@@ -186,24 +186,13 @@ class PipelineResult:
 
 @dataclass
 class _Run:
-    """What a stage needs besides its corpora: the config, what the annotate
-    stage loaded and predicted for the stages after it, and each sentence's
-    tokens once a stage has needed them."""
+    """What a stage needs besides its corpora: the config, and what the
+    annotate stage loaded and predicted for the stages after it."""
 
     config: PipelineConfig
     model: Optional[Predictor] = None
     clusters: Optional[ClusterMap] = None
     predicted: dict[str, str] = field(default_factory=dict)  # text -> annotated language, if decluster reads it
-    tokens: dict[str, tuple[str, ...]] = field(default_factory=dict)  # text -> its tokens
-    vocab: dict[str, str] = field(default_factory=dict)  # one string object per distinct token
-
-    def tokens_of(self, text: str) -> tuple[str, ...]:
-        """`filters.tokenize(text)`, computed on the run's first request for it."""
-        tokens = self.tokens.get(text)
-        if tokens is None:
-            intern = self.vocab.setdefault
-            tokens = self.tokens[text] = tuple([intern(t, t) for t in filters.tokenize(text)])
-        return tokens
 
 
 # Sentences per annotate batch: as many as one LangID scoring call takes.
@@ -345,9 +334,7 @@ def _wordlist(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, 
     filtered, reports = {}, {}
     for cid, corpus in sorted(cluster_corpora.items()):
         lists = _load_wordlists_for(list(run.clusters.members.get(cid, ())), wl_dir)
-        filtered[cid], reports[corpus.lang] = filters.filter_wordlist(
-            corpus, lists, config.wordlist.threshold, run.tokens_of
-        )
+        filtered[cid], reports[corpus.lang] = filters.filter_wordlist(corpus, lists, config.wordlist.threshold)
     return filtered, _entries(reports)
 
 
@@ -386,11 +373,11 @@ def _tfiif(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, d
         elif gold_path is None or not gold_path.exists():
             extras = {"decision": "skipped:no_gold_corpus"}
         else:
-            wordlist = filters.build_tfiif_wordlist(corpus, iif, cfg.tau, run.tokens_of)
-            gold = corpus_mod.read_corpus(gold_path, lang)
-            survivors, survived = filters.filter_tfiif(corpus, wordlist, cfg.threshold, run.tokens_of)
+            wordlist = filters.build_tfiif_wordlist(corpus, iif, cfg.tau)
+            gold = corpus_mod.read_corpus(gold_path, lang, corpus.table)
+            survivors, survived = filters.filter_tfiif(corpus, wordlist, cfg.threshold)
             gate = filters.rrr_gate(
-                r_gold=filters.survival_fraction(gold.sentences, wordlist, cfg.threshold, run.tokens_of),
+                r_gold=filters.survival_fraction(gold, wordlist, cfg.threshold),
                 r_crawl=survived.n_out / survived.n_in,
                 rho=cfg.rho,
                 rrr_threshold=cfg.rrr_threshold,
@@ -414,7 +401,7 @@ def _negative(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str
             rules_by_lang.setdefault(rule.lang, []).append(rule)
     filtered, reports = {}, {}
     for lang, corpus in sorted(corpora.items()):
-        filtered[lang], reports[lang] = filters.negative_filter(corpus, rules_by_lang.get(lang, []), run.tokens_of)
+        filtered[lang], reports[lang] = filters.negative_filter(corpus, rules_by_lang.get(lang, []))
     return filtered, _entries(reports)
 
 
@@ -496,7 +483,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         corpus = corpora[lang]
         corpus.check_funnel()
         corpus_mod.write_corpus(corpus, out_dir / f"{lang}.txt")
-        stats = corpus_mod.corpus_stats(corpus, run.tokens_of)
+        stats = corpus_mod.corpus_stats(corpus)
         summary["languages"][lang] = {
             "n_sentences": stats.n_sentences,
             "stats": stats.to_dict(),

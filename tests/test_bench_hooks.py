@@ -6,6 +6,7 @@ table, fail here rather than only when the benchmark runs. They read
 """
 
 import importlib
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -84,8 +85,7 @@ def test_batch_predictions_reach_the_traced_function(monkeypatch):
     doc = Document("d", (SentenceRecord("b"), SentenceRecord("c")))
     filters.annotate_document(doc, model, ClusterMap.from_groups([["aa", "bb"]]))
     filters.decluster({0: MonoCorpus.from_sentences("cluster:0", ["d"])}, model, None)
-    langid.predict(model, "e")
-    assert seen == [["a"], ["b", "c"], ["d"], ["e"]]
+    assert seen == [["a"], ["b", "c"], ["d"]]
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def small_env(tmp_path_factory):
 
 
 # A run tokenizes each crawl and gold sentence once, through the traced
-# `filters.tokenize`, and with no decluster model of its own predicts each
+# `filters.tokenize`, also a gold sentence that the crawl holds too, and with no decluster model of its own predicts each
 # crawl sentence once, in annotate, where every batch is one traced
 # `filters.annotate_document` call on a chunk of the crawl. Every traced call
 # that gives a stage its peak RSS is still made.
@@ -138,13 +138,20 @@ def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small
     raw["output_dir"] = str(tmp_path / "out")
     # a gate every language passes, so that the TF-IIF filter runs too
     raw["stages"]["tfiif"].update(rrr_threshold=0.0, min_crawl_removed=0.0, min_recall=0.0)
+    # one gold sentence is a crawl sentence of the first document, whose language is "aa"
+    shared = next(s.text for s in next(load_documents(small_env.crawl_path)).sentences if small_env.truth[s.text] == "aa")
+    shutil.copytree(small_env.root / "gold", tmp_path / "gold")
+    with open(tmp_path / "gold" / "aa.txt", "a", encoding="utf-8") as fh:
+        fh.write(shared + "\n")
+    raw["stages"]["tfiif"]["gold_dir"] = str(tmp_path / "gold")
     config = PipelineConfig.from_dict(raw, base_dir=small_env.root)
     assert config.decluster.model is None
     result = run_pipeline(config)
 
     assert tokenized and max(tokenized.values()) == 1
-    gold = {line for path in (small_env.root / "gold").glob("*.txt") for line in path.read_text().splitlines()}
+    gold = {line for path in (tmp_path / "gold").glob("*.txt") for line in path.read_text().splitlines()}
     outputs = {s for corpus in result.corpora.values() for s in corpus.sentences}
+    assert shared in gold and shared in result.corpora["aa"].sentences
     assert gold | outputs <= set(tokenized)
     crawl = Counter(s.text for doc in load_documents(small_env.crawl_path) for s in doc.sentences)
     assert predicted == crawl

@@ -6,9 +6,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from monomine import langid
+from monomine import filters, langid
 from monomine.clustering import ClusterMap
 from monomine.corpus import Document, MonoCorpus, SentenceRecord
 from monomine.errors import (
@@ -22,6 +22,8 @@ from monomine.errors import (
 from monomine.filters import (
     IifTable,
     NegativeFilterRule,
+    StageReport,
+    TokenTable,
     WordList,
     annotate_document,
     build_frequency_wordlist,
@@ -39,9 +41,10 @@ from monomine.filters import (
     read_tsv_pairs,
     rrr_gate,
     survival_fraction,
+    token_counts,
     tokenize,
 )
-from monomine.filters import _split_tokens
+from monomine.filters import _keep_by_fraction, _split_tokens
 from monomine.langid import ConfusionMatrix
 
 
@@ -599,9 +602,76 @@ class TestFilterTfiif:
 
     def test_survival_fraction(self):
         wl = make_wordlist("aa", ["foo"], kind="tfiif")
-        frac = survival_fraction(["foo", "junk junk junk junk junk", "foo foo"], wl)
-        assert frac == pytest.approx(2 / 3)
-        assert survival_fraction([], wl) == 1.0
+        corpus = MonoCorpus.from_sentences("aa", ["foo", "junk junk junk junk junk", "foo foo"])
+        assert survival_fraction(corpus, wl) == pytest.approx(2 / 3)
+        assert survival_fraction(MonoCorpus.from_sentences("aa", []), wl) == 1.0
+
+
+def reference_keep_by_fraction(stage, sentences, token_sets, threshold):
+    """The per-sentence loop that `_keep_by_fraction` replaced."""
+    report = StageReport(stage, n_in=len(sentences))
+    kept = []
+    for sentence in sentences:
+        tokens = tokenize(sentence)
+        if not tokens:
+            report.drop("empty_tokens")
+        elif any(sum(1 for t in tokens if t in ts) / len(tokens) >= threshold for ts in token_sets):
+            kept.append(sentence)
+        else:
+            report.drop("below_threshold")
+    report.n_out = len(kept)
+    return kept, report
+
+
+# words as written, and the tokens they give: "!!" gives none, "e," gives "e"
+WORDS = st.sampled_from(["a", "b", "c", "Dd", "e,", "!!", "ä"])
+TOKENS = st.sampled_from(["a", "b", "c", "dd", "e", "ä", "zz"])
+SENTENCES = st.lists(st.lists(WORDS, max_size=30).map(" ".join), max_size=12)
+
+
+class TestKeepByFraction:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sentences=SENTENCES,
+        earlier=SENTENCES,
+        token_sets=st.lists(st.frozensets(TOKENS, max_size=5), min_size=1, max_size=3),
+        threshold=st.one_of(
+            st.builds(lambda k, n: k / n, st.integers(0, 31), st.integers(1, 30)),
+            st.floats(-0.5, 1.5, allow_nan=False),
+        ),
+    )
+    # 7 / 25 >= 0.28, though 7 >= 0.28 * 25 does not hold
+    @example(sentences=["a " * 7 + "b " * 18], earlier=[], token_sets=[frozenset("a")], threshold=0.28)
+    def test_matches_the_per_sentence_loop(self, sentences, earlier, token_sets, threshold):
+        # a table that other sentences filled first: ids need not start at 0
+        table = TokenTable()
+        table.rows(earlier)
+        corpus = MonoCorpus.from_sentences("aa", sentences, table=table)
+        expected = reference_keep_by_fraction("wordlist", sentences, token_sets, threshold)
+        assert _keep_by_fraction("wordlist", corpus, token_sets, threshold) == expected
+        counts = Counter(t for sentence in sentences for t in tokenize(sentence))
+        if counts:
+            assert token_counts(corpus) == counts
+        else:
+            with pytest.raises(EmptyCorpus):
+                token_counts(corpus)
+
+    def test_corpora_on_one_table_tokenize_a_sentence_once(self, monkeypatch):
+        calls = Counter()
+        real = filters.tokenize
+
+        def counting(text):
+            calls[text] += 1
+            return real(text)
+
+        monkeypatch.setattr(filters, "tokenize", counting)
+        table = TokenTable()
+        a = MonoCorpus.from_sentences("aa", ["x y", "y z", "x y"], table=table)
+        b = a.advanced("wordlist", ["y z"])
+        assert b.table is table
+        assert token_counts(a) == {"x": 2, "y": 3, "z": 1}
+        assert token_counts(b) == {"y": 1, "z": 1}
+        assert calls == {"x y": 1, "y z": 1}
 
 
 class TestDistractibility:

@@ -22,7 +22,6 @@ from monomine.langid import (
     extract_features,
     load_model,
     pare_languages,
-    predict,
     predict_batch,
     rates,
     save_model,
@@ -243,6 +242,11 @@ class TestFeatureSpec:
         with pytest.raises(ValueError):
             FeatureSpec(n_buckets=512)  # below 2^10
 
+    def test_buckets_bounded_by_the_hash(self):
+        assert FeatureSpec(n_buckets=1 << 32).n_buckets == 1 << 32
+        with pytest.raises(ValueError, match="2\\^32"):
+            FeatureSpec(n_buckets=1 << 33)  # buckets no CRC-32 reaches
+
 
 class TestExtractFeatures:
     def test_two_chars_orders_12(self):
@@ -277,7 +281,7 @@ class TestFeatureMatrix:
     @example(texts=["", "a", "\x00\x00", "𝄞"], spec=FeatureSpec(ngram_orders=(2, 5), hash_seed=2**40 + 3))
     @example(texts=["abc", "de"], spec=FeatureSpec(ngram_orders=(9,), hash_seed=-7))
     @example(texts=["aaaa", "", "a"], spec=FeatureSpec(ngram_orders=(1,)))  # a single bucket
-    @example(texts=["abc", "de"], spec=FeatureSpec(n_buckets=1 << 40))  # buckets are 32 bits wide
+    @example(texts=["abc", "de"], spec=FeatureSpec(n_buckets=1 << 32))  # the whole CRC-32 is the bucket
     def test_matches_zlib_per_ngram(self, texts, spec):
         assert_same_features(_feature_matrix(texts, spec), zlib_matrix(texts, spec))
 
@@ -378,7 +382,7 @@ class TestTrain:
         heldout = synth.labeled_examples(langs, per_lang=100, seed=5)
         model = train(labeled, FeatureSpec(n_buckets=1 << 14), TrainConfig(epochs=40, learning_rate=10.0))
         # oracle: generator labels are a disjoint-alphabet membership test
-        hits = sum(1 for text, lang in heldout if predict(model, text)[0] == lang)
+        hits = sum(1 for text, lang in heldout if predict_batch(model, [text])[0][0] == lang)
         assert hits / len(heldout) >= 0.99
 
     def test_five_language_macro_f1(self):
@@ -453,26 +457,26 @@ class TestTrain:
 class TestPredict:
     def test_zero_model_returns_first_language(self):
         model = zero_model(FeatureSpec(n_buckets=1 << 10), ("aa", "bb", "cc"))
-        lang, conf = predict(model, "whatever")
+        lang, conf = predict_batch(model, ["whatever"])[0]
         assert lang == "aa"
         assert conf == pytest.approx(1 / 3)
 
     def test_empty_text_uses_bias(self):
         model = zero_model(FeatureSpec(n_buckets=1 << 10), ("aa", "bb"), bias=np.array([0.0, 2.0], dtype=np.float32))
-        lang, conf = predict(model, "")
+        lang, conf = predict_batch(model, [""])[0]
         assert lang == "bb"
         assert conf == pytest.approx(math.exp(2) / (1 + math.exp(2)))
 
     def test_deterministic(self, two_lang_model):
         langs, model = two_lang_model
         text = langs["aa"].sentence(random.Random(0))
-        assert predict(model, text) == predict(model, text)
+        assert predict_batch(model, [text])[0] == predict_batch(model, [text])[0]
 
     def test_batch_matches_single(self, two_lang_model):
         langs, model = two_lang_model
         rng = random.Random(1)
         texts = [langs["aa"].sentence(rng) for _ in range(5)] + [langs["bb"].sentence(rng) for _ in range(5)]
-        assert predict_batch(model, texts) == [predict(model, t) for t in texts]
+        assert predict_batch(model, texts) == [predict_batch(model, [t])[0] for t in texts]
 
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
     def test_scores_at_most_batch_rows_at_once(self, two_lang_model, monkeypatch, n):
@@ -501,7 +505,7 @@ class TestPredict:
         _, model = two_lang_model
         spec = FeatureSpec(ngram_orders=(1,), n_buckets=model.spec.n_buckets)
         unigram_model = LangIdModel(spec, model.languages, model.buckets, model.weights, model.bias)
-        assert predict(unigram_model, "abcd") == predict(unigram_model, "abcd" * 7)
+        assert predict_batch(unigram_model, ["abcd"])[0] == predict_batch(unigram_model, ["abcd" * 7])[0]
 
     @pytest.mark.parametrize("n_buckets", [1 << 10, 1 << 20])
     @settings(max_examples=40, deadline=None)
@@ -605,7 +609,7 @@ class TestEvaluate:
         index = {lang: i for i, lang in enumerate(cm.languages)}
         expected = np.zeros_like(cm.counts)
         for text, true_lang in eval_set:
-            pred, _ = predict(model, text)
+            pred, _ = predict_batch(model, [text])[0]
             expected[index[true_lang], index[pred]] += 1
         assert np.array_equal(cm.counts, expected)
 
@@ -777,7 +781,7 @@ class TestModelIO:
         save_model(model, path)
         back = load_model(path)
         text = langs["bb"].sentence(random.Random(2))
-        assert predict(back, text) == predict(model, text)
+        assert predict_batch(back, [text])[0] == predict_batch(model, [text])[0]
 
     def test_load_holds_one_copy_of_the_weights(self, tmp_path, random_models):
         # the weights are mapped, not read: what is allocated is the
@@ -979,6 +983,21 @@ class TestModelIO:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_header_may_claim_every_crc32_bucket(self, tmp_path):
+        spec = FeatureSpec(n_buckets=1 << 32)
+        buckets = np.array([0, (1 << 32) - 1], dtype=np.uint64)
+        model = LangIdModel(spec, ("aa", "bb"), buckets, np.ones((2, 2), np.float32), np.zeros(2, np.float32))
+        save_model(model, tmp_path / "wide.bin")
+        loaded = load_model(tmp_path / "wide.bin")
+        assert loaded.spec == spec
+        assert predict_batch(loaded, ["abc", ""]) == predict_batch(model, ["abc", ""])
+
+    def test_header_may_not_claim_more_buckets_than_crc32_reaches(self, tmp_path):
+        path = tmp_path / "wider.bin"
+        path.write_bytes(self._header(1 << 33, 1, n_stored=1) + b"\x00" * 16)
+        with pytest.raises(ModelFormatError, match="bad feature spec in header.*2\\^32"):
+            load_model(path)
 
     def test_bad_feature_spec_in_header(self, tmp_path):
         path = tmp_path / "spec.bin"

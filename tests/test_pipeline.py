@@ -204,8 +204,8 @@ class TestCompositionOracle:
                 wl = filters.build_tfiif_wordlist(corpus, iif, 1000)
                 gold = read_corpus(env.root / "gold" / f"{lang}.txt", lang)
                 gate = gates[lang] = filters.rrr_gate(
-                    filters.survival_fraction(gold.sentences, wl, 0.2),
-                    filters.survival_fraction(corpus.sentences, wl, 0.2),
+                    filters.survival_fraction(gold, wl, 0.2),
+                    filters.survival_fraction(corpus, wl, 0.2),
                     rho=2.0,
                     rrr_threshold=1.0,
                     lang=lang,
