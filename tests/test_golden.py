@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monomine.langid import FeatureSpec, LangIdModel
+from monomine.langid import FeatureSpec, LangIdModel, load_model
 from monomine.pipeline import STAGES, PipelineConfig, run_pipeline
 
 from pipeline_env import build_env
@@ -143,8 +143,6 @@ def _rewrite(retrain: bool) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         if retrain:
-            from monomine.langid import load_model
-
             build_env(root / "train", plant_negative=True)
             save_golden_model(load_model(root / "train" / "langid.bin"), MODEL_PATH)
         env = build_golden_env(root / "env")
