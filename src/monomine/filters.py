@@ -87,7 +87,7 @@ class TokenTable:
         self._rows: dict[str, list[int]] = {}  # sentence -> its token ids
 
     def rows(self, sentences: Sequence[str]) -> list[list[int]]:
-        """Each sentence's token ids."""
+        """Each sentence's token ids, as the table's own lists: read them only."""
         known, token_id = self._rows, self.vocab.__getitem__
         for sentence in sentences:
             if sentence not in known:
