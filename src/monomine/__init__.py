@@ -51,7 +51,6 @@ from .langid import (
     evaluate,
     extract_features,
     pare_languages,
-    rates,
     train,
 )
 from .metrics import (

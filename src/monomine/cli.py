@@ -7,6 +7,7 @@ codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import shlex
 import subprocess
@@ -17,7 +18,7 @@ from . import anomaly as anomaly_mod
 from . import clustering, filters, metrics, pipeline
 from . import corpus as corpus_mod
 from . import langid
-from .errors import ConfigError, MiningError, ParseError, TranslatorError, read_json
+from .errors import MiningError, ParseError, TranslatorError, read_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -373,9 +374,7 @@ def cmd_rtt(args) -> dict:
 def cmd_pipeline_run(args) -> dict:
     config = pipeline.PipelineConfig.from_yaml(args.config)
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        config.workers = args.workers
+        config = dataclasses.replace(config, workers=args.workers)
     result = pipeline.run_pipeline(config)
     return result.summary
 
@@ -592,7 +591,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.func(args)
-    except (MiningError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (MiningError, OSError, ValueError, KeyError) as exc:
         print(f"monomine: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     if isinstance(result, str):

@@ -1,8 +1,12 @@
 """Exception types shared across the toolkit, and the readers of text and
 JSON files that raise them."""
 
+import dataclasses
+import functools
 import json
 import re
+import types
+import typing
 from typing import Any, Iterator, Optional
 
 
@@ -80,6 +84,39 @@ def read_json(path: object, kind: type, what: str) -> Any:
     if not isinstance(obj, kind):
         raise ParseError(None, f"expected {what}, got {type(obj).__name__}", path)
     return obj
+
+
+def _admitted(hint: Any) -> tuple[frozenset[type], tuple[type, ...]]:
+    """(the types a value of annotation `hint` may have exactly, the classes
+    it may be an instance of)."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        parts = [_admitted(arg) for arg in typing.get_args(hint)]
+        return frozenset().union(*(exact for exact, _ in parts)), sum((classes for _, classes in parts), ())
+    if hint is float:  # an int is a float, but a bool is not
+        return frozenset((float, int)), ()
+    if hint in (bool, int, type(None)):  # a bool is not an int, nor a float an int
+        return frozenset((hint,)), ()
+    return frozenset(), (hint,)
+
+
+@functools.cache
+def _field_checks(cls: type) -> tuple[tuple[str, frozenset[type], tuple[type, ...]], ...]:
+    # resolving annotations is slow, so each class resolves them once
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, *_admitted(hints[f.name])) for f in dataclasses.fields(cls))
+
+
+def check_fields(obj: Any, error: type[Exception]) -> None:
+    """Raise `error`, naming the field, for the first field of the dataclass
+    `obj` whose value its annotation does not admit. A bool field takes only
+    a bool; an int field takes neither a bool nor a float; a float field also
+    takes an int, but not a bool; `Optional` takes None; any other class is
+    checked with `isinstance`."""
+    for name, exact, classes in _field_checks(type(obj)):
+        value = getattr(obj, name)
+        if type(value) not in exact and not isinstance(value, classes):
+            expected = " or ".join(sorted(kind.__name__ for kind in (*exact, *classes)))
+            raise error(f"{name}: expected {expected}, got {type(value).__name__} {value!r}")
 
 
 class ConfigError(MiningError):

@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     UnknownLanguage,
     WrongListKind,
+    check_fields,
     read_json,
     read_lines,
     utf8,
@@ -547,6 +548,7 @@ class NegativeFilterRule:
     case_sensitive: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self, TypeError)
         if self.rule not in ("substring", "token"):
             raise ValueError(f"unknown rule kind: {self.rule!r}")
         if not self.pattern:
@@ -564,29 +566,17 @@ class NegativeFilterRule:
             return self.pattern in cased
         return vocab.get(self.pattern.casefold()) in ids
 
-    def to_dict(self) -> dict:
-        return {
-            "lang": self.lang,
-            "rule": self.rule,
-            "pattern": self.pattern,
-            "case_sensitive": self.case_sensitive,
-        }
-
 
 def load_negative_rules(path: str | Path) -> list[NegativeFilterRule]:
     """Rules from a JSON list of {lang, rule, pattern[, case_sensitive]}.
-    Bad JSON raises ParseError with its line; a bad rule, with its 0-based
-    index in the list."""
+    Bad JSON raises ParseError with its line; a bad rule (a missing or
+    unknown key, or a value of the wrong type), with its 0-based index in
+    the list."""
     raw = read_json(path, list, "a list of rules")
     rules = []
     for index, obj in enumerate(raw):
         try:
-            fields = {key: obj[key] for key in ("lang", "rule", "pattern")}
-            if not all(isinstance(value, str) for value in fields.values()):
-                raise ValueError("lang, rule and pattern must be strings")
-            rules.append(NegativeFilterRule(**fields, case_sensitive=bool(obj.get("case_sensitive", False))))
-        except KeyError as exc:
-            raise ParseError(None, f"rule {index}: missing key {exc}", path) from exc
+            rules.append(NegativeFilterRule(**obj))
         except (TypeError, ValueError) as exc:
             raise ParseError(None, f"rule {index}: {exc}", path) from exc
     return rules

@@ -403,36 +403,6 @@ def evaluate(model: LangIdModel, eval_set: Sequence[tuple[str, str]]) -> Confusi
 
 
 @dataclass(frozen=True)
-class RateResult:
-    value: float
-    zero_denominator: bool = False
-
-
-def rates(cm: ConfusionMatrix, kind: str, lang: str, other: Optional[str] = None) -> RateResult:
-    """One confusion-derived rate, with a flag instead of NaN on 0/0.
-
-    fnr is 1 - recall even when the row is empty, so recall + fnr = 1 holds
-    exactly; the flag still records that the denominator was zero.
-    """
-    i = cm.index(lang)
-    if kind == "precision":
-        denom = int(cm.counts[:, i].sum())
-        return RateResult(cm.precision(lang), denom == 0)
-    if kind == "recall":
-        denom = int(cm.counts[i].sum())
-        return RateResult(cm.recall(lang), denom == 0)
-    if kind == "fnr":
-        denom = int(cm.counts[i].sum())
-        return RateResult(cm.fnr(lang), denom == 0)
-    if kind == "fdr_pair":
-        if other is None:
-            raise ValueError("fdr_pair requires `other` (the distractor language)")
-        denom = int(cm.counts[i].sum())
-        return RateResult(cm.fdr(other, lang), denom == 0)
-    raise ValueError(f"unknown rate kind: {kind!r}")
-
-
-@dataclass(frozen=True)
 class PareThresholds:
     min_precision: float = 0.33
     max_confusion: float = 0.50

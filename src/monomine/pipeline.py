@@ -14,9 +14,9 @@ import os
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, get_type_hints
 
 import yaml
 
@@ -24,7 +24,7 @@ from . import corpus as corpus_mod
 from . import filters
 from .clustering import ClusterMap
 from .corpus import Document, IngestReport, MonoCorpus, load_documents
-from .errors import ConfigError, MissingWordlist, ParseError, read_json, read_lines, utf8
+from .errors import ConfigError, MissingWordlist, ParseError, check_fields, read_json, read_lines, utf8
 from .filters import StageReport, WordList
 from .langid import BATCH_ROWS, Predictor, load_model
 
@@ -32,6 +32,9 @@ from .langid import BATCH_ROWS, Predictor, load_model
 @dataclass
 class StageToggle:
     enabled: bool = True
+
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
 
 
 @dataclass
@@ -51,7 +54,6 @@ class TfiifStageConfig(StageToggle):
     gold_dir: Optional[str] = None
     threshold: float = 0.2
     tau: int = 1000
-    kappa: Optional[int] = None  # None: keep the IIF table's own kappa/alpha
     rho: float = 2.0
     rrr_threshold: float = 1.0
     min_crawl_removed: float = 0.2
@@ -65,6 +67,8 @@ class NegativeStageConfig(StageToggle):
 
 @dataclass
 class PipelineConfig:
+    """The config file's schema; a `StageToggle` field is a `stages:` section."""
+
     input: str
     output_dir: str
     model: str
@@ -81,40 +85,38 @@ class PipelineConfig:
     dedup: StageToggle = field(default_factory=StageToggle)
     base_dir: Path = field(default_factory=Path)
 
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str | Path = ".") -> "PipelineConfig":
+        """The config that the mapping `raw` states. A missing or unknown
+        key, or a value its field does not admit, raises ConfigError with
+        the key's path, such as `stages.wordlist.threshold`."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a mapping")
-        for key in ("input", "output_dir", "model", "clusters"):
-            if key not in raw:
-                raise ConfigError(f"config missing required key {key!r}")
-        stages = raw.get("stages", {}) or {}
-        unknown = set(stages) - set(_SECTIONS)
-        if unknown:
-            raise ConfigError(f"unknown stage(s) in config: {', '.join(sorted(unknown))}")
-
-        def build(klass, name):
-            section = stages.get(name, {}) or {}
+        top = dict(raw)
+        stages = top.pop("stages", None)
+        stages = {} if stages is None else stages
+        if not isinstance(stages, dict):
+            raise ConfigError(f"stages: expected a mapping, got {type(stages).__name__}")
+        sections = {}
+        for name, body in stages.items():
+            path = f"stages.{name}"
+            if name not in _SECTIONS:
+                raise ConfigError(f"{path}: no such stage")
             try:
-                return klass(**section)
+                sections[name] = _SECTIONS[name](**({} if body is None else body))
             except TypeError as exc:
-                raise ConfigError(f"bad options for stage {name!r}: {exc}") from exc
-
-        workers = int(raw.get("workers", 1))
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
-        return cls(
-            input=str(raw["input"]),
-            output_dir=str(raw["output_dir"]),
-            model=str(raw["model"]),
-            clusters=str(raw["clusters"]),
-            workers=workers,
-            strict=bool(raw.get("strict", False)),
-            min_sentences=int(raw.get("min_sentences", 25000)),
-            dedup_global=bool(raw.get("dedup_global", False)),
-            base_dir=Path(base_dir),
-            **{name: build(klass, name) for name, klass in _SECTIONS.items()},
-        )
+                raise ConfigError(f"{path}: {exc}") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"{path}.{exc}") from exc
+        try:
+            return cls(**top, **sections, base_dir=Path(base_dir))
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "PipelineConfig":
@@ -135,22 +137,24 @@ class PipelineConfig:
         return q if q.is_absolute() else self.base_dir / q
 
     def to_canonical_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "output_dir": self.output_dir,
-            "model": self.model,
-            "clusters": self.clusters,
-            "strict": self.strict,
-            "min_sentences": self.min_sentences,
-            "dedup_global": self.dedup_global,
-            "stages": {name: dict(vars(getattr(self, name))) for name in _SECTIONS},
-        }
+        canon = asdict(self)
+        del canon["workers"], canon["base_dir"]
+        canon["stages"] = {name: canon.pop(name) for name in _SECTIONS}
+        return canon
 
     def config_hash(self) -> str:
         # Worker count is excluded: it must not affect outputs, so two runs
         # differing only in workers share a hash.
         canon = json.dumps(self.to_canonical_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+# name -> class of each `stages:` section
+_SECTIONS = {
+    name: hint
+    for name, hint in get_type_hints(PipelineConfig).items()
+    if isinstance(hint, type) and issubclass(hint, StageToggle)
+}
 
 
 @dataclass
@@ -360,8 +364,6 @@ def _tfiif(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, d
     if not cfg.iif:
         raise ConfigError("tfiif stage enabled but no iif table configured")
     iif = filters.IifTable.load(config.resolve(cfg.iif))
-    if cfg.kappa is not None and cfg.kappa != iif.kappa:
-        iif = filters.IifTable.from_counts(iif.freqs, cfg.kappa)
     gold_dir = config.resolve(cfg.gold_dir) if cfg.gold_dir else None
     filtered, entries = {}, {}
     for lang, corpus in sorted(corpora.items()):
@@ -417,23 +419,22 @@ def _dedup(run: _Run, corpora: dict[str, MonoCorpus]) -> tuple[dict, dict[str, d
     return corpora, entries
 
 
-# The cascade in run order: (name, its `stages:` config section, the stage,
-# whether it regroups the corpora). Ingest and annotate have no section and
-# always run. A disabled stage drops nothing: a filter stage is skipped and
-# passes its corpora on untouched, while the two stages that regroup the
-# corpora always run, read their own `enabled` flag and still route every
-# sentence.
+# The cascade in run order: (name, the stage, whether it regroups the
+# corpora). A stage's config section is the `PipelineConfig` field of its
+# name; ingest and annotate have none and always run. A disabled stage drops
+# nothing: a filter stage is skipped and passes its corpora on untouched,
+# while the two stages that regroup the corpora always run, read their own
+# `enabled` flag and still route every sentence.
 STAGES = (
-    ("ingest", None, _ingest, False),
-    ("annotate", None, _annotate, False),
-    ("doc_consistency", StageToggle, _doc_consistency, True),
-    ("wordlist", WordlistStageConfig, _wordlist, False),
-    ("decluster", DeclusterStageConfig, _decluster, True),
-    ("tfiif", TfiifStageConfig, _tfiif, False),
-    ("negative", NegativeStageConfig, _negative, False),
-    ("dedup", StageToggle, _dedup, False),
+    ("ingest", _ingest, False),
+    ("annotate", _annotate, False),
+    ("doc_consistency", _doc_consistency, True),
+    ("wordlist", _wordlist, False),
+    ("decluster", _decluster, True),
+    ("tfiif", _tfiif, False),
+    ("negative", _negative, False),
+    ("dedup", _dedup, False),
 )
-_SECTIONS = {name: section for name, section, _, _ in STAGES if section is not None}
 
 
 def _previous_languages(out_dir: Path) -> set[str]:
@@ -466,9 +467,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     run = _Run(config)
     manifests: list[StageManifest] = []
     corpora: Any = None  # the documents, until doc-consistency groups them
-    for name, section, stage, regroups in STAGES:
+    for name, stage, regroups in STAGES:
         t0, c0 = time.perf_counter(), time.process_time()
-        if section is None or regroups or getattr(config, name).enabled:
+        if name not in _SECTIONS or regroups or getattr(config, name).enabled:
             corpora, per_language = stage(run, corpora)
         else:
             per_language = _pass_through(name, corpora)

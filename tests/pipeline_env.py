@@ -120,7 +120,7 @@ def build_env(
         "min_sentences": 25000,
         "stages": {
             "wordlist": {"dir": "wordlists", "threshold": 0.2},
-            "tfiif": {"iif": "iif.tsv", "gold_dir": "gold", "kappa": 300},
+            "tfiif": {"iif": "iif.tsv", "gold_dir": "gold"},
             "negative": {"rules": "rules.json"},
         },
     }

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 import re
 import sys
@@ -799,8 +801,13 @@ class TestNegativeFilter:
             ('[{"lang": "aa", "rule": "token", "pattern": "x"}, {"lang": "aa", "rule": "substring", "pattern": ""}]', "rule 1"),
             ('[{"lang": "aa", "rule": "token", "pattern": 5}]', "rule 0"),
             ('["casino"]', "rule 0"),
+            ('[{"lang": "aa", "rule": "token", "pattern": "x", "case_sensitive": "false"}]', "rule 0: case_sensitive"),
+            ('[{"lang": "aa", "rule": "token", "pattern": "x", "flags": "i"}]', "rule 0: "),
         ],
-        ids=["bad-json", "not-a-list", "missing-key", "unknown-kind", "empty-pattern", "non-string", "not-an-object"],
+        ids=[
+            "bad-json", "not-a-list", "missing-key", "unknown-kind", "empty-pattern", "non-string", "not-an-object",
+            "string-bool", "unknown-key",
+        ],
     )
     def test_rules_file_malformed(self, tmp_path, text, where):
         path = tmp_path / "rules.json"
@@ -808,6 +815,40 @@ class TestNegativeFilter:
         with pytest.raises(ParseError) as err:
             load_negative_rules(path)
         assert str(path) in str(err.value) and where in str(err.value)
+
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=5,
+    )
+    VALID_RULES = [
+        {"lang": "aa", "rule": "token", "pattern": "x"},
+        {"lang": "bb", "rule": "substring", "pattern": "y", "case_sensitive": True},
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        index=st.integers(0, len(VALID_RULES) - 1),
+        key=st.none() | st.sampled_from(["lang", "rule", "pattern", "case_sensitive"]) | st.text(max_size=12),
+        value=JSON_VALUES,
+    )
+    def test_mutated_rules_file_is_read_as_given_or_rejected(self, tmp_path_factory, index, key, value):
+        """A valid rules file with one rule swapped for any JSON value (`key`
+        None), or one value swapped or one key added, is either the rules it
+        states, each value as given, or a ParseError."""
+        raw = [dict(rule) for rule in self.VALID_RULES]
+        if key is None:
+            raw[index] = value
+        else:
+            raw[index][key] = value
+        path = tmp_path_factory.mktemp("rules") / "rules.json"
+        path.write_text(json.dumps(raw))
+        try:
+            rules = load_negative_rules(path)
+        except ParseError:
+            return
+        stated = [{"case_sensitive": False, **obj} for obj in raw]
+        assert json.dumps([dataclasses.asdict(r) for r in rules], sort_keys=True) == json.dumps(stated, sort_keys=True)
 
     def test_first_matching_rule_as_matched_per_rule(self, rng):
         # each rule against the sentence's tokens computed afresh, as before

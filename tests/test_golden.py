@@ -5,7 +5,8 @@ does not depend on how training rounds its floats. Crawl, wordlists, IIF
 table and gold corpora come from `build_env(plant_negative=True)`. Each config
 below runs the pipeline once; the digest of each output corpus, and of
 `manifests.json` with its timings and config hashes taken out, must equal
-`golden/digests.json`. A change that means to alter the output rewrites the
+`golden/digests.json`, and so must the default config's at other annotate
+chunk sizes. A change that means to alter the output rewrites the
 digests with `python tests/test_golden.py`; `--model` also retrains and
 rewrites the model first.
 """
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 from monomine.langid import FeatureSpec, LangIdModel, load_model
-from monomine.pipeline import STAGES, PipelineConfig, run_pipeline
+from monomine import pipeline
+from monomine.pipeline import _SECTIONS, PipelineConfig, run_pipeline
 
 from pipeline_env import build_env
 
@@ -61,7 +63,7 @@ def _wordlist_threshold(raw):
 # config name -> its edit of the environment's config
 CONFIGS = {
     "default": lambda raw: None,
-    **{f"{name}_off": _stage_off(name) for name, section, *_ in STAGES if section is not None},
+    **{f"{name}_off": _stage_off(name) for name in _SECTIONS},
     "dedup_global": _set("dedup_global", True),
     **{f"workers_{n}": _set("workers", n) for n in (1, 2, 8)},
     "decluster_model": _own_decluster_model,
@@ -137,6 +139,13 @@ def test_every_config_has_digests(expected):
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_output_matches_golden_digests(golden_env, expected, name, tmp_path):
     assert run_config(golden_env, name, tmp_path / "out") == expected[name]
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+def test_annotate_chunk_size_changes_nothing(golden_env, expected, chunk, tmp_path, monkeypatch):
+    # 7 splits most documents across chunks; 1000 holds many documents in one
+    monkeypatch.setattr(pipeline, "ANNOTATE_CHUNK", chunk)
+    assert run_config(golden_env, "default", tmp_path / "out") == expected["default"]
 
 
 def _rewrite(retrain: bool) -> None:

@@ -23,7 +23,6 @@ from monomine.langid import (
     load_model,
     pare_languages,
     predict_batch,
-    rates,
     save_model,
     train,
     _feature_matrix,
@@ -618,15 +617,15 @@ class TestRates:
     def test_diagonal(self):
         cm = ConfusionMatrix(("A", "B"), np.array([[5, 0], [0, 7]]))
         for lang in ("A", "B"):
-            assert rates(cm, "precision", lang).value == 1.0
-            assert rates(cm, "recall", lang).value == 1.0
-            assert rates(cm, "fnr", lang).value == 0.0
-        assert rates(cm, "fdr_pair", "A", other="B").value == 0.0
+            assert cm.precision(lang) == 1.0
+            assert cm.recall(lang) == 1.0
+            assert cm.fnr(lang) == 0.0
+        assert cm.fdr("B", "A") == 0.0
 
     def test_fdr_definition(self):
         # counts[d][l] = 5, counts[l] sums to 10
         cm = ConfusionMatrix(("d", "l"), np.array([[5, 5], [0, 10]]))
-        assert rates(cm, "fdr_pair", "l", other="d").value == pytest.approx(0.5)
+        assert cm.fdr("d", "l") == pytest.approx(0.5)
 
     def test_random_against_arithmetic_oracle(self):
         rng = np.random.default_rng(13)
@@ -635,20 +634,12 @@ class TestRates:
         for i, lang in enumerate(cm.languages):
             col = counts[:, i].sum()
             row = counts[i].sum()
-            assert rates(cm, "precision", lang).value == pytest.approx(
-                counts[i, i] / col if col else 0.0
-            )
-            assert rates(cm, "recall", lang).value == pytest.approx(
-                counts[i, i] / row if row else 0.0
-            )
-            assert rates(cm, "fnr", lang).value == pytest.approx(
-                1 - (counts[i, i] / row if row else 0.0)
-            )
+            assert cm.precision(lang) == pytest.approx(counts[i, i] / col if col else 0.0)
+            assert cm.recall(lang) == pytest.approx(counts[i, i] / row if row else 0.0)
+            assert cm.fnr(lang) == pytest.approx(1 - (counts[i, i] / row if row else 0.0))
             for j, other in enumerate(cm.languages):
                 if i != j:
-                    assert rates(cm, "fdr_pair", lang, other=other).value == pytest.approx(
-                        counts[j, i] / row if row else 0.0
-                    )
+                    assert cm.fdr(other, lang) == pytest.approx(counts[j, i] / row if row else 0.0)
 
     def test_recall_plus_fnr_is_one(self):
         rng = np.random.default_rng(14)
@@ -657,19 +648,14 @@ class TestRates:
             counts[2] = 0  # force a zero row
             cm = ConfusionMatrix(("a", "b", "c", "d"), counts)
             for lang in cm.languages:
-                assert rates(cm, "recall", lang).value + rates(cm, "fnr", lang).value == 1.0
+                assert cm.recall(lang) + cm.fnr(lang) == 1.0
             # matrix consistency: row sums count every example once
             assert counts.sum() == sum(cm.counts[cm.index(lang)].sum() for lang in cm.languages)
-
-    def test_zero_denominator_flag(self):
-        cm = ConfusionMatrix(("a", "b"), np.array([[0, 0], [3, 4]]))
-        res = rates(cm, "recall", "a")
-        assert res.value == 0.0 and res.zero_denominator
 
     def test_unknown_language(self):
         cm = ConfusionMatrix(("a",), np.array([[1]]))
         with pytest.raises(UnknownLanguage):
-            rates(cm, "precision", "zz")
+            cm.precision("zz")
 
 
 class TestPare:

@@ -1,8 +1,10 @@
+import copy
 import itertools
 import json
 import re
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(raw)
 
+    REQUIRED = {"input": "a", "output_dir": "b", "model": "c", "clusters": "d"}
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            ({"strict": "false"}, "strict: expected bool"),
+            ({"stages": {"dedup": {"enabled": "no"}}}, "stages.dedup.enabled: expected bool"),
+            ({"workers": 2.9}, "workers: expected int"),
+            ({"workers": True}, "workers: expected int"),
+            ({"workers": []}, "workers: expected int"),
+            ({"input": 5}, "input: expected str"),
+            ({"dedup_globl": True}, "'dedup_globl'"),
+            ({"wordlist": {"threshold": 0.5}}, "wordlist: expected WordlistStageConfig"),
+            ({"stages": {"wordlist": {"threshold": "0.2"}}}, "stages.wordlist.threshold: expected float"),
+            ({"stages": {"tfiif": {"tau": 1.5}}}, "stages.tfiif.tau: expected int"),
+            ({"stages": {"tfiif": {"kappa": 300}}}, "stages.tfiif: "),
+            ({"stages": {"wordlist": ["dir"]}}, "stages.wordlist: "),
+            ({"stages": ["wordlist"]}, "stages: expected a mapping"),
+        ],
+        ids=[
+            "string-bool", "string-enabled", "float-workers", "bool-workers", "list-workers",
+            "int-input", "unknown-key", "section-at-top", "string-threshold", "float-tau", "kappa",
+            "list-section", "list-stages",
+        ],
+    )
+    def test_bad_value_names_its_key(self, edit, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            PipelineConfig.from_dict({**self.REQUIRED, **edit})
+
     def test_hash_stable_and_worker_independent(self, env):
         a = PipelineConfig.from_yaml(env.config_path)
         b = PipelineConfig.from_yaml(env.config_path)
@@ -82,6 +113,79 @@ class TestConfig:
         b = PipelineConfig.from_yaml(env.config_path)
         b.wordlist.threshold = 0.3
         assert a.config_hash() != b.config_hash()
+
+
+# A valid config with every section: each value in it is one that the guard
+# below may swap for a value of any YAML type.
+VALID_CONFIG = {
+    "input": "crawl.jsonl",
+    "output_dir": "out",
+    "model": "langid.bin",
+    "clusters": "clusters.json",
+    "workers": 2,
+    "strict": False,
+    "min_sentences": 10,
+    "dedup_global": True,
+    "stages": {
+        "doc_consistency": {"enabled": True},
+        "wordlist": {"dir": "wordlists", "threshold": 0.2},
+        "decluster": {"model": None},
+        "tfiif": {"iif": "iif.tsv", "gold_dir": "gold", "threshold": 0.5, "tau": 40, "rho": 2.0,
+                  "rrr_threshold": 1, "min_crawl_removed": 0.2, "min_recall": 0.8},
+        "negative": {"rules": "rules.json"},
+        "dedup": {"enabled": False},
+    },
+}
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(raw: dict, path: tuple = ()) -> Iterator[tuple]:
+    """The key path of every value in `raw`, nested mappings included."""
+    for key, value in raw.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, path + (key,))
+
+
+def _at(raw: dict, path: tuple):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+VALUE_PATHS = list(_paths(VALID_CONFIG))
+MAPPING_PATHS = [()] + [path for path in VALUE_PATHS if isinstance(_at(VALID_CONFIG, path), dict)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    where=st.one_of(
+        st.sampled_from(VALUE_PATHS).map(lambda path: (path[:-1], path[-1])),  # a value swapped
+        st.tuples(st.sampled_from(MAPPING_PATHS), st.text(max_size=12)),  # a key added
+    ),
+    value=YAML_VALUES,
+)
+def test_mutated_config_is_read_as_given_or_rejected(where, value):
+    """A valid config with one value swapped for a value of any YAML type, or
+    one key added, is either a `PipelineConfig` that holds every value as the
+    mapping gives it, or a `ConfigError`."""
+    raw = copy.deepcopy(VALID_CONFIG)
+    parent, key = where
+    _at(raw, parent)[key] = value
+    try:
+        config = PipelineConfig.from_dict(raw)
+    except ConfigError:
+        return
+    for key, value in raw.items():
+        if key != "stages":
+            assert getattr(config, key) is value, key
+    for name, body in (raw["stages"] or {}).items():
+        for key, value in (body or {}).items():
+            assert getattr(getattr(config, name), key) is value, (name, key)
 
 
 class TestRunPipeline:
