@@ -26,7 +26,21 @@ EXIT_DATA = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; we reserve 2 for data errors."""
+    """argparse exits 2 on usage errors; we reserve 2 for data errors.
+
+    `partners` maps an option to the option it cannot go without, both as
+    their destination names; a missing partner is a usage error."""
+
+    def __init__(self, *args, partners: dict[str, str] | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.partners = partners or {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for option, partner in self.partners.items():
+            if getattr(namespace, option) is not None and getattr(namespace, partner) is None:
+                self.error(f"--{option} needs --{partner}".replace("_", "-"))
+        return namespace, extras
 
     def error(self, message):  # noqa: A002 - argparse API
         self.print_usage(sys.stderr)
@@ -284,8 +298,6 @@ def cmd_rrr(args) -> dict:
 
 def cmd_anomaly(args) -> dict | str:
     if args.corpus_dir:
-        if not args.reference_dir:
-            raise MiningError("batch anomaly needs both --corpus-dir and --reference-dir")
         reports = []
         for path in sorted(Path(args.corpus_dir).glob("*.txt")):
             lang = path.stem
@@ -298,8 +310,6 @@ def cmd_anomaly(args) -> dict | str:
         if args.tsv:
             return anomaly_mod.reports_to_tsv(reports)
         return {"reports": [r.to_dict() for r in reports]}
-    if not args.corpus or not args.reference:
-        raise MiningError("anomaly needs --corpus and --reference (or --corpus-dir mode)")
     corpus = corpus_mod.read_corpus(args.corpus, args.lang)
     reference = corpus_mod.read_corpus(args.reference, args.lang)
     return anomaly_mod.anomaly_report(corpus, reference, n=args.top_n).to_dict()
@@ -307,21 +317,16 @@ def cmd_anomaly(args) -> dict | str:
 
 def cmd_dedup(args) -> dict:
     if args.input_dir:
-        if not args.output_dir:
-            raise MiningError("directory dedup needs both --input-dir and --output-dir")
         corpora = {
             path.stem: corpus_mod.read_corpus(path, path.stem)
             for path in sorted(Path(args.input_dir).glob("*.txt"))
         }
-        scope = "global" if args.scope == "global" else "per-language"
-        deduped, reports = corpus_mod.dedup_corpora(corpora, scope)
+        deduped, reports = corpus_mod.dedup_corpora(corpora, args.scope)
         out_dir = Path(args.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for lang, corpus in deduped.items():
             corpus_mod.write_corpus(corpus, out_dir / f"{lang}.txt")
         return {lang: rep.to_dict() for lang, rep in sorted(reports.items())}
-    if not args.input or not args.output:
-        raise MiningError("dedup needs --input and --output (or --input-dir mode)")
     corpus = corpus_mod.read_corpus(args.input, args.lang)
     deduped, report = corpus_mod.dedup(corpus)
     corpus_mod.write_corpus(deduped, args.output)
@@ -521,22 +526,30 @@ def build_parser() -> _Parser:
     p.add_argument("--lang", default="")
     p.set_defaults(func=cmd_rrr)
 
-    p = sub.add_parser("anomaly", help="token-distribution anomaly score(s)")
-    p.add_argument("--corpus")
+    p = sub.add_parser(
+        "anomaly",
+        help="token-distribution anomaly score(s)",
+        partners={"corpus": "reference", "corpus_dir": "reference_dir"},
+    )
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--corpus")
+    mode.add_argument("--corpus-dir", help="batch mode: directory of <lang>.txt corpora")
     p.add_argument("--reference")
-    p.add_argument("--lang", default="")
-    p.add_argument("--corpus-dir", help="batch mode: directory of <lang>.txt corpora")
     p.add_argument("--reference-dir", help="batch mode: directory of <lang>.txt references")
+    p.add_argument("--lang", default="")
     p.add_argument("--top-n", type=int, default=40)
     p.add_argument("--tsv", action="store_true", help="batch mode: emit the ranking TSV")
     p.set_defaults(func=cmd_anomaly)
 
-    p = sub.add_parser("dedup", help="drop exact duplicate sentences")
-    p.add_argument("--input")
-    p.add_argument("--lang", default="")
+    p = sub.add_parser(
+        "dedup", help="drop exact duplicate sentences", partners={"input": "output", "input_dir": "output_dir"}
+    )
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--input")
+    mode.add_argument("--input-dir")
     p.add_argument("--output")
-    p.add_argument("--input-dir")
     p.add_argument("--output-dir")
+    p.add_argument("--lang", default="")
     p.add_argument("--scope", choices=["per-language", "global"], default="per-language")
     p.set_defaults(func=cmd_dedup)
 

@@ -28,12 +28,9 @@ class ClusterMap:
 
     assignment: dict[str, int]
     members: dict[int, tuple[str, ...]]
-    singletons: frozenset[str] = frozenset()
 
     @classmethod
-    def from_groups(
-        cls, groups: Iterable[Iterable[str]], singletons: frozenset[str] = frozenset()
-    ) -> "ClusterMap":
+    def from_groups(cls, groups: Iterable[Iterable[str]]) -> "ClusterMap":
         ordered = sorted((tuple(sorted(g)) for g in groups if g), key=lambda g: g[0])
         members = {i: g for i, g in enumerate(ordered)}
         assignment: dict[str, int] = {}
@@ -42,10 +39,7 @@ class ClusterMap:
                 if lang in assignment:
                     raise ValueError(f"{lang} appears in more than one cluster")
                 assignment[lang] = cid
-        for lang in singletons:
-            if lang in assignment and len(members[assignment[lang]]) != 1:
-                raise ValueError(f"singleton-policy language {lang} is not alone")
-        return cls(assignment, members, singletons)
+        return cls(assignment, members)
 
     def cluster_of(self, lang: str) -> int:
         return self.assignment[lang]
@@ -58,8 +52,7 @@ class ClusterMap:
         return dict(sorted(self.assignment.items()))
 
     def save_json(self, path: str | Path) -> None:
-        """Flat {lang: cluster_id} mapping. The singleton-policy set is not
-        persisted; the partition itself already carries the singleton clusters."""
+        """Flat {lang: cluster_id} mapping."""
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
@@ -216,7 +209,7 @@ def resplit(
                 final_groups.append([labels[i] for i in part])
             else:
                 stack.extend(_bisect(sorted(part), dist))
-    return ClusterMap.from_groups(final_groups, cluster_map.singletons)
+    return ClusterMap.from_groups(final_groups)
 
 
 def add_singletons(cluster_map: ClusterMap, langs: Iterable[str]) -> ClusterMap:
@@ -224,4 +217,4 @@ def add_singletons(cluster_map: ClusterMap, langs: Iterable[str]) -> ClusterMap:
     moved = set(langs)
     groups = [[lang for lang in group if lang not in moved] for group in cluster_map.members.values()]
     groups.extend([lang] for lang in sorted(moved))
-    return ClusterMap.from_groups(groups, cluster_map.singletons | frozenset(moved))
+    return ClusterMap.from_groups(groups)

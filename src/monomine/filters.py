@@ -153,7 +153,13 @@ class WordList:
 
     @classmethod
     def load_tsv(cls, path: str | Path, lang: str, kind: str) -> "WordList":
-        return cls(lang, kind, tuple(read_tsv_pairs(path, float)))
+        """The list `save_tsv` wrote. A malformed line, scores out of order or
+        a repeated token raise ParseError with the path."""
+        entries = tuple(read_tsv_pairs(path, float))
+        try:
+            return cls(lang, kind, entries)
+        except ValueError as exc:
+            raise ParseError(None, str(exc), path) from exc
 
 
 def read_tsv_pairs(path: str | Path, convert: Callable[[str], T]) -> Iterator[tuple[str, T]]:
@@ -232,11 +238,13 @@ def filter_doc_consistency(
             continue
         doc_cid = document_cluster(doc)
         kept.setdefault(doc_cid, [])
-        for record in doc.sentences:
-            if record.predicted_cluster == doc_cid:
+        for i, record in enumerate(doc.sentences):
+            cid = record.predicted_cluster
+            if cid == doc_cid:
                 kept[doc_cid].append(record.text)
+            elif cid is None:
+                raise EmptyDocument(f"sentence {i} of {doc.id} is not annotated")
             else:
-                cid = record.predicted_cluster
                 dropped[cid] = dropped.get(cid, 0) + 1
     table = TokenTable()
     out = {

@@ -9,24 +9,34 @@ reasons; disabling a stage means no sentence is dropped by it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import os
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, get_type_hints
 
 import yaml
 
 from . import corpus as corpus_mod
 from . import filters
 from .clustering import ClusterMap
-from .corpus import Document, IngestReport, MonoCorpus, load_documents
+from .corpus import Document, IngestReport, MonoCorpus, SentenceRecord, load_documents
 from .errors import ConfigError, MissingWordlist, ParseError, check_fields, read_json, read_lines, utf8
 from .filters import StageReport, WordList
 from .langid import BATCH_ROWS, Predictor, load_model
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def _require(obj: Any, name: str, ok: bool, what: str) -> None:
+    if not ok:  # the range check of field `name`; a NaN fails every comparison
+        raise ConfigError(f"{name}: expected {what}, got {getattr(obj, name)!r}")
 
 
 @dataclass
@@ -41,6 +51,10 @@ class StageToggle:
 class WordlistStageConfig(StageToggle):
     dir: Optional[str] = None
     threshold: float = 0.2
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _require(self, "threshold", 0 <= self.threshold <= 1, "a value in [0, 1]")
 
 
 @dataclass
@@ -58,6 +72,14 @@ class TfiifStageConfig(StageToggle):
     rrr_threshold: float = 1.0
     min_crawl_removed: float = 0.2
     min_recall: float = 0.8
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name in ("threshold", "min_crawl_removed", "min_recall"):
+            _require(self, name, 0 <= getattr(self, name) <= 1, "a value in [0, 1]")
+        _require(self, "tau", self.tau >= 1, "at least 1")
+        _require(self, "rho", 0 < self.rho < math.inf, "a finite value above 0")
+        _require(self, "rrr_threshold", 0 <= self.rrr_threshold < math.inf, "a finite value of at least 0")
 
 
 @dataclass
@@ -89,6 +111,7 @@ class PipelineConfig:
         check_fields(self, ConfigError)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        _require(self, "min_sentences", self.min_sentences >= 0, "at least 0")
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str | Path = ".") -> "PipelineConfig":
@@ -205,68 +228,42 @@ class _Run:
 ANNOTATE_CHUNK = BATCH_ROWS
 
 
-def _run_now(fn: Callable[[Document], Document], arg: Document) -> Future:
-    """`fn(arg)`, run on this thread, as a completed future."""
-    future: Future = Future()
-    future.set_result(fn(arg))
-    return future
+def _in_order(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
+    """`map(fn, items)` with up to `workers` calls in flight, each item taken
+    on the calling thread only when a call needs it. One worker maps on the
+    calling thread, which measured faster than handing items to a pool thread."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight: deque[Future] = deque()
+        for item in items:
+            in_flight.append(pool.submit(fn, item))
+            if len(in_flight) == workers:
+                yield in_flight.popleft().result()
+        for future in in_flight:
+            yield future.result()
 
 
 def _annotate_all(
     docs: Iterable[Document], predictor: Predictor, clusters: ClusterMap, workers: int
 ) -> Iterator[Document]:
-    """Each document annotated, in input order.
+    """Each document annotated, in input order: the crawl's sentence records
+    are one stream, annotated in chunks of `ANNOTATE_CHUNK`, and each
+    document takes its own count of annotated records back off it. Rows are
+    predicted independently, so the chunking changes no prediction, and
+    `_in_order` keeps the chunks in order, so the worker count changes
+    nothing either."""
+    docs, again = itertools.tee(docs)
+    records = itertools.chain.from_iterable(doc.sentences for doc in docs)
+    chunks = iter(lambda: tuple(itertools.islice(records, ANNOTATE_CHUNK)), ())
 
-    The sentences are annotated in chunks of `ANNOTATE_CHUNK`, each passed to
-    `filters.annotate_document` as one pseudo-document, and the annotated
-    records are sliced back into their documents. Rows are predicted
-    independently, so the chunking changes no prediction, and chunks are
-    taken back in input order, so the worker count changes nothing either.
-    At most `workers` chunks are in flight, so documents are read only as
-    the chunks need them. One worker annotates on the calling thread, which
-    measured faster than handing each chunk to a pool thread.
-    """
-    pending: deque[Document] = deque()  # read, not yet yielded
+    def annotate(chunk: tuple[SentenceRecord, ...]) -> tuple[SentenceRecord, ...]:
+        return filters.annotate_document(Document("chunk", chunk), predictor, clusters).sentences
 
-    def chunks() -> Iterator[Document]:
-        buffer: list = []
-        for doc in docs:
-            pending.append(doc)
-            buffer.extend(doc.sentences)
-            while len(buffer) >= ANNOTATE_CHUNK:
-                yield Document("chunk", tuple(buffer[:ANNOTATE_CHUNK]))
-                del buffer[:ANNOTATE_CHUNK]
-        if buffer:
-            yield Document("chunk", tuple(buffer))
-
-    def annotate(chunk: Document) -> Document:
-        return filters.annotate_document(chunk, predictor, clusters)
-
-    def split(annotated: Iterable[Document]) -> Iterator[Document]:
-        records: list = []  # annotated, not yet yielded
-        for chunk in annotated:
-            records.extend(chunk.sentences)
-            while pending and len(pending[0].sentences) <= len(records):
-                doc = pending.popleft()
-                n = len(doc.sentences)
-                yield Document(doc.id, tuple(records[:n]), url=doc.url)
-                del records[:n]
-        # documents after the last chunk have no sentences
-        for doc in pending:
-            yield Document(doc.id, (), url=doc.url)
-
-    def annotated() -> Iterator[Document]:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            submit = pool.submit if workers > 1 else _run_now
-            in_flight: deque[Future] = deque()
-            for chunk in chunks():
-                in_flight.append(submit(annotate, chunk))
-                if len(in_flight) == workers:
-                    yield in_flight.popleft().result()
-            while in_flight:
-                yield in_flight.popleft().result()
-
-    yield from split(annotated())
+    annotated = itertools.chain.from_iterable(_in_order(annotate, chunks, workers))
+    for doc in again:
+        yield Document(doc.id, tuple(itertools.islice(annotated, len(doc.sentences))), url=doc.url)
 
 
 def _load_wordlists_for(langs: list[str], directory: Path) -> dict[str, WordList]:

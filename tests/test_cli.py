@@ -138,11 +138,34 @@ class TestExitCodes:
         assert main([a.format(**paths) for a in argv]) == 2
         assert capsys.readouterr().err.startswith(f"monomine: error: {paths['bad']}, {where}")
 
-    def test_incomplete_mode_flags_are_2(self, capsys, tmp_path):
-        assert main(["anomaly", "--corpus", str(tmp_path / "c.txt")]) == 2
-        assert main(["anomaly", "--corpus-dir", str(tmp_path)]) == 2
-        assert main(["dedup", "--input", str(tmp_path / "c.txt")]) == 2
-        assert main(["dedup", "--input-dir", str(tmp_path)]) == 2
+    def test_incomplete_mode_flags_are_1(self, capsys):
+        # each command has two modes, and each mode's option needs its partner
+        for argv, message in [
+            (["anomaly", "--corpus", "c.txt"], "--corpus needs --reference"),
+            (["anomaly", "--corpus-dir", "d"], "--corpus-dir needs --reference-dir"),
+            (["anomaly", "--reference", "r.txt"], "one of the arguments --corpus --corpus-dir is required"),
+            (["dedup", "--input", "c.txt"], "--input needs --output"),
+            (["dedup", "--input-dir", "d"], "--input-dir needs --output-dir"),
+            (["dedup", "--input", "c.txt", "--input-dir", "d"], "argument --input-dir: not allowed with argument --input"),
+        ]:
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 1, argv
+            assert f"error: {message}\n" in capsys.readouterr().err, argv
+
+    def test_partly_annotated_document_is_2(self, capsys, tmp_path):
+        path = tmp_path / "annotated.jsonl"
+        path.write_text('{"id": "d1", "sentences": [{"text": "a", "lang": "aa", "cluster": 0}, "b"]}\n')
+        assert main(["filter", "doc-consistency", "--input", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "monomine: error: sentence 1 of d1 is not annotated\n"
+
+    def test_unsorted_wordlist_is_2_and_names_its_path(self, capsys, tmp_path):
+        corpus, wordlist = tmp_path / "aa.txt", tmp_path / "aa.tfiif"
+        corpus.write_text("a b\n")
+        wordlist.write_text("a\t1\nb\t2\n")
+        argv = ["--corpus", corpus, "--lang", "aa", "--list", wordlist, "--output", tmp_path / "out.txt"]
+        assert main(["filter", "tfiif", *map(str, argv)]) == 2
+        assert capsys.readouterr().err == f"monomine: error: {wordlist}: entries must be sorted by descending score\n"
 
     def test_empty_iif_corpus_is_2(self, capsys, tmp_path):
         corpus = tmp_path / "web.txt"

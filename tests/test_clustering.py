@@ -400,13 +400,11 @@ class TestSingletons:
         cmap = ClusterMap.from_groups([["aa", "bb"]])
         out = add_singletons(cmap, {"en"})
         assert len(out.members[out.cluster_of("en")]) == 1
-        assert "en" in out.singletons
 
     def test_idempotent(self):
         cmap = add_singletons(ClusterMap.from_groups([["aa"]]), {"en"})
         again = add_singletons(cmap, {"en"})
         assert again.members == cmap.members
-        assert again.singletons == cmap.singletons
 
     def test_removes_from_old_cluster(self):
         cmap = ClusterMap.from_groups([["aa", "bb", "cc", "dd", "en"]])

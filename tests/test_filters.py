@@ -238,6 +238,11 @@ class TestFilterDocConsistency:
     def test_empty_docs_skipped(self):
         assert filter_doc_consistency([Document("d", ())]) == ({}, {})
 
+    def test_partly_annotated_document_names_the_sentence(self):
+        doc = Document("d1", (*annotated_doc("d1", [0, 0]).sentences, SentenceRecord("b")))
+        with pytest.raises(EmptyDocument, match="^sentence 2 of d1 is not annotated$"):
+            filter_doc_consistency([doc])
+
     def test_report_covers_drop_only_clusters(self):
         # cluster 9 never wins a majority; its drops must still be reported
         doc = annotated_doc("d", [0, 0, 0, 9])
@@ -336,6 +341,17 @@ class TestFrequencyWordlist:
             WordList.load_tsv(path, "aa", "frequency")
         assert err.value.line_no == 3
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("a\t1\nb\t2\n", "entries must be sorted by descending score"), ("a\t2\na\t1\n", "tokens must be unique")],
+        ids=["unsorted", "repeated"],
+    )
+    def test_load_tsv_bad_entries_name_the_path(self, tmp_path, text, message):
+        path = tmp_path / "aa.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
+            WordList.load_tsv(path, "aa", "frequency")
 
 
 def make_wordlist(lang, tokens, kind="frequency"):

@@ -1,10 +1,13 @@
 import copy
 import itertools
 import json
+import math
 import re
+import time
 from collections import Counter
 from pathlib import Path
 from typing import Iterator
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,11 +93,21 @@ class TestConfig:
             ({"stages": {"tfiif": {"kappa": 300}}}, "stages.tfiif: "),
             ({"stages": {"wordlist": ["dir"]}}, "stages.wordlist: "),
             ({"stages": ["wordlist"]}, "stages: expected a mapping"),
+            ({"stages": {"wordlist": {"threshold": math.nan}}}, "stages.wordlist.threshold: expected a value in [0, 1]"),
+            ({"stages": {"tfiif": {"threshold": 1.5}}}, "stages.tfiif.threshold: expected a value in [0, 1]"),
+            ({"stages": {"tfiif": {"min_crawl_removed": -0.1}}}, "stages.tfiif.min_crawl_removed: expected"),
+            ({"stages": {"tfiif": {"min_recall": 1.5}}}, "stages.tfiif.min_recall: expected a value in [0, 1]"),
+            ({"stages": {"tfiif": {"tau": -5}}}, "stages.tfiif.tau: expected at least 1"),
+            ({"stages": {"tfiif": {"rho": math.inf}}}, "stages.tfiif.rho: expected a finite value above 0"),
+            ({"stages": {"tfiif": {"rho": 0}}}, "stages.tfiif.rho: expected a finite value above 0"),
+            ({"stages": {"tfiif": {"rrr_threshold": math.nan}}}, "stages.tfiif.rrr_threshold: expected a finite"),
+            ({"min_sentences": -1}, "min_sentences: expected at least 0"),
         ],
         ids=[
             "string-bool", "string-enabled", "float-workers", "bool-workers", "list-workers",
             "int-input", "unknown-key", "section-at-top", "string-threshold", "float-tau", "kappa",
-            "list-section", "list-stages",
+            "list-section", "list-stages", "nan-threshold", "tfiif-threshold", "crawl-removed",
+            "recall-above-1", "negative-tau", "infinite-rho", "zero-rho", "nan-rrr", "negative-min-sentences",
         ],
     )
     def test_bad_value_names_its_key(self, edit, where):
@@ -380,6 +393,43 @@ class TestAnnotateChunks:
             # inside the 26th document; with two, the second inside the 52nd
             assert len(read) == -(-workers * ANNOTATE_CHUNK // 10), workers
             assert [d.id for d in annotated] == [d.id for d in docs[1:]]
+
+    class Numbered:
+        """Predicts from a sentence's text, its number in the crawl, and
+        sleeps over every other chunk of `chunk` sentences, so that chunks
+        in flight finish out of order."""
+
+        languages = ("aa", "bb")
+
+        def __init__(self, chunk: int, delay: float):
+            self.chunk, self.delay = chunk, delay
+            self.batches: list[int] = []
+
+        def predict_batch(self, texts):
+            self.batches.append(len(texts))
+            if texts and int(texts[0]) // self.chunk % 2 == 0:
+                time.sleep(self.delay)
+            return [("aa" if int(t) % 3 else "bb", int(t) / 1000) for t in texts]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 20) | st.just(0), max_size=12),
+        chunk=st.integers(1, 9),
+        workers=st.integers(1, 3),
+    )
+    def test_stream_equals_annotating_each_document(self, sizes, chunk, workers):
+        numbers = itertools.count()
+        docs = [
+            Document(f"d{i}", tuple(SentenceRecord(str(next(numbers))) for _ in range(n)), url=f"u{i}")
+            for i, n in enumerate(sizes)
+        ]
+        clusters = ClusterMap.from_groups([["aa"], ["bb"]])
+        want = [filters.annotate_document(d, self.Numbered(chunk, 0.0), clusters) for d in docs]
+        predictor = self.Numbered(chunk, 0.001)
+        with mock.patch.object(pipeline, "ANNOTATE_CHUNK", chunk):
+            assert list(_annotate_all(iter(docs), predictor, clusters, workers)) == want
+        full, rest = divmod(sum(sizes), chunk)
+        assert sorted(predictor.batches, reverse=True) == [chunk] * full + ([rest] if rest else [])
 
     def test_own_decluster_model_records_no_predictions(self, env, first_run, monkeypatch, tmp_path):
         runs = []
