@@ -529,7 +529,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "anomaly",
         help="token-distribution anomaly score(s)",
-        partners={"corpus": "reference", "corpus_dir": "reference_dir"},
+        partners={"corpus": "reference", "corpus_dir": "reference_dir", "tsv": "corpus_dir"},
     )
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--corpus")
@@ -538,7 +538,8 @@ def build_parser() -> _Parser:
     p.add_argument("--reference-dir", help="batch mode: directory of <lang>.txt references")
     p.add_argument("--lang", default="")
     p.add_argument("--top-n", type=int, default=40)
-    p.add_argument("--tsv", action="store_true", help="batch mode: emit the ranking TSV")
+    # None when absent, so that the partner check sees it only when given
+    p.add_argument("--tsv", action="store_true", default=None, help="batch mode: emit the ranking TSV")
     p.set_defaults(func=cmd_anomaly)
 
     p = sub.add_parser(

@@ -85,23 +85,35 @@ def fnr_distance_matrix(cm: ConfusionMatrix) -> np.ndarray:
     return dist
 
 
-def _merges(dist: np.ndarray) -> list[tuple[float, int, int]]:
-    """The full average-linkage merge sequence as (distance, i, j) with i < j.
+_RESCAN_SLAB = 64  # rows per batched rescan in `_merges`, so its temporaries are 64 x n
+
+
+def _merges(
+    dist: np.ndarray, stop_at: Optional[float] = None, limit: Optional[int] = None
+) -> list[tuple[float, int, int]]:
+    """The average-linkage merge sequence as (distance, i, j) with i < j.
 
     Clusters are keyed by their smallest original point index; merging j into
     i keeps key i. Each merge takes the smallest (average distance, i, j)
     over the open pairs, which pins down every tie. Pair sums are accumulated
     instead of recomputed, and each open row caches its nearest open column
     to the right (Müllner's "generic" algorithm, kept exact), so a merge is
-    O(n) array work plus an O(n) rescan per row whose cached column was i or
-    j: O(n^2) time in all but contrived cases, and O(n^2) memory.
+    O(n) array work plus one batched O(n) rescan of each row whose cached
+    column was i or j: O(n^2) time in all but contrived cases, and O(n^2)
+    memory.
+
+    With no stopping point this is the whole dendrogram, n - 1 merges. It
+    stops before the first merge whose average is >= `stop_at`, and after
+    `limit` merges; every cut is a prefix of the whole list, since a merge
+    never depends on the ones after it.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
         raise ValueError("distance matrix must be square")
     if not (dist >= 0).all():  # also false at NaN; inf is a valid distance
         raise ValueError("distance matrix must be non-negative")
-    if not np.allclose(dist, dist.T):
+    # exact equality implies allclose, equal infs too, and costs a tenth as much
+    if not (dist == dist.T).all() and not np.allclose(dist, dist.T):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diagonal(dist) != 0):
         raise ValueError("distance matrix must have a zero diagonal")
@@ -111,34 +123,47 @@ def _merges(dist: np.ndarray) -> list[tuple[float, int, int]]:
     sizes = np.ones(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     # per open row k: its smallest average to an open c > k, the first such c,
-    # and whether there is any (a mask, not a sentinel: inf is a valid distance)
-    nearest_avg, nearest, has = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    # and whether there is any (a mask, not a sentinel: inf is a valid distance).
+    # A closed row, and an open one without such a c, holds inf as its average.
+    nearest_avg, nearest, has = np.full(n, np.inf), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
 
-    def rescan(k: int) -> None:
-        cols = k + 1 + np.flatnonzero(alive[k + 1 :])
-        has[k] = cols.size > 0
-        if has[k]:
-            avgs = sums[k, cols] / (sizes[k] * sizes[cols])
-            at = int(np.argmin(avgs))  # the first minimum: ties go to the smaller c
-            nearest_avg[k], nearest[k] = avgs[at], cols[at]
+    def rescan(rows: np.ndarray) -> None:
+        """Recompute the cache of `rows`: open rows, in ascending order."""
+        for start in range(0, rows.size, _RESCAN_SLAB):  # slabs bound the temporaries
+            r = rows[start : start + _RESCAN_SLAB]
+            cols = r[0] + alive[r[0] :].nonzero()[0]  # never empty: r[0] is open
+            avgs = sums[r[:, None], cols] / (sizes[r, None] * sizes[cols])
+            avgs[cols <= r[:, None]] = np.inf
+            # argmin's first minimum lies right of the row unless all its
+            # averages are inf; then a row scan takes its first open column.
+            # A row with no open column right of it takes its last column, an inf.
+            first = cols.searchsorted(r, side="right")
+            at = np.minimum(np.maximum(avgs.argmin(axis=1), first), cols.size - 1)
+            has[r] = first < cols.size
+            nearest_avg[r], nearest[r] = avgs[np.arange(r.size), at], cols[at]
 
-    stale, merges = range(n), []  # every row is scanned before the first merge
-    for _ in range(n - 1):
-        for k in stale:
-            rescan(k)
-        i = int(np.flatnonzero(has)[np.argmin(nearest_avg[has])])  # the first row: smallest (avg, i, j)
+    stale, merges = np.arange(n), []  # every row is scanned before the first merge
+    for _ in range(n - 1 if limit is None else min(limit, n - 1)):
+        rescan(stale)
+        # the first row with the smallest average, one with `has`: if every
+        # average is inf, that is row 0, which a merge never closes
+        i = int(nearest_avg.argmin())
+        if stop_at is not None and nearest_avg[i] >= stop_at:
+            break
         j = int(nearest[i])
         merges.append((float(nearest_avg[i]), i, j))
         sums[i] += sums[j]
         sums[:, i] = sums[i]
         sizes[i] += sizes[j]
         alive[j] = has[j] = False
-        stale = np.flatnonzero(has & ((nearest == i) | (nearest == j)))
+        nearest_avg[j] = np.inf
+        stale = (has & ((nearest == i) | (nearest == j))).nonzero()[0]
         # a row left of i takes i if its new average is smaller, or equal and i the smaller column
-        rows = np.flatnonzero(has[:i])
-        avgs = sums[rows, i] / (sizes[rows] * sizes[i])
-        won = (avgs < nearest_avg[rows]) | ((avgs == nearest_avg[rows]) & (i < nearest[rows]))
-        nearest_avg[rows[won]], nearest[rows[won]] = avgs[won], i
+        avgs = sums[:i, i] / (sizes[:i] * sizes[i])
+        left = nearest_avg[:i]
+        won = has[:i] & ((avgs < left) | ((avgs == left) & (nearest[:i] > i)))
+        left[won] = avgs[won]
+        nearest[:i][won] = i
     return merges
 
 
@@ -158,8 +183,9 @@ def agglomerative_cluster(
 ) -> ClusterMap:
     """Cluster `labels` by the distance matrix, cut by count or threshold.
 
-    With a threshold, merging stops when the smallest linkage distance is at
-    or above it (sklearn-style semantics).
+    With a threshold, merging stops before the first merge whose average
+    distance is at or above it (sklearn-style semantics); with a count, after
+    n - n_clusters merges. The merges past the cut are never computed.
     """
     n = dist.shape[0]
     if len(labels) != n:
@@ -169,18 +195,18 @@ def agglomerative_cluster(
     if n_clusters is not None and not 1 <= n_clusters <= n:
         raise InvalidCut(f"n_clusters must be in [1, {n}]")
 
-    merges = _merges(dist)
     if n_clusters is not None:
-        kept = n - n_clusters
+        merges = _merges(dist, limit=n - n_clusters)
     else:
-        kept = next((k for k, (avg, _, _) in enumerate(merges) if avg >= distance_threshold), len(merges))
-    groups = _replay(n, merges[:kept])
+        merges = _merges(dist, stop_at=distance_threshold)
+    groups = _replay(n, merges)
     return ClusterMap.from_groups([[labels[i] for i in g] for g in groups])
 
 
 def _bisect(indices: list[int], dist: np.ndarray) -> tuple[list[int], list[int]]:
-    """Undo the top merge of the subtree over `indices`: all merges but the last."""
-    parts = _replay(len(indices), _merges(dist[np.ix_(indices, indices)])[:-1])
+    """Undo the top merge of the subtree over `indices`: replay all merges
+    but the last, which is never computed."""
+    parts = _replay(len(indices), _merges(dist[np.ix_(indices, indices)], limit=len(indices) - 2))
     return [indices[i] for i in parts[0]], [indices[i] for i in parts[1]]
 
 

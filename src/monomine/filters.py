@@ -136,6 +136,8 @@ class WordList:
         if self.kind not in ("frequency", "tfiif"):
             raise ValueError(f"unknown wordlist kind: {self.kind!r}")
         scores = [s for _, s in self.entries]
+        if any(map(math.isnan, scores)):  # NaN compares false both ways, hiding disorder
+            raise ValueError("a score is NaN")
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError("entries must be sorted by descending score")
         tokens = [t for t, _ in self.entries]
@@ -153,8 +155,8 @@ class WordList:
 
     @classmethod
     def load_tsv(cls, path: str | Path, lang: str, kind: str) -> "WordList":
-        """The list `save_tsv` wrote. A malformed line, scores out of order or
-        a repeated token raise ParseError with the path."""
+        """The list `save_tsv` wrote. A malformed line, a NaN score, scores
+        out of order or a repeated token raise ParseError with the path."""
         entries = tuple(read_tsv_pairs(path, float))
         try:
             return cls(lang, kind, entries)
@@ -264,10 +266,6 @@ def filter_doc_consistency(
 class Histogram:
     bin_width: float
     counts: tuple[int, ...]
-
-    @property
-    def edges(self) -> list[float]:
-        return [i * self.bin_width for i in range(len(self.counts) + 1)]
 
     def to_dict(self) -> dict:
         return {"bin_width": self.bin_width, "counts": list(self.counts)}

@@ -365,9 +365,6 @@ class ConfusionMatrix:
         denom = self.counts[i].sum()
         return float(self.counts[i, i] / denom) if denom else 0.0
 
-    def fnr(self, lang: str) -> float:
-        return 1.0 - self.recall(lang)
-
     def pairwise_fnr(self, lang: str, other: str) -> float:
         """Fraction of `lang` examples mis-predicted as `other`."""
         i, j = self.index(lang), self.index(other)

@@ -144,6 +144,7 @@ class TestExitCodes:
             (["anomaly", "--corpus", "c.txt"], "--corpus needs --reference"),
             (["anomaly", "--corpus-dir", "d"], "--corpus-dir needs --reference-dir"),
             (["anomaly", "--reference", "r.txt"], "one of the arguments --corpus --corpus-dir is required"),
+            (["anomaly", "--corpus", "c.txt", "--reference", "r.txt", "--tsv"], "--tsv needs --corpus-dir"),
             (["dedup", "--input", "c.txt"], "--input needs --output"),
             (["dedup", "--input-dir", "d"], "--input-dir needs --output-dir"),
             (["dedup", "--input", "c.txt", "--input-dir", "d"], "argument --input-dir: not allowed with argument --input"),

@@ -304,6 +304,19 @@ class TestMerges:
     def test_matches_reference(self, dist):
         assert _merges(dist) == reference_merges(dist)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dist=distance_matrices(),
+        t=st.one_of(st.sampled_from((0.25, 0.5, 0.75, 1.0, math.inf)), st.floats(0.0, 1.0)),
+        k=st.integers(0, 30),
+    )
+    def test_cut_is_a_prefix_of_the_reference(self, dist, t, k):
+        # the quarter thresholds equal some averages exactly, so a cut at a tie is drawn often
+        full = reference_merges(dist)
+        below = next((m for m, (avg, _, _) in enumerate(full) if avg >= t), len(full))
+        assert _merges(dist, stop_at=t) == full[:below]
+        assert _merges(dist, limit=k) == full[:k]
+
     @pytest.mark.parametrize("value", [-math.inf, -0.5, math.nan])
     def test_negative_or_nan_distances_raise(self, value):
         # {-inf, inf} would merge into nan heights, at which a threshold cut never stops
@@ -316,6 +329,16 @@ class TestMerges:
         rng = np.random.default_rng(250)
         dist = symmetric(n, rng.choice((0.25, 0.5, 0.75, 1.0), size=n * (n - 1) // 2))
         assert _merges(dist) == reference_merges(dist)
+
+    def test_threshold_cut_matches_reference_at_250_languages(self):
+        n = 250
+        rng = np.random.default_rng(251)
+        dist = symmetric(n, rng.choice((0.25, 0.5, 0.75, 1.0), size=n * (n - 1) // 2))
+        full = reference_merges(dist)
+        for t in (0.5, 0.6, 0.625):  # 0.5 and 0.625 are merge heights: ties at the cut
+            below = next(m for m, (avg, _, _) in enumerate(full) if avg >= t)
+            assert 0 < below < n - 1
+            assert _merges(dist, stop_at=t) == full[:below], f"t {t}"
 
     def test_peak_memory_is_below_three_matrices(self):
         n = 400

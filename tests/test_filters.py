@@ -344,8 +344,13 @@ class TestFrequencyWordlist:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("a\t1\nb\t2\n", "entries must be sorted by descending score"), ("a\t2\na\t1\n", "tokens must be unique")],
-        ids=["unsorted", "repeated"],
+        [
+            ("a\t1\nb\t2\n", "entries must be sorted by descending score"),
+            ("a\t2\na\t1\n", "tokens must be unique"),
+            ("a\t2\nb\tnan\nc\t5\n", "a score is NaN"),  # a < b is false at NaN, either side
+            ("a\tnan\n", "a score is NaN"),
+        ],
+        ids=["unsorted", "repeated", "nan-hides-disorder", "lone-nan"],
     )
     def test_load_tsv_bad_entries_name_the_path(self, tmp_path, text, message):
         path = tmp_path / "aa.tsv"

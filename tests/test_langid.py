@@ -619,7 +619,6 @@ class TestRates:
         for lang in ("A", "B"):
             assert cm.precision(lang) == 1.0
             assert cm.recall(lang) == 1.0
-            assert cm.fnr(lang) == 0.0
         assert cm.fdr("B", "A") == 0.0
 
     def test_fdr_definition(self):
@@ -636,7 +635,6 @@ class TestRates:
             row = counts[i].sum()
             assert cm.precision(lang) == pytest.approx(counts[i, i] / col if col else 0.0)
             assert cm.recall(lang) == pytest.approx(counts[i, i] / row if row else 0.0)
-            assert cm.fnr(lang) == pytest.approx(1 - (counts[i, i] / row if row else 0.0))
             for j, other in enumerate(cm.languages):
                 if i != j:
                     assert cm.fdr(other, lang) == pytest.approx(counts[j, i] / row if row else 0.0)
@@ -647,8 +645,12 @@ class TestRates:
             counts = rng.integers(0, 5, size=(4, 4))
             counts[2] = 0  # force a zero row
             cm = ConfusionMatrix(("a", "b", "c", "d"), counts)
-            for lang in cm.languages:
-                assert cm.recall(lang) + cm.fnr(lang) == 1.0
+            for i, lang in enumerate(cm.languages):
+                row = counts[i].sum()
+                if row:  # recall and the row's off-diagonal share, its false-negative rate
+                    assert cm.recall(lang) + (row - counts[i, i]) / row == pytest.approx(1.0)
+                else:
+                    assert cm.recall(lang) == 0.0
             # matrix consistency: row sums count every example once
             assert counts.sum() == sum(cm.counts[cm.index(lang)].sum() for lang in cm.languages)
 
