@@ -1,14 +1,15 @@
 """Byte-identity gate: the pipeline's output for fixed inputs, as sha256 digests.
 
-The LangID model's weights are checked in (`golden/model.npz`), so the gate
-does not depend on how training rounds its floats. Crawl, wordlists, IIF
+The LangID models' weights are checked in (`golden/model.npz`, and
+`golden/decluster_model.npz` for one decluster config), so the gate does not
+depend on how training rounds its floats. Crawl, wordlists, IIF
 table and gold corpora come from `build_env(plant_negative=True)`. Each config
 below runs the pipeline once; the digest of each output corpus, and of
 `manifests.json` with its timings and config hashes taken out, must equal
 `golden/digests.json`, and so must the default config's at other annotate
 chunk sizes. A change that means to alter the output rewrites the
 digests with `python tests/test_golden.py`; `--model` also retrains and
-rewrites the model first.
+rewrites the models first.
 """
 
 import hashlib
@@ -21,14 +22,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monomine.langid import FeatureSpec, LangIdModel, load_model
+from monomine.langid import FeatureSpec, LangIdModel, TrainConfig, load_model, save_model, train
 from monomine import pipeline
 from monomine.pipeline import _SECTIONS, PipelineConfig, run_pipeline
 
+import synth
 from pipeline_env import build_env
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODEL_PATH = GOLDEN / "model.npz"
+DECLUSTER_MODEL_PATH = GOLDEN / "decluster_model.npz"
 DIGESTS_PATH = GOLDEN / "digests.json"
 
 
@@ -50,6 +53,12 @@ def _own_decluster_model(raw):
     raw["stages"]["decluster"] = {"model": "decluster.bin"}
 
 
+def _decluster_model_without_en(raw):
+    # a model of another spec that has no `en`: it sends every `en` sentence
+    # out of its cluster, so this config tells which model decluster routes on
+    raw["stages"]["decluster"] = {"model": "decluster_without_en.bin"}
+
+
 def _tfiif_gate_open(raw, **options):
     raw["stages"]["tfiif"].update(rrr_threshold=0.0, min_crawl_removed=0.0, min_recall=0.0, **options)
 
@@ -67,6 +76,7 @@ CONFIGS = {
     "dedup_global": _set("dedup_global", True),
     **{f"workers_{n}": _set("workers", n) for n in (1, 2, 8)},
     "decluster_model": _own_decluster_model,
+    "decluster_model_without_en": _decluster_model_without_en,
     "tfiif_gate_open": _tfiif_gate_open,
     # a 41-token list cuts through tied scores in four languages, and dozens
     # of sentences have exactly half their tokens in it
@@ -95,6 +105,15 @@ def load_golden_model(path: Path = MODEL_PATH) -> LangIdModel:
         return LangIdModel(spec, tuple(z["languages"].tolist()), z["buckets"], z["weights"], z["bias"])
 
 
+def train_decluster_model() -> LangIdModel:
+    """The model of `decluster_model_without_en`: trained as `build_env`
+    trains the annotation model, on the same examples less those of `en`,
+    with other n-gram orders, bucket count and hash seed."""
+    examples = [(text, lang) for text, lang in synth.labeled_examples(synth.make_langs(), 300, 1) if lang != "en"]
+    spec = FeatureSpec(ngram_orders=(1, 2, 3), n_buckets=1 << 15, hash_seed=1)
+    return train(examples, spec, TrainConfig(epochs=60, learning_rate=20.0))
+
+
 def output_digests(out_dir: Path) -> dict[str, str]:
     """sha256 of each output corpus, and of the manifest less what differs between equal runs."""
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.glob("*.txt"))}
@@ -111,6 +130,7 @@ def output_digests(out_dir: Path) -> dict[str, str]:
 def build_golden_env(root: Path):
     env = build_env(root, plant_negative=True, model=load_golden_model())
     shutil.copyfile(root / "langid.bin", root / "decluster.bin")
+    save_model(load_golden_model(DECLUSTER_MODEL_PATH), root / "decluster_without_en.bin")
     return env
 
 
@@ -154,6 +174,7 @@ def _rewrite(retrain: bool) -> None:
         if retrain:
             build_env(root / "train", plant_negative=True)
             save_golden_model(load_model(root / "train" / "langid.bin"), MODEL_PATH)
+            save_golden_model(train_decluster_model(), DECLUSTER_MODEL_PATH)
         env = build_golden_env(root / "env")
         digests = {name: run_config(env, name, root / name) for name in CONFIGS}
     DIGESTS_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
