@@ -227,7 +227,9 @@ def cmd_filter_decluster(args) -> dict:
     for path in sorted(Path(args.input_dir).glob("cluster-*.txt")):
         cid = int(path.stem.split("-", 1)[1])
         cluster_corpora[cid] = corpus_mod.read_corpus(path, f"cluster:{cid}")
-    corpora, reports = filters.decluster(cluster_corpora, model, clusters)
+    sentences = [s for corpus in cluster_corpora.values() for s in corpus.sentences]
+    predicted = dict(zip(sentences, (lang for lang, _ in model.predict_batch(sentences))))
+    corpora, reports = filters.decluster(cluster_corpora, predicted, clusters)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for lang, corpus in corpora.items():

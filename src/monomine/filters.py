@@ -1,9 +1,11 @@
 """The filtering cascade that turns an annotated crawl into per-language corpora.
 
 Stages, in pipeline order: document-consistency filtering at cluster level,
-percent-threshold wordlist filtering, second-stage declustering with a
-(possibly different) predictor, TF-IIF filtering gated by the relative recall
-rate, and hand-authored negative token filters.
+percent-threshold wordlist filtering, second-stage declustering that routes
+on the languages of a (possibly different) predictor, TF-IIF filtering gated
+by the relative recall rate, and hand-authored negative token filters. Only
+`annotate_document` runs a predictor: the pipeline records the languages
+decluster routes on at annotation.
 """
 
 from __future__ import annotations
@@ -350,20 +352,18 @@ def filter_wordlist(
 
 def decluster(
     cluster_corpora: Mapping[int, MonoCorpus],
-    predictor: Predictor,
+    predicted: Mapping[str, str],
     clusters: Optional[ClusterMap],
-    predicted: Optional[Mapping[str, str]] = None,
 ) -> tuple[dict[str, MonoCorpus], dict[str, StageReport]]:
-    """Split cluster corpora into per-language corpora by a second prediction.
+    """Split cluster corpora into per-language corpora: each sentence goes to
+    its language in `predicted`, which must hold every sentence.
 
-    Earlier annotations are ignored, unless `predicted` holds each
-    sentence's language as `predictor` already gave it: then the predictor
-    is not called again. A sentence whose predicted language falls outside
-    its cluster is dropped, and counted in the report of its cluster corpus;
-    the reports are in label order. With no cluster map every language is a
-    member of every cluster: nothing is dropped, and only languages
-    predicted at least once get a corpus. The output corpora share the
-    token table of the first input corpus.
+    A sentence whose language falls outside its cluster is dropped, and
+    counted in the report of its cluster corpus; the reports are in label
+    order. With no cluster map every language is a member of every cluster:
+    nothing is dropped, and only languages predicted at least once get a
+    corpus. The output corpora share the token table of the first input
+    corpus.
     """
     routed: dict[str, list[str]] = {}
     dropped: dict[str, int] = {}
@@ -372,11 +372,8 @@ def decluster(
         members = None if clusters is None else set(clusters.members.get(cid, ()))
         for lang in members or ():
             routed.setdefault(lang, [])
-        if predicted is None:
-            langs = [lang for lang, _ in predictor.predict_batch(corpus.sentences)]
-        else:
-            langs = [predicted[sentence] for sentence in corpus.sentences]
-        for sentence, lang in zip(corpus.sentences, langs):
+        for sentence in corpus.sentences:
+            lang = predicted[sentence]
             if members is None or lang in members:
                 routed.setdefault(lang, []).append(sentence)
             else:

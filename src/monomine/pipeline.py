@@ -214,12 +214,13 @@ class PipelineResult:
 @dataclass
 class _Run:
     """What a stage needs besides its corpora: the config, and what the
-    annotate stage loaded and predicted for the stages after it."""
+    annotate stage loaded and predicted for the stages after it. `predicted`
+    holds the language decluster routes each crawl text to: the decluster
+    model's prediction if one is configured, else annotate's own."""
 
     config: PipelineConfig
-    model: Optional[Predictor] = None
     clusters: Optional[ClusterMap] = None
-    predicted: dict[str, str] = field(default_factory=dict)  # text -> annotated language, if decluster reads it
+    predicted: dict[str, str] = field(default_factory=dict)
 
 
 # Sentences per annotate batch: as many as one LangID scoring call takes.
@@ -303,18 +304,21 @@ def _ingest(run: _Run, _: None) -> tuple[list[Document], dict[str, dict]]:
 
 def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str, dict]]:
     config = run.config
-    run.model = load_model(config.resolve(config.model))
+    model = load_model(config.resolve(config.model))
     run.clusters = ClusterMap.load_json(config.resolve(config.clusters))
-    missing = [lang for lang in run.model.languages if lang not in run.clusters.assignment]
+    missing = [lang for lang in model.languages if lang not in run.clusters.assignment]
     if missing:
         raise ConfigError(f"model languages missing from cluster map: {', '.join(missing)}")
-    docs = list(_annotate_all(docs, run.model, run.clusters, config.workers))
-    if not config.decluster.model:
-        # rows are predicted independently, so a text's prediction is the same
-        # in any batch, and decluster, with no model of its own, reuses it
-        run.predicted = {s.text: s.predicted_lang for d in docs for s in d.sentences}
-    n_sentences = sum(len(d.sentences) for d in docs)
-    return docs, {"*": StageReport("annotate", n_sentences, n_sentences).to_dict()}
+    docs = list(_annotate_all(docs, model, run.clusters, config.workers))
+    # rows are predicted independently, so a text's language is the same in
+    # any batch and whichever stage predicts it
+    texts = [s.text for d in docs for s in d.sentences]
+    if config.decluster.model:
+        langs = [lang for lang, _ in load_model(config.resolve(config.decluster.model)).predict_batch(texts)]
+    else:
+        langs = [s.predicted_lang for d in docs for s in d.sentences]
+    run.predicted = dict(zip(texts, langs))
+    return docs, {"*": StageReport("annotate", len(texts), len(texts)).to_dict()}
 
 
 def _doc_consistency(run: _Run, docs: list[Document]) -> tuple[dict, dict[str, dict]]:
@@ -340,16 +344,11 @@ def _wordlist(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, 
 
 
 def _decluster(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict, dict[str, dict]]:
-    """Each sentence to its predicted language, dropping those outside their
-    cluster; disabled, the stage routes with no cluster map and drops
-    nothing. With no decluster model of its own, it routes on annotate's
-    predictions rather than predicting again."""
-    cfg = run.config.decluster
-    clusters = run.clusters if cfg.enabled else None
-    if cfg.model:
-        corpora, reports = filters.decluster(cluster_corpora, load_model(run.config.resolve(cfg.model)), clusters)
-    else:
-        corpora, reports = filters.decluster(cluster_corpora, run.model, clusters, predicted=run.predicted)
+    """Each sentence to the language annotate predicted for decluster,
+    dropping those outside their cluster; disabled, the stage routes with no
+    cluster map and drops nothing."""
+    clusters = run.clusters if run.config.decluster.enabled else None
+    corpora, reports = filters.decluster(cluster_corpora, run.predicted, clusters)
     return corpora, _entries(reports)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from monomine import filters, langid, pipeline
 from monomine.clustering import ClusterMap
-from monomine.corpus import Document, MonoCorpus, SentenceRecord, load_documents
+from monomine.corpus import Document, SentenceRecord, load_documents
 from monomine.pipeline import ANNOTATE_CHUNK, PipelineConfig, run_pipeline
 
 from pipeline_env import build_env
@@ -84,8 +84,7 @@ def test_batch_predictions_reach_the_traced_function(monkeypatch):
     model.predict_batch(["a"])
     doc = Document("d", (SentenceRecord("b"), SentenceRecord("c")))
     filters.annotate_document(doc, model, ClusterMap.from_groups([["aa", "bb"]]))
-    filters.decluster({0: MonoCorpus.from_sentences("cluster:0", ["d"])}, model, None)
-    assert seen == [["a"], ["b", "c"], ["d"]]
+    assert seen == [["a"], ["b", "c"]]
 
 
 @pytest.fixture(scope="module")

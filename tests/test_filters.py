@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import random
 import re
 import sys
 import unicodedata
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monomine import filters, langid
+from monomine import filters
 from monomine.clustering import ClusterMap
 from monomine.corpus import Document, MonoCorpus, SentenceRecord
 from monomine.errors import (
@@ -407,8 +406,7 @@ class TestDecluster:
         clusters = ClusterMap.from_groups([["aa", "bb"]])
         cid = clusters.cluster_of("aa")
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x", "y", "x2"])}
-        predictor = MappingPredictor({"x": "aa", "x2": "aa", "y": "bb"})
-        out, _ = decluster(corpora, predictor, clusters)
+        out, _ = decluster(corpora, {"x": "aa", "x2": "aa", "y": "bb"}, clusters)
         assert out["aa"].sentences == ("x", "x2")
         assert out["bb"].sentences == ("y",)
 
@@ -416,7 +414,7 @@ class TestDecluster:
         clusters = ClusterMap.from_groups([["aa"], ["zz"]])
         cid = clusters.cluster_of("aa")
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x", "y"])}
-        out, reports = decluster(corpora, MappingPredictor({"y": "zz"}, default="aa"), clusters)
+        out, reports = decluster(corpora, {"x": "aa", "y": "zz"}, clusters)
         assert out["aa"].sentences == ("x",)
         assert reports[f"cluster:{cid}"].dropped_by_reason == {"out_of_cluster": 1}
 
@@ -425,9 +423,8 @@ class TestDecluster:
         cid = clusters.cluster_of("aa")
         sentences = [f"s{i}" for i in range(50)]
         mapping = {s: rng.choice(["aa", "bb", "zz"]) for s in sentences}
-        predictor = MappingPredictor(mapping)
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", sentences)}
-        out, _ = decluster(corpora, predictor, clusters)
+        out, _ = decluster(corpora, mapping, clusters)
         for lang in ("aa", "bb"):
             assert list(out[lang].sentences) == [s for s in sentences if mapping[s] == lang]
 
@@ -439,27 +436,15 @@ class TestDecluster:
             clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", sentences[:25]),
             clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", sentences[25:]),
         }
-        out, _ = decluster(corpora, MappingPredictor(mapping), clusters)
+        out, _ = decluster(corpora, mapping, clusters)
         seen =  [s for lang in sorted(out) for s in out[lang].sentences]
         assert len(seen) == len(set(seen))  # pairwise disjoint
-
-    def test_recorded_predictions_replace_the_predictor(self, rng):
-        clusters = ClusterMap.from_groups([["aa", "bb"], ["cc"]])
-        sentences = [f"s{i}" for i in range(40)]
-        mapping = {s: rng.choice(["aa", "bb", "cc"]) for s in sentences}
-        corpora = {
-            clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", sentences[:25]),
-            clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", sentences[25:]),
-        }
-        fresh = decluster(corpora, MappingPredictor(mapping), clusters)
-        recorded = decluster(corpora, None, clusters, predicted=mapping)
-        assert recorded == fresh  # corpora and reports
 
     def test_member_predicted_nowhere_gets_an_empty_corpus(self):
         clusters = ClusterMap.from_groups([["aa", "bb"]])
         cid = clusters.cluster_of("aa")
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x"])}
-        out, reports = decluster(corpora, MappingPredictor({}, default="aa"), clusters)
+        out, reports = decluster(corpora, {"x": "aa"}, clusters)
         assert out["bb"].sentences == ()
         assert (reports["bb"].n_in, reports["bb"].n_out) == (0, 0)
 
@@ -469,34 +454,9 @@ class TestDecluster:
             clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", ["x", "y"]),
             clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", ["z"]),
         }
-        out, reports = decluster(corpora, MappingPredictor({"x": "cc", "y": "aa", "z": "aa"}), None)
+        out, reports = decluster(corpora, {"x": "cc", "y": "aa", "z": "aa"}, None)
         assert {lang: c.sentences for lang, c in out.items()} == {"aa": ("y", "z"), "cc": ("x",)}
         assert all(rep.n_in == rep.n_out for rep in reports.values())
-
-
-    def test_own_model_scores_in_bounded_batches(self, two_lang_model, monkeypatch):
-        langs, model = two_lang_model
-        rng = random.Random(600)
-        clusters = ClusterMap.from_groups([["aa"], ["bb"]])
-        cid = clusters.cluster_of("aa")
-        sentences = [langs[rng.choice(["aa", "bb"])].sentence(rng) for _ in range(600)]
-        corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", sentences)}
-        # the reference: one scoring pass over the whole cluster corpus
-        best = np.argmax(langid._probabilities(model, sentences), axis=1)
-        want = tuple(s for s, i in zip(sentences, best) if model.languages[i] == "aa")
-        assert 0 < len(want) < len(sentences)
-        batches = []
-        real = langid._feature_matrix
-
-        def recording(texts, spec):
-            batches.append(len(texts))
-            return real(texts, spec)
-
-        monkeypatch.setattr(langid, "_feature_matrix", recording)
-        out, reports = decluster(corpora, model, clusters)
-        assert batches == [256, 256, 88]
-        assert {lang: c.sentences for lang, c in out.items()} == {"aa": want}
-        assert reports[f"cluster:{cid}"].dropped_by_reason == {"out_of_cluster": len(sentences) - len(want)}
 
 
 class TestIifTable:

@@ -312,7 +312,9 @@ class TestCompositionOracle:
                 for lang in clusters.members[cid]
             }
             filtered[cid], _ = filters.filter_wordlist(corpus, lists, 0.2)
-        corpora, _ = filters.decluster(filtered, model, clusters)
+        survivors = [s for corpus in filtered.values() for s in corpus.sentences]
+        predicted = dict(zip(survivors, (lang for lang, _ in model.predict_batch(survivors))))
+        corpora, _ = filters.decluster(filtered, predicted, clusters)
         iif = filters.IifTable.load(env.root / "iif.tsv")
         final, gates = {}, {}
         rules = filters.load_negative_rules(env.root / "rules.json")
@@ -431,7 +433,7 @@ class TestAnnotateChunks:
         full, rest = divmod(sum(sizes), chunk)
         assert sorted(predictor.batches, reverse=True) == [chunk] * full + ([rest] if rest else [])
 
-    def test_own_decluster_model_records_no_predictions(self, env, first_run, monkeypatch, tmp_path):
+    def test_own_decluster_model_predicts_every_crawl_sentence(self, env, first_run, monkeypatch, tmp_path):
         runs = []
 
         class Recording(pipeline._Run):
@@ -444,7 +446,10 @@ class TestAnnotateChunks:
         raw["output_dir"] = str(tmp_path / "out")
         raw["stages"]["decluster"] = {"model": "langid.bin"}  # the annotation model, loaded again
         run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
-        assert len(runs) == 1 and runs[0].predicted == {}
+        crawl = [s.text for doc in load_documents(env.crawl_path) for s in doc.sentences]
+        model = load_model(env.root / "langid.bin")
+        assert len(runs) == 1
+        assert runs[0].predicted == {text: lang for text, (lang, _) in zip(crawl, model.predict_batch(crawl))}
         config, _ = first_run
         assert output_bytes(tmp_path / "out") == output_bytes(config.resolve(config.output_dir))
 
