@@ -306,17 +306,37 @@ def build_frequency_wordlist(train_corpus: MonoCorpus, top: int = 800) -> WordLi
     return WordList(train_corpus.lang, "frequency", tuple((t, float(c)) for t, c in ranked))
 
 
+def _require(name: str, value: float, ok: bool, what: str) -> None:
+    if not ok:  # the range check of option `name`; a NaN fails every comparison
+        raise ValueError(f"{name}: expected {what}, got {value!r}")
+
+
+def check_fraction(name: str, value: float) -> None:
+    """ValueError, naming `name`, unless `value` is in [0, 1]."""
+    _require(name, value, 0 <= value <= 1, "a value in [0, 1]")
+
+
+def check_rrr_options(rho: float, rrr_threshold: float, min_crawl_removed: float, min_recall: float) -> None:
+    """ValueError, naming the option, unless `rrr_gate` can decide with these."""
+    _require("rho", rho, 0 < rho < math.inf, "a finite value above 0")
+    _require("rrr_threshold", rrr_threshold, 0 <= rrr_threshold < math.inf, "a finite value of at least 0")
+    check_fraction("min_crawl_removed", min_crawl_removed)
+    check_fraction("min_recall", min_recall)
+
+
 def _keep_by_fraction(
     stage: str, corpus: MonoCorpus, token_sets: Sequence[frozenset[str]], threshold: float
 ) -> tuple[list[str], StageReport]:
     """The corpus's sentences with >= threshold of their tokens in at least
     one token set, and the report of `stage`. Sentences with no tokens at all
-    are dropped and counted separately.
+    are dropped and counted separately. A threshold outside [0, 1] is a
+    ValueError.
 
     A sentence's in-list count is the rise of the running count of in-list
     tokens over its span; its fraction, that count over its length in
     float64, is the Python float division of the two.
     """
+    check_fraction("threshold", threshold)
     ids, lengths = corpus.table.flat(corpus.sentences)
     vocab, ends = corpus.table.vocab, np.cumsum(lengths)
     keep = np.zeros(len(lengths), bool)
@@ -514,10 +534,12 @@ def rrr_gate(
 
     Filter only when the relative recall rate exceeds the threshold, the
     filter would remove at least min_crawl_removed of the crawl, and the gold
-    recall stays at or above min_recall.
+    recall stays at or above min_recall. An input or option out of its
+    range, NaN included, is a ValueError that names it.
     """
-    if not (0.0 <= r_gold <= 1.0 and 0.0 <= r_crawl <= 1.0):
-        raise ValueError("r_gold and r_crawl must be in [0, 1]")
+    check_fraction("r_gold", r_gold)
+    check_fraction("r_crawl", r_crawl)
+    check_rrr_options(rho, rrr_threshold, min_crawl_removed, min_recall)
     reasons = []
     if r_crawl > 0:
         rrr = r_gold**rho / r_crawl

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import os
 import time
 from collections import deque
@@ -39,6 +38,15 @@ def _require(obj: Any, name: str, ok: bool, what: str) -> None:
         raise ConfigError(f"{name}: expected {what}, got {getattr(obj, name)!r}")
 
 
+def _checked(check: Callable[..., None], *args: Any) -> None:
+    """Run one of the range checks that `filters` makes of its options; its
+    ValueError, which names the option and so the field, is a ConfigError."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass
 class StageToggle:
     enabled: bool = True
@@ -54,7 +62,7 @@ class WordlistStageConfig(StageToggle):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _require(self, "threshold", 0 <= self.threshold <= 1, "a value in [0, 1]")
+        _checked(filters.check_fraction, "threshold", self.threshold)
 
 
 @dataclass
@@ -75,11 +83,9 @@ class TfiifStageConfig(StageToggle):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("threshold", "min_crawl_removed", "min_recall"):
-            _require(self, name, 0 <= getattr(self, name) <= 1, "a value in [0, 1]")
+        _checked(filters.check_fraction, "threshold", self.threshold)
         _require(self, "tau", self.tau >= 1, "at least 1")
-        _require(self, "rho", 0 < self.rho < math.inf, "a finite value above 0")
-        _require(self, "rrr_threshold", 0 <= self.rrr_threshold < math.inf, "a finite value of at least 0")
+        _checked(filters.check_rrr_options, self.rho, self.rrr_threshold, self.min_crawl_removed, self.min_recall)
 
 
 @dataclass

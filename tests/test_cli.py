@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -174,6 +175,43 @@ class TestExitCodes:
         assert main(["build", "iif", "--corpus", str(corpus), "--output", str(tmp_path / "iif.tsv")]) == 2
         assert "no tokens in corpus" in capsys.readouterr().err
         assert not (tmp_path / "iif.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["filter", "wordlist", "--corpus", "{corpus}", "--langs", "aa", "--lists", "{dir}",
+              "--threshold", "nan", "--output", "{out}"], "threshold: expected a value in [0, 1], got nan"),
+            (["filter", "wordlist", "--corpus", "{corpus}", "--langs", "aa", "--lists", "{dir}",
+              "--threshold", "-1", "--output", "{out}"], "threshold: expected a value in [0, 1], got -1.0"),
+            (["filter", "tfiif", "--corpus", "{corpus}", "--lang", "aa", "--list", "{list}",
+              "--threshold", "nan", "--output", "{out}"], "threshold: expected a value in [0, 1], got nan"),
+            (["rrr", "--r-gold", "0.9", "--r-crawl", "0.3", "--rho", "nan"],
+             "rho: expected a finite value above 0, got nan"),
+            (["rrr", "--r-gold", "0.9", "--r-crawl", "0.3", "--threshold", "nan"],
+             "rrr_threshold: expected a finite value of at least 0, got nan"),
+            (["rrr", "--r-gold", "0.9", "--r-crawl", "0.3", "--min-crawl-removed", "1.5"],
+             "min_crawl_removed: expected a value in [0, 1], got 1.5"),
+            (["rrr", "--r-gold", "0.9", "--r-crawl", "0.3", "--min-recall", "nan"],
+             "min_recall: expected a value in [0, 1], got nan"),
+            (["rrr", "--r-gold", "nan", "--r-crawl", "0.3"], "r_gold: expected a value in [0, 1], got nan"),
+        ],
+        ids=["wordlist-nan", "wordlist-negative", "tfiif-nan", "rrr-rho-nan", "rrr-threshold-nan",
+             "rrr-crawl-removed-above-1", "rrr-recall-nan", "rrr-gold-nan"],
+    )
+    def test_out_of_range_float_flag_is_2(self, capsys, tmp_path, argv, message):
+        paths = {"corpus": tmp_path / "corpus.txt", "dir": tmp_path / "lists", "list": tmp_path / "aa.tfiif",
+                 "out": tmp_path / "out.txt"}
+        paths["corpus"].write_text("a b\n")
+        paths["dir"].mkdir()
+        (paths["dir"] / "aa.txt").write_text("a\t2\n")
+        paths["list"].write_text("a\t2\nb\t1\n")
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err == f"monomine: error: {message}\n"
+        assert not paths["out"].exists()
+
+    def test_zero_crawl_survival_prints_infinite_rrr(self, capsys):
+        report = run_json(capsys, "rrr", "--r-gold", "0.9", "--r-crawl", "0")
+        assert report["rrr"] == math.inf
 
 
 class TestIngest:

@@ -630,8 +630,12 @@ class TestKeepByFraction:
         table = TokenTable()
         table.rows(earlier)
         corpus = MonoCorpus.from_sentences("aa", sentences, table=table)
-        expected = reference_keep_by_fraction("wordlist", sentences, token_sets, threshold)
-        assert _keep_by_fraction("wordlist", corpus, token_sets, threshold) == expected
+        if 0 <= threshold <= 1:
+            expected = reference_keep_by_fraction("wordlist", sentences, token_sets, threshold)
+            assert _keep_by_fraction("wordlist", corpus, token_sets, threshold) == expected
+        else:
+            with pytest.raises(ValueError, match=re.escape("threshold: expected a value in [0, 1]")):
+                _keep_by_fraction("wordlist", corpus, token_sets, threshold)
         counts = Counter(t for sentence in sentences for t in tokenize(sentence))
         if counts:
             assert token_counts(corpus) == counts
