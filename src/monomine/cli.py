@@ -227,7 +227,7 @@ def cmd_filter_decluster(args) -> dict:
     for path in sorted(Path(args.input_dir).glob("cluster-*.txt")):
         cid = int(path.stem.split("-", 1)[1])
         cluster_corpora[cid] = corpus_mod.read_corpus(path, f"cluster:{cid}")
-    sentences = [s for corpus in cluster_corpora.values() for s in corpus.sentences]
+    sentences = list(dict.fromkeys(s for corpus in cluster_corpora.values() for s in corpus.sentences))
     predicted = dict(zip(sentences, (lang for lang, _ in model.predict_batch(sentences))))
     corpora, reports = filters.decluster(cluster_corpora, predicted, clusters)
     out_dir = Path(args.output_dir)

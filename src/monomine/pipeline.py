@@ -318,13 +318,13 @@ def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str
     docs = list(_annotate_all(docs, model, run.clusters, config.workers))
     # rows are predicted independently, so a text's language is the same in
     # any batch and whichever stage predicts it
-    texts = [s.text for d in docs for s in d.sentences]
+    run.predicted = {s.text: s.predicted_lang for d in docs for s in d.sentences}
     if config.decluster.model:
-        langs = [lang for lang, _ in load_model(config.resolve(config.decluster.model)).predict_batch(texts)]
-    else:
-        langs = [s.predicted_lang for d in docs for s in d.sentences]
-    run.predicted = dict(zip(texts, langs))
-    return docs, {"*": StageReport("annotate", len(texts), len(texts)).to_dict()}
+        texts = list(run.predicted)  # each distinct text once
+        langs = (lang for lang, _ in load_model(config.resolve(config.decluster.model)).predict_batch(texts))
+        run.predicted = dict(zip(texts, langs))
+    n_sentences = sum(len(d.sentences) for d in docs)
+    return docs, {"*": StageReport("annotate", n_sentences, n_sentences).to_dict()}
 
 
 def _doc_consistency(run: _Run, docs: list[Document]) -> tuple[dict, dict[str, dict]]:

@@ -209,10 +209,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"monomine: error: {message}\n"
         assert not paths["out"].exists()
 
-    def test_zero_crawl_survival_prints_infinite_rrr(self, capsys):
-        report = run_json(capsys, "rrr", "--r-gold", "0.9", "--r-crawl", "0")
-        assert report["rrr"] == math.inf
-
 
 class TestIngest:
     def test_report_on_stdout(self, capsys, tmp_path):
@@ -313,6 +309,7 @@ class TestMetricCommands:
     def test_rrr(self, capsys):
         report = run_json(capsys, "rrr", "--r-gold", "0.9", "--r-crawl", "0.3")
         assert report["apply_filter"] is True
+        assert run_json(capsys, "rrr", "--r-gold", "0.9", "--r-crawl", "0")["rrr"] == math.inf
 
     def test_bins_and_hitrate(self, capsys, tmp_path):
         ranking = tmp_path / "ranking.txt"
