@@ -223,6 +223,7 @@ def cmd_filter_wordlist(args) -> dict:
 def cmd_filter_decluster(args) -> dict:
     model = langid.load_model(args.model)
     clusters = clustering.ClusterMap.load_json(args.clusters)
+    pipeline._check_languages(model, clusters, "decluster model")
     cluster_corpora = {}
     for path in sorted(Path(args.input_dir).glob("cluster-*.txt")):
         cid = int(path.stem.split("-", 1)[1])

@@ -8,6 +8,7 @@ reproducible; oversized clusters are re-split at their highest internal merge.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -96,11 +97,11 @@ def _merges(
     Clusters are keyed by their smallest original point index; merging j into
     i keeps key i. Each merge takes the smallest (average distance, i, j)
     over the open pairs, which pins down every tie. Pair sums are accumulated
-    instead of recomputed, and each open row caches its nearest open column
-    to the right (Müllner's "generic" algorithm, kept exact), so a merge is
-    O(n) array work plus one batched O(n) rescan of each row whose cached
-    column was i or j: O(n^2) time in all but contrived cases, and O(n^2)
-    memory.
+    and each open pair's average is stored, and each open row caches its
+    nearest open column to the right (Müllner's "generic" algorithm, kept
+    exact), so a merge is O(n) array work on row and column i plus an argmin
+    over the stored row of each row whose cached column was i or j: O(n^2)
+    time in all but contrived cases, and two n x n float matrices of memory.
 
     With no stopping point this is the whole dendrogram, n - 1 merges. It
     stops before the first merge whose average is >= `stop_at`, and after
@@ -117,52 +118,47 @@ def _merges(
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diagonal(dist) != 0):
         raise ValueError("distance matrix must have a zero diagonal")
-    # the upper triangle, mirrored: the input need only be symmetric to allclose
-    sums = np.triu(dist, 1).astype(float)
-    sums += sums.T
-    sizes = np.ones(n, dtype=np.int64)
+    # avg[k, c] for open k < open c, else inf. Sizes are 1, so it starts as the
+    # upper triangle, which mirrored gives the sums: dist need only be symmetric to allclose.
+    avg = np.triu(np.asarray(dist, dtype=float), 1)
+    sums = avg + avg.T
+    avg[np.tri(n, dtype=bool)] = np.inf
+    sizes = np.ones(n)  # a product of two sizes is below 2^53, so exact
     alive = np.ones(n, dtype=bool)
-    # per open row k: its smallest average to an open c > k, the first such c,
-    # and whether there is any (a mask, not a sentinel: inf is a valid distance).
-    # A closed row, and an open one without such a c, holds inf as its average.
-    nearest_avg, nearest, has = np.full(n, np.inf), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-
-    def rescan(rows: np.ndarray) -> None:
-        """Recompute the cache of `rows`: open rows, in ascending order."""
-        for start in range(0, rows.size, _RESCAN_SLAB):  # slabs bound the temporaries
-            r = rows[start : start + _RESCAN_SLAB]
-            cols = r[0] + alive[r[0] :].nonzero()[0]  # never empty: r[0] is open
-            avgs = sums[r[:, None], cols] / (sizes[r, None] * sizes[cols])
-            avgs[cols <= r[:, None]] = np.inf
-            # argmin's first minimum lies right of the row unless all its
-            # averages are inf; then a row scan takes its first open column.
-            # A row with no open column right of it takes its last column, an inf.
-            first = cols.searchsorted(r, side="right")
-            at = np.minimum(np.maximum(avgs.argmin(axis=1), first), cols.size - 1)
-            has[r] = first < cols.size
-            nearest_avg[r], nearest[r] = avgs[np.arange(r.size), at], cols[at]
+    # per row: the first column of its smallest average, and that average.
+    # Column 0 is right of no row, so a closed row, and an open one with no
+    # finite average, holds column 0 and inf.
+    nearest, nearest_avg = np.zeros(n, dtype=np.int64), np.full(n, np.inf)
 
     stale, merges = np.arange(n), []  # every row is scanned before the first merge
     for _ in range(n - 1 if limit is None else min(limit, n - 1)):
-        rescan(stale)
-        # the first row with the smallest average, one with `has`: if every
-        # average is inf, that is row 0, which a merge never closes
+        for start in range(0, stale.size, _RESCAN_SLAB):  # slabs bound the temporaries
+            r = stale[start : start + _RESCAN_SLAB]
+            rows = avg[r]
+            nearest[r], nearest_avg[r] = rows.argmin(axis=1), rows.min(axis=1)
         i = int(nearest_avg.argmin())
-        if stop_at is not None and nearest_avg[i] >= stop_at:
+        best = float(nearest_avg[i])
+        if stop_at is not None and best >= stop_at:
             break
-        j = int(nearest[i])
-        merges.append((float(nearest_avg[i]), i, j))
+        # if every average is inf, i is row 0, which a merge never closes,
+        # and it merges with its first open column
+        j = int(nearest[i]) if best < math.inf else 1 + int(alive[1:].argmax())
+        merges.append((best, i, j))
         sums[i] += sums[j]
         sums[:, i] = sums[i]
         sizes[i] += sizes[j]
-        alive[j] = has[j] = False
-        nearest_avg[j] = np.inf
-        stale = (has & ((nearest == i) | (nearest == j))).nonzero()[0]
+        alive[j], nearest[j] = False, 0
+        # with inf sums, j's averages in row and column i below are inf too
+        nearest_avg[j] = avg[:j, j] = sums[:, j] = np.inf
+        # a row holding column 0 gets a finite average only from the left update
+        stale = ((nearest == i) | (nearest == j) if i else nearest == j).nonzero()[0]
+        pair_avgs = sums[i] / (sizes[i] * sizes)  # i's averages, row i right of i and column i above
+        avg[i, i + 1 :] = pair_avgs[i + 1 :]
+        col = avg[:i, i] = pair_avgs[:i]
         # a row left of i takes i if its new average is smaller, or equal and i the smaller column
-        avgs = sums[:i, i] / (sizes[:i] * sizes[i])
         left = nearest_avg[:i]
-        won = has[:i] & ((avgs < left) | ((avgs == left) & (nearest[:i] > i)))
-        left[won] = avgs[won]
+        won = (col < left) | ((col == left) & (nearest[:i] > i))
+        left[won] = col[won]
         nearest[:i][won] = i
     return merges
 
@@ -194,6 +190,8 @@ def agglomerative_cluster(
         raise InvalidCut("give exactly one of n_clusters or distance_threshold")
     if n_clusters is not None and not 1 <= n_clusters <= n:
         raise InvalidCut(f"n_clusters must be in [1, {n}]")
+    if distance_threshold is not None and math.isnan(distance_threshold):
+        raise InvalidCut("distance_threshold must not be NaN")  # no average is >= NaN
 
     if n_clusters is not None:
         merges = _merges(dist, limit=n - n_clusters)
@@ -225,6 +223,8 @@ def resplit(
     m < 1 + 2/(1 - t), at most 10 at 0.8. With the default max_size, only
     count cuts and hand-made cluster maps get split.
     """
+    if max_size < 1:
+        raise InvalidCut("max_size must be >= 1")
     index = {lang: i for i, lang in enumerate(labels)}
     final_groups: list[list[str]] = []
     for group in cluster_map.members.values():

@@ -308,20 +308,30 @@ def _ingest(run: _Run, _: None) -> tuple[list[Document], dict[str, dict]]:
     return docs, {"*": entry}
 
 
+def _check_languages(model: Predictor, clusters: ClusterMap, what: str) -> None:
+    """ConfigError naming each of the model's languages the cluster map
+    lacks: a sentence predicted as one could reach no cluster."""
+    missing = [lang for lang in model.languages if lang not in clusters.assignment]
+    if missing:
+        raise ConfigError(f"{what} languages missing from cluster map: {', '.join(missing)}")
+
+
 def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str, dict]]:
     config = run.config
     model = load_model(config.resolve(config.model))
     run.clusters = ClusterMap.load_json(config.resolve(config.clusters))
-    missing = [lang for lang in model.languages if lang not in run.clusters.assignment]
-    if missing:
-        raise ConfigError(f"model languages missing from cluster map: {', '.join(missing)}")
+    _check_languages(model, run.clusters, "model")
+    decluster_model = None
+    if config.decluster.model:
+        decluster_model = load_model(config.resolve(config.decluster.model))
+        _check_languages(decluster_model, run.clusters, "decluster model")
     docs = list(_annotate_all(docs, model, run.clusters, config.workers))
     # rows are predicted independently, so a text's language is the same in
     # any batch and whichever stage predicts it
     run.predicted = {s.text: s.predicted_lang for d in docs for s in d.sentences}
-    if config.decluster.model:
+    if decluster_model is not None:
         texts = list(run.predicted)  # each distinct text once
-        langs = (lang for lang, _ in load_model(config.resolve(config.decluster.model)).predict_batch(texts))
+        langs = (lang for lang, _ in decluster_model.predict_batch(texts))
         run.predicted = dict(zip(texts, langs))
     n_sentences = sum(len(d.sentences) for d in docs)
     return docs, {"*": StageReport("annotate", n_sentences, n_sentences).to_dict()}

@@ -11,6 +11,7 @@ from monomine.clustering import ClusterMap
 from monomine.corpus import MonoCorpus, load_documents, read_annotated, read_corpus, write_corpus
 
 from pipeline_env import build_env
+from test_golden import save_golden_decluster_model_renamed
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,23 @@ class TestExitCodes:
         code = main(["cluster", "--confusion", str(confusion), "--output", str(tmp_path / "c.json")])
         assert code == 2
         assert capsys.readouterr().err == f"monomine: error: {confusion}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--distance-threshold", "nan"], "distance_threshold must not be NaN"),
+            (["--max-size", "0"], "max_size must be >= 1"),
+            (["--max-size", "-3"], "max_size must be >= 1"),
+        ],
+        ids=["nan-threshold", "max-size-0", "max-size-negative"],
+    )
+    def test_invalid_cut_is_2(self, capsys, tmp_path, option, message):
+        confusion = tmp_path / "cm.json"
+        confusion.write_text('{"languages": ["aa", "bb", "cc"], "counts": [[8, 2, 0], [3, 7, 0], [0, 1, 9]]}')
+        out = tmp_path / "c.json"
+        assert main(["cluster", "--confusion", str(confusion), "--output", str(out), *option]) == 2
+        assert capsys.readouterr().err == f"monomine: error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -476,6 +494,21 @@ class TestPipelineCommands:
 class TestFilterCommands:
     """Each `filter` subcommand prints the report of the library call it wraps
     and writes that call's corpora."""
+
+    def test_decluster_model_language_missing_from_clusters_is_2(self, capsys, env, tmp_path):
+        # routing on a language the map lacks would drop all its sentences as out_of_cluster
+        save_golden_decluster_model_renamed(tmp_path / "zz.bin", "ee", "zz")
+        crawl = [s.text for doc in load_documents(env.crawl_path) for s in doc.sentences]
+        ee = [text for text in crawl if env.truth[text] == "ee"]
+        (tmp_path / "in").mkdir()
+        write_corpus(MonoCorpus.from_sentences("x", ee), tmp_path / "in" / "cluster-0.txt")
+        out = tmp_path / "out"
+        argv = ["--input-dir", tmp_path / "in", "--model", tmp_path / "zz.bin",
+                "--clusters", env.root / "clusters.json", "--output-dir", out]
+        assert main(["filter", "decluster", *map(str, argv)]) == 2
+        message = "decluster model languages missing from cluster map: zz"
+        assert capsys.readouterr().err == f"monomine: error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("stage", ["wordlist", "decluster", "tfiif", "negative"])
     def test_report_and_corpus_equal_the_library_call(self, capsys, env, tmp_path, stage):

@@ -101,6 +101,8 @@ VALUES = st.sampled_from(
         st.sampled_from((0.25, 0.5, 0.75, 1.0)),
         st.sampled_from((0.5, 1.0)),
         st.sampled_from((0.5, 1.0, math.inf)),
+        # mostly inf: rows without a finite average, and merges when every average is inf
+        st.sampled_from((0.5, math.inf, math.inf, math.inf)),
         st.floats(0.0, 1.0),
     ]
 )
@@ -222,6 +224,9 @@ class TestAgglomerative:
         # threshold below every distance: nothing merges
         cmap2 = agglomerative_cluster(dist, list("abcd"), distance_threshold=0.05)
         assert len(cmap2.members) == 4
+        # a negative threshold merges nothing, an infinite one everything
+        assert len(agglomerative_cluster(dist, list("abcd"), distance_threshold=-1.0).members) == 4
+        assert len(agglomerative_cluster(dist, list("abcd"), distance_threshold=math.inf).members) == 1
 
     def test_distance_threshold_matches_scipy(self):
         # a threshold strictly between two merge heights cuts scipy's
@@ -286,6 +291,8 @@ class TestAgglomerative:
             agglomerative_cluster(dist, list("abcd"))
         with pytest.raises(InvalidCut):
             agglomerative_cluster(dist, list("abcd"), n_clusters=2, distance_threshold=0.5)
+        with pytest.raises(InvalidCut, match="NaN"):
+            agglomerative_cluster(dist, list("abcd"), distance_threshold=math.nan)  # no average is >= NaN
 
     def test_partition_property(self):
         rng = random.Random(4)
@@ -353,6 +360,15 @@ class TestMerges:
 
 
 class TestResplit:
+    @pytest.mark.parametrize("max_size", [0, -3])
+    def test_max_size_below_one_raises(self, max_size):
+        # no bisection makes a part of one language smaller
+        dist = random_distance_matrix(random.Random(5), 6)
+        labels = [f"x{i}" for i in range(6)]
+        cmap = agglomerative_cluster(dist, labels, n_clusters=2)
+        with pytest.raises(InvalidCut, match="max_size must be >= 1"):
+            resplit(cmap, dist, labels, max_size=max_size)
+
     def test_small_clusters_unchanged(self):
         dist = random_distance_matrix(random.Random(5), 6)
         labels = [f"x{i}" for i in range(6)]

@@ -12,6 +12,7 @@ digests with `python tests/test_golden.py`; `--model` also retrains and
 rewrites the models first.
 """
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -103,6 +104,13 @@ def load_golden_model(path: Path = MODEL_PATH) -> LangIdModel:
     with np.load(path) as z:
         spec = FeatureSpec(tuple(z["ngram_orders"].tolist()), int(z["n_buckets"]), int(z["hash_seed"]))
         return LangIdModel(spec, tuple(z["languages"].tolist()), z["buckets"], z["weights"], z["bias"])
+
+
+def save_golden_decluster_model_renamed(path: Path, old: str, new: str) -> None:
+    """Save the golden decluster model with its language `old` renamed `new`."""
+    model = load_golden_model(DECLUSTER_MODEL_PATH)
+    languages = tuple(new if lang == old else lang for lang in model.languages)
+    save_model(dataclasses.replace(model, languages=languages), path)
 
 
 def train_decluster_model() -> LangIdModel:

@@ -28,6 +28,7 @@ from monomine.pipeline import (
 )
 
 from pipeline_env import build_env, corpus_quality
+from test_golden import save_golden_decluster_model_renamed
 
 
 @pytest.fixture(scope="module")
@@ -552,6 +553,16 @@ class TestDisabledStages:
         config = PipelineConfig.from_dict(raw, base_dir=env.root)
         with pytest.raises(ConfigError):
             run_pipeline(config)
+
+    def test_decluster_model_language_missing_from_clusters(self, env, tmp_path):
+        # routing on a language the map lacks would drop all its sentences as out_of_cluster
+        save_golden_decluster_model_renamed(tmp_path / "zz.bin", "ee", "zz")
+        raw = env.config_dict()
+        raw["output_dir"] = str(tmp_path / "out")
+        raw["stages"]["decluster"] = {"model": str(tmp_path / "zz.bin")}
+        with pytest.raises(ConfigError, match="^decluster model languages missing from cluster map: zz$"):
+            run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
+        assert not list((tmp_path / "out").iterdir())
 
     def test_empty_crawl(self, tmp_path, env):
         crawl = tmp_path / "empty.jsonl"
