@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus import MonoCorpus
+from .errors import require
 from .filters import token_counts
 
 SUSPICIOUS_HARMONIC = 0.70
@@ -40,7 +41,9 @@ class TokenDistribution:
 
 
 def token_distribution(corpus: MonoCorpus, top_n: int = 40) -> TokenDistribution:
-    """Relative frequencies over the whole token stream; keep the top_n head."""
+    """Relative frequencies over the whole token stream; keep the top_n head.
+    A `top_n` below 1 is a ValueError."""
+    require("top_n", top_n, top_n >= 1, "at least 1")
     counts = token_counts(corpus)
     total = sum(counts.values())
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]

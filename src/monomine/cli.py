@@ -76,21 +76,30 @@ def _read_labeled(path: str) -> list[tuple[str, str]]:
 
 
 class CommandTranslator:
-    """External translator: invoked as `CMD SOURCE TARGET`, one line in/out."""
+    """External translator: one `CMD SOURCE TARGET` process per batch, which
+    reads one text per stdin line and writes one translation per stdout line.
+    A non-zero exit or any other number of lines is a TranslatorError."""
 
     def __init__(self, command: str):
         self.argv = shlex.split(command)
 
-    def translate(self, text: str, source: str, target: str) -> str:
+    def translate_batch(self, texts: list[str], source: str, target: str) -> list[str]:
+        if not texts:
+            return []
         proc = subprocess.run(
             self.argv + [source, target],
-            input=text + "\n",
+            input="".join(text + "\n" for text in texts).encode("utf-8"),
             capture_output=True,
-            text=True,
         )
         if proc.returncode != 0:
-            raise TranslatorError(proc.stderr.strip() or f"translator exited {proc.returncode}")
-        return proc.stdout.rstrip("\n")
+            stderr = proc.stderr.decode("utf-8", "replace").strip()
+            raise TranslatorError(stderr or f"translator exited {proc.returncode}")
+        # bytes, split at "\n" only: a text-mode pipe would also split inside a
+        # text at "\r", and str.splitlines at U+2028, U+0085 or "\x0c" as well
+        lines = proc.stdout.decode("utf-8").removesuffix("\n").split("\n")
+        if len(lines) != len(texts):
+            raise TranslatorError(f"translator: expected {len(texts)} lines, got {len(lines)}")
+        return lines
 
 
 # --- subcommand implementations -------------------------------------------
@@ -584,7 +593,7 @@ def build_parser() -> _Parser:
     p.add_argument("--src", required=True, help="English source sentences, one per line")
     p.add_argument("--lang", required=True)
     p.add_argument("--mode", choices=["loose", "strict"], default="loose")
-    p.add_argument("--translator-cmd", required=True, help="invoked as CMD SRC TGT, line in/out")
+    p.add_argument("--translator-cmd", required=True, help="run per batch as CMD SRC TGT, N lines in/out")
     p.add_argument("--model", required=True, help="LangID model for the intermediate check")
     p.set_defaults(func=cmd_rtt)
 

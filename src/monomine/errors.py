@@ -119,6 +119,14 @@ def check_fields(obj: Any, error: type[Exception]) -> None:
             raise error(f"{name}: expected {expected}, got {type(value).__name__} {value!r}")
 
 
+def require(name: str, value: Any, ok: bool, what: str) -> None:
+    """ValueError `name: expected <what>, got <value>` unless `ok`, the range
+    rule of option or field `name`. Write the rule as comparisons that hold:
+    a NaN fails every comparison, so it fails the rule."""
+    if not ok:
+        raise ValueError(f"{name}: expected {what}, got {value!r}")
+
+
 class ConfigError(MiningError):
     """Invalid or incomplete pipeline configuration."""
 
@@ -168,4 +176,4 @@ class InvalidFractions(MiningError):
 
 
 class TranslatorError(MiningError):
-    """A translator backend failed on a sentence."""
+    """A translator backend failed on a batch: nothing in it was translated."""

@@ -36,6 +36,7 @@ from .errors import (
     check_fields,
     read_json,
     read_lines,
+    require,
     utf8,
 )
 from .langid import ConfusionMatrix, Predictor
@@ -301,25 +302,22 @@ def token_counts(corpus: MonoCorpus) -> dict[str, int]:
 
 
 def build_frequency_wordlist(train_corpus: MonoCorpus, top: int = 800) -> WordList:
-    """Most frequent tokens of the corpus; ties broken lexicographically."""
+    """Most frequent tokens of the corpus; ties broken lexicographically. A
+    `top` below 1 is a ValueError."""
+    require("top", top, top >= 1, "at least 1")
     ranked = sorted(token_counts(train_corpus).items(), key=lambda kv: (-kv[1], kv[0]))[:top]
     return WordList(train_corpus.lang, "frequency", tuple((t, float(c)) for t, c in ranked))
 
 
-def _require(name: str, value: float, ok: bool, what: str) -> None:
-    if not ok:  # the range check of option `name`; a NaN fails every comparison
-        raise ValueError(f"{name}: expected {what}, got {value!r}")
-
-
 def check_fraction(name: str, value: float) -> None:
     """ValueError, naming `name`, unless `value` is in [0, 1]."""
-    _require(name, value, 0 <= value <= 1, "a value in [0, 1]")
+    require(name, value, 0 <= value <= 1, "a value in [0, 1]")
 
 
 def check_rrr_options(rho: float, rrr_threshold: float, min_crawl_removed: float, min_recall: float) -> None:
     """ValueError, naming the option, unless `rrr_gate` can decide with these."""
-    _require("rho", rho, 0 < rho < math.inf, "a finite value above 0")
-    _require("rrr_threshold", rrr_threshold, 0 <= rrr_threshold < math.inf, "a finite value of at least 0")
+    require("rho", rho, 0 < rho < math.inf, "a finite value above 0")
+    require("rrr_threshold", rrr_threshold, 0 <= rrr_threshold < math.inf, "a finite value of at least 0")
     check_fraction("min_crawl_removed", min_crawl_removed)
     check_fraction("min_recall", min_recall)
 
@@ -461,7 +459,9 @@ class IifTable:
 
 
 def build_tfiif_wordlist(lang_corpus: MonoCorpus, iif: IifTable, tau: int = 1000) -> WordList:
-    """Rank tokens by corpus frequency over clipped internet frequency."""
+    """Rank tokens by corpus frequency over clipped internet frequency and
+    keep the `tau` best. A `tau` below 1 is a ValueError."""
+    require("tau", tau, tau >= 1, "at least 1")
     counts = token_counts(lang_corpus)
     scored = [(token, count / iif.clipped_freq(token)) for token, count in counts.items()]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))

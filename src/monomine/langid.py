@@ -8,6 +8,7 @@ heavier model can be dropped in for the second-stage filtering.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import struct
@@ -19,7 +20,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateData, ModelFormatError, UnknownLanguage
+from .errors import DegenerateData, ModelFormatError, UnknownLanguage, require
 
 MODEL_MAGIC = b"MMLI"
 MODEL_VERSION = 2
@@ -112,6 +113,12 @@ class TrainConfig:
     learning_rate: float = 10.0
     seed: int = 0
     batch_size: Optional[int] = None  # None = full batch
+
+    def __post_init__(self) -> None:
+        rate, batch = self.learning_rate, self.batch_size
+        require("epochs", self.epochs, self.epochs >= 1, "at least 1")
+        require("learning_rate", rate, 0 < rate < math.inf, "a finite value above 0")
+        require("batch_size", batch, batch is None or batch >= 1, "None or at least 1")
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -404,6 +411,12 @@ class PareThresholds:
     min_precision: float = 0.33
     max_confusion: float = 0.50
     min_examples: int = 2000
+
+    def __post_init__(self) -> None:
+        for name in ("min_precision", "max_confusion"):
+            value = getattr(self, name)
+            require(name, value, 0 <= value <= 1, "a value in [0, 1]")
+        require("min_examples", self.min_examples, self.min_examples >= 0, "at least 0")
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
-from .errors import (
-    InvalidBoundaries,
-    InvalidFractions,
-    LengthMismatch,
-    TranslatorError,
-)
+from .errors import InvalidBoundaries, InvalidFractions, LengthMismatch
 from .filters import tokenize
 from .langid import Predictor
 
@@ -152,9 +147,11 @@ def hit_rate(
 
 
 class Translator(Protocol):
-    """Anything that maps (text, source, target) to translated text."""
+    """Anything that translates a batch of texts from `source` to `target`:
+    one translation per text, in order. A failure is a TranslatorError for
+    the whole batch."""
 
-    def translate(self, text: str, source: str, target: str) -> str: ...
+    def translate_batch(self, texts: Sequence[str], source: str, target: str) -> list[str]: ...
 
 
 @dataclass(frozen=True)
@@ -191,36 +188,27 @@ def rtt_langid_chrf(
 
     The strict variant multiplies the loose score by the fraction of
     intermediates assigned the correct language. Every source is translated
-    first, then all intermediates are predicted in one batch, then the valid
-    ones are translated back.
+    in one batch, all intermediates are predicted in one batch, and, unless
+    too few pass, the valid ones are translated back in one batch: at most
+    two translator calls. A TranslatorError propagates: a failed batch is a
+    failed run, not a language LangID rejects.
     """
     if mode not in ("loose", "strict"):
         raise ValueError(f"unknown mode: {mode!r}")
-    trips: list[tuple[str, str]] = []  # (source, intermediate)
-    for source in source_corpus:
-        try:
-            trips.append((source, translator.translate(source, RTT_PIVOT, lang)))
-        except TranslatorError:
-            continue
-    # one batch call: a per-text call pays the predictor's fixed cost per text
-    predictions = predictor.predict_batch([intermediate for _, intermediate in trips])
-    originals: list[str] = []
-    round_trips: list[str] = []
-    n_valid = 0
-    for (source, intermediate), (predicted, _) in zip(trips, predictions):
-        if predicted != lang:
-            continue
-        n_valid += 1
-        try:
-            round_trip = translator.translate(intermediate, lang, RTT_PIVOT)
-        except TranslatorError:
-            continue
-        originals.append(source)
-        round_trips.append(round_trip)
-    total = len(source_corpus)
-    valid_fraction = n_valid / total if total else 0.0
-    if valid_fraction < RTT_MIN_VALID_FRACTION or not originals:
+    intermediates = translator.translate_batch(source_corpus, RTT_PIVOT, lang)
+    if len(intermediates) != len(source_corpus):
+        raise LengthMismatch(f"{len(intermediates)} translations of {len(source_corpus)} sources")
+    predictions = predictor.predict_batch(intermediates)
+    kept = [
+        (source, mid)
+        for source, mid, (predicted, _) in zip(source_corpus, intermediates, predictions)
+        if predicted == lang
+    ]
+    valid_fraction = len(kept) / len(source_corpus) if source_corpus else 0.0
+    if valid_fraction < RTT_MIN_VALID_FRACTION:
         return RttResult(lang, mode, None, valid_fraction)
+    originals = [source for source, _ in kept]
+    round_trips = translator.translate_batch([mid for _, mid in kept], lang, RTT_PIVOT)
     loose = corpus_chrf(round_trips, originals)
     score = loose if mode == "loose" else loose * valid_fraction
     return RttResult(lang, mode, score, valid_fraction)

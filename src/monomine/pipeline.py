@@ -25,7 +25,7 @@ from . import corpus as corpus_mod
 from . import filters
 from .clustering import ClusterMap
 from .corpus import Document, IngestReport, MonoCorpus, SentenceRecord, load_documents
-from .errors import ConfigError, MissingWordlist, ParseError, check_fields, read_json, read_lines, utf8
+from .errors import ConfigError, MissingWordlist, ParseError, check_fields, read_json, read_lines, require, utf8
 from .filters import StageReport, WordList
 from .langid import BATCH_ROWS, Predictor, load_model
 
@@ -33,14 +33,10 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _require(obj: Any, name: str, ok: bool, what: str) -> None:
-    if not ok:  # the range check of field `name`; a NaN fails every comparison
-        raise ConfigError(f"{name}: expected {what}, got {getattr(obj, name)!r}")
-
-
 def _checked(check: Callable[..., None], *args: Any) -> None:
-    """Run one of the range checks that `filters` makes of its options; its
-    ValueError, which names the option and so the field, is a ConfigError."""
+    """Run a range check (`errors.require` or one that `filters` makes of its
+    options); its ValueError, which names the option and so the field, is a
+    ConfigError."""
     try:
         check(*args)
     except ValueError as exc:
@@ -84,7 +80,7 @@ class TfiifStageConfig(StageToggle):
     def __post_init__(self) -> None:
         super().__post_init__()
         _checked(filters.check_fraction, "threshold", self.threshold)
-        _require(self, "tau", self.tau >= 1, "at least 1")
+        _checked(require, "tau", self.tau, self.tau >= 1, "at least 1")
         _checked(filters.check_rrr_options, self.rho, self.rrr_threshold, self.min_crawl_removed, self.min_recall)
 
 
@@ -117,7 +113,7 @@ class PipelineConfig:
         check_fields(self, ConfigError)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        _require(self, "min_sentences", self.min_sentences >= 0, "at least 0")
+        _checked(require, "min_sentences", self.min_sentences, self.min_sentences >= 0, "at least 0")
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str | Path = ".") -> "PipelineConfig":

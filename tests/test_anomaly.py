@@ -32,6 +32,12 @@ class TestTokenDistribution:
         corpus = MonoCorpus.from_sentences("xx", ["a b c"])
         assert len(token_distribution(corpus, top_n=40).entries) == 3
 
+    @pytest.mark.parametrize("top_n", [0, -2])
+    def test_top_n_below_1_is_rejected(self, top_n):
+        corpus = MonoCorpus.from_sentences("xx", ["a a b c d"])
+        with pytest.raises(ValueError, match=f"top_n: expected at least 1, got {top_n}"):
+            token_distribution(corpus, top_n=top_n)
+
     def test_relative_to_full_stream(self):
         # truncation keeps frequencies relative to ALL tokens, not the head
         corpus = MonoCorpus.from_sentences("xx", ["a a a b c d"])

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from monomine import filters, langid, pipeline
-from monomine.cli import main
+from monomine.cli import CommandTranslator, main
 from monomine.clustering import ClusterMap
 from monomine.corpus import MonoCorpus, load_documents, read_annotated, read_corpus, write_corpus
 
@@ -89,6 +89,46 @@ class TestExitCodes:
         assert main(["cluster", "--confusion", str(confusion), "--output", str(out), *option]) == 2
         assert capsys.readouterr().err == f"monomine: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build", "tfiif-list", "--corpus", "{c}", "--lang", "aa", "--iif", "{iif}", "--tau", "0"],
+             "tau: expected at least 1, got 0"),
+            (["build", "tfiif-list", "--corpus", "{c}", "--lang", "aa", "--iif", "{iif}", "--tau", "-2"],
+             "tau: expected at least 1, got -2"),
+            (["build", "wordlist", "--corpus", "{c}", "--lang", "aa", "--top", "-3"],
+             "top: expected at least 1, got -3"),
+            (["anomaly", "--corpus", "{c}", "--reference", "{c}", "--top-n", "-2"],
+             "top_n: expected at least 1, got -2"),
+            (["pare", "--confusion", "{cm}", "--train-sizes", "{sizes}", "--min-precision", "nan"],
+             "min_precision: expected a value in [0, 1], got nan"),
+            (["pare", "--confusion", "{cm}", "--train-sizes", "{sizes}", "--max-confusion", "1.5"],
+             "max_confusion: expected a value in [0, 1], got 1.5"),
+            (["pare", "--confusion", "{cm}", "--train-sizes", "{sizes}", "--min-examples", "-1"],
+             "min_examples: expected at least 0, got -1"),
+            (["train-langid", "--train", "{train}", "--epochs", "-1"], "epochs: expected at least 1, got -1"),
+            (["train-langid", "--train", "{train}", "--learning-rate", "inf"],
+             "learning_rate: expected a finite value above 0, got inf"),
+            (["train-langid", "--train", "{train}", "--batch-size", "0"],
+             "batch_size: expected None or at least 1, got 0"),
+        ],
+        ids=["tau-0", "tau-negative", "top-negative", "top-n-negative", "min-precision-nan", "max-confusion-1.5",
+             "min-examples-negative", "epochs-negative", "learning-rate-inf", "batch-size-0"],
+    )
+    def test_out_of_range_option_is_2(self, capsys, tmp_path, argv, message):
+        paths = {name: tmp_path / name for name in ("c", "iif", "cm", "sizes", "train", "out")}
+        paths["c"].write_text("a a b\nb c\n")
+        filters.IifTable.from_counts({"a": 5, "b": 3, "c": 1}, kappa=2).save(paths["iif"])
+        paths["cm"].write_text('{"languages": ["aa", "bb"], "counts": [[8, 2], [3, 7]]}')
+        paths["sizes"].write_text('{"aa": 5000, "bb": 5000}')
+        paths["train"].write_text("aa\thello\nbb\tworld\n")
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] in ("build", "train-langid"):
+            argv += ["--output", str(paths["out"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"monomine: error: {message}\n"
+        assert not paths["out"].exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -349,9 +389,9 @@ class TestMetricCommands:
         assert scores["bins"][1]["hit_rate"] == pytest.approx(0.5)
 
     def test_rtt_with_external_translator(self, capsys, tmp_path, env):
-        # external translator: echoes its input line unchanged
+        # external translator: echoes its input lines unchanged
         script = tmp_path / "echo_translator.py"
-        script.write_text("import sys\nsys.stdout.write(sys.stdin.readline())\n")
+        script.write_text("import sys\nsys.stdout.write(sys.stdin.read())\n")
         src = tmp_path / "src.txt"
         import synth
 
@@ -365,6 +405,60 @@ class TestMetricCommands:
         # identity round trip, all intermediates predicted aa by the real model
         assert report["score"] == pytest.approx(100.0)
         assert report["valid_fraction"] == 1.0
+
+
+class TestTranslatorCommand:
+    """`--translator-cmd` runs once per batch: N lines in, N lines out."""
+
+    def _rtt(self, capsys, tmp_path, env, body, n_sources=6):
+        script = tmp_path / "translator.py"
+        script.write_text("import sys\n" + body)
+        src = tmp_path / "src.txt"
+        rng = __import__("random").Random(5)
+        src.write_text("".join(env.langs["aa"].sentence(rng) + "\n" for _ in range(n_sources)))
+        code = main([
+            "rtt", "--src", str(src), "--lang", "aa",
+            "--translator-cmd", f"{sys.executable} {script} {tmp_path / 'runs.log'}",
+            "--model", str(env.root / "langid.bin"),
+        ])
+        return code, capsys.readouterr()
+
+    @staticmethod
+    def _runs(tmp_path):
+        log = tmp_path / "runs.log"
+        return len(log.read_text().splitlines()) if log.exists() else 0
+
+    COUNTING_ECHO = "open(sys.argv[1], 'a').write('run\\n')\nsys.stdout.write(sys.stdin.read())\n"
+
+    def test_one_process_per_direction(self, capsys, tmp_path, env):
+        code, out = self._rtt(capsys, tmp_path, env, self.COUNTING_ECHO)
+        assert code == 0, out.err
+        assert json.loads(out.out)["valid_fraction"] == 1.0
+        assert self._runs(tmp_path) == 2
+
+    def test_no_sources_start_no_process(self, capsys, tmp_path, env):
+        code, out = self._rtt(capsys, tmp_path, env, self.COUNTING_ECHO, n_sources=0)
+        assert code == 0, out.err
+        assert json.loads(out.out)["invalid"] is True
+        assert self._runs(tmp_path) == 0
+
+    def test_short_batch_is_2_and_names_both_counts(self, capsys, tmp_path, env):
+        code, out = self._rtt(capsys, tmp_path, env, "sys.stdout.write(sys.stdin.readline())\n")
+        assert code == 2
+        assert out.out == ""
+        assert out.err == "monomine: error: translator: expected 6 lines, got 1\n"
+
+    def test_failing_command_is_2_with_its_stderr(self, capsys, tmp_path, env):
+        code, out = self._rtt(capsys, tmp_path, env, "sys.stderr.write('no model for aa\\n')\nsys.exit(1)\n")
+        assert code == 2
+        assert out.err == "monomine: error: no model for aa\n"
+
+    def test_lines_split_at_newline_only(self, tmp_path):
+        script = tmp_path / "echo.py"
+        script.write_text("import sys\nsys.stdout.write(sys.stdin.read())\n")
+        translator = CommandTranslator(f"{sys.executable} {script}")
+        texts = ["a\u2028b", "c\x85d\x0ce\rf"]
+        assert translator.translate_batch(texts, "en", "aa") == texts
 
 
 class TestCorpusCommands:

@@ -304,6 +304,13 @@ class TestFrequencyWordlist:
         wl = build_frequency_wordlist(corpus, top=800)
         assert len(wl.entries) == 3
 
+    @pytest.mark.parametrize("top", [0, -3])
+    def test_top_below_1_is_rejected(self, top):
+        # a negative slice bound would silently drop the rarest tokens
+        corpus = MonoCorpus.from_sentences("aa", ["a a b c d"])
+        with pytest.raises(ValueError, match=re.escape(f"top: expected at least 1, got {top}")):
+            build_frequency_wordlist(corpus, top=top)
+
     def test_matches_counting_oracle(self, rng):
         vocab = [f"w{i}" for i in range(30)]
         weights = [1 / (i + 1) for i in range(30)]
@@ -536,6 +543,13 @@ class TestTfiifWordlist:
         corpus = MonoCorpus.from_sentences("aa", ["rare " * 10])
         wl = build_tfiif_wordlist(corpus, iif, tau=5)
         assert wl.entries == (("rare", 2.0),)
+
+    @pytest.mark.parametrize("tau", [0, -2])
+    def test_tau_below_1_is_rejected(self, tau):
+        iif = IifTable.from_counts({"a": 5, "b": 3}, kappa=2)
+        corpus = MonoCorpus.from_sentences("aa", ["a b c d e f g"])
+        with pytest.raises(ValueError, match=re.escape(f"tau: expected at least 1, got {tau}")):
+            build_tfiif_wordlist(corpus, iif, tau=tau)
 
     def test_matches_exhaustive_oracle(self, rng):
         vocab = [f"t{i}" for i in range(25)]

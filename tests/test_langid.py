@@ -342,6 +342,22 @@ class TestTrain:
         with pytest.raises(DegenerateData):
             train([("abc", "aa"), ("abd", "aa")], FeatureSpec(n_buckets=1 << 10))
 
+    @pytest.mark.parametrize(
+        "field, value, what",
+        [
+            ("epochs", 0, "at least 1"),
+            ("epochs", -1, "at least 1"),
+            ("learning_rate", 0.0, "a finite value above 0"),
+            ("learning_rate", math.inf, "a finite value above 0"),
+            ("learning_rate", math.nan, "a finite value above 0"),
+            ("batch_size", 0, "None or at least 1"),
+        ],
+    )
+    def test_config_out_of_range_is_rejected(self, field, value, what):
+        # epochs=-1 trained an all-zero model; batch_size=0 failed inside range()
+        with pytest.raises(ValueError, match=re.escape(f"{field}: expected {what}, got {value!r}")):
+            TrainConfig(**{field: value})
+
     def test_deterministic_same_seed(self):
         langs = synth.make_langs(("aa", "bb"))
         labeled = synth.labeled_examples(langs, per_lang=40, seed=1)
@@ -749,6 +765,21 @@ class TestPare:
         cm = ConfusionMatrix(("A", "B"), counts)
         report = pare_languages(cm, {"A": 5000, "B": 5000}, PareThresholds())
         assert "high_confusion" in report.entries["B"].reasons
+
+    @pytest.mark.parametrize(
+        "field, value, what",
+        [
+            ("min_precision", math.nan, "a value in [0, 1]"),
+            ("min_precision", -0.1, "a value in [0, 1]"),
+            ("max_confusion", math.nan, "a value in [0, 1]"),
+            ("max_confusion", 1.5, "a value in [0, 1]"),
+            ("min_examples", -1, "at least 0"),
+        ],
+    )
+    def test_thresholds_out_of_range_are_rejected(self, field, value, what):
+        # NaN thresholds compare false, so they would drop no language at all
+        with pytest.raises(ValueError, match=re.escape(f"{field}: expected {what}, got {value!r}")):
+            PareThresholds(**{field: value})
 
 
 class TestModelIO:

@@ -265,38 +265,45 @@ class TestHitRate:
 
 
 class IdentityTranslator:
-    def translate(self, text, source, target):
-        return text
+    def translate_batch(self, texts, source, target):
+        return list(texts)
 
 
 class MarkingTranslator:
-    """en->lang wraps the text; lang->en unwraps it exactly."""
+    """en->lang wraps each text; lang->en unwraps it exactly."""
 
     def __init__(self, mark="»"):
         self.mark = mark
 
-    def translate(self, text, source, target):
+    def translate_batch(self, texts, source, target):
         if target != "en":
-            return self.mark + text
-        return text[len(self.mark):]
+            return [self.mark + text for text in texts]
+        return [text[len(self.mark):] for text in texts]
 
 
 class AlternatingMarkTranslator(MarkingTranslator):
     """Marks every other intermediate so a marker-aware LangID accepts half."""
 
+    def translate_batch(self, texts, source, target):
+        if target != "en":
+            return [(self.mark if i % 2 else "·") + text for i, text in enumerate(texts)]
+        return [text[1:] for text in texts]
+
+
+class CountingTranslator(AlternatingMarkTranslator):
+    """Records (number of texts, source, target) for each call."""
+
     def __init__(self):
         super().__init__()
-        self.count = 0
+        self.calls = []
 
-    def translate(self, text, source, target):
-        if target != "en":
-            self.count += 1
-            return self.mark + text if self.count % 2 == 0 else "·" + text
-        return text[1:]
+    def translate_batch(self, texts, source, target):
+        self.calls.append((len(texts), source, target))
+        return super().translate_batch(texts, source, target)
 
 
 class FailingTranslator:
-    def translate(self, text, source, target):
+    def translate_batch(self, texts, source, target):
         raise TranslatorError("backend down")
 
 
@@ -403,23 +410,35 @@ class TestRttLangIdChrf:
                 self.batches.append(list(texts))
                 return [MarkPredictor.predict(self, text) for text in texts]
 
-        class FailsEveryThird(AlternatingMarkTranslator):
-            def translate(self, text, source, target):
-                if target != "en" and text.endswith(("0 with words", "3 with words", "6 with words")):
-                    raise TranslatorError("unsupported")
-                return super().translate(text, source, target)
-
         for mode in ("loose", "strict"):
             predictor = BatchOnly()
-            got = rtt_langid_chrf(SOURCES, "xx", FailsEveryThird(), predictor, mode)
+            translator = CountingTranslator()
+            got = rtt_langid_chrf(SOURCES, "xx", translator, predictor, mode)
             assert len(predictor.batches) == 1
-            assert len(predictor.batches[0]) == len(SOURCES) - 6  # sources 0, 3, 6, 10, 13 and 16 fail
-            assert got == rtt_langid_chrf(SOURCES, "xx", FailsEveryThird(), MarkPredictor("xx"), mode)
+            assert len(predictor.batches[0]) == len(SOURCES)
+            # every source out in one call, the half LangID accepts back in another
+            assert translator.calls == [(20, "en", "xx"), (10, "xx", "en")]
+            assert got == rtt_langid_chrf(SOURCES, "xx", AlternatingMarkTranslator(), MarkPredictor("xx"), mode)
 
-    def test_translator_errors_counted_as_excluded(self):
-        result = rtt_langid_chrf(SOURCES, "xx", FailingTranslator(), ConstPredictor("xx"), "loose")
+    def test_too_few_valid_skips_the_way_back(self):
+        translator = CountingTranslator()
+        result = rtt_langid_chrf(SOURCES, "xx", translator, ConstPredictor("other"), "loose")
         assert result.invalid
-        assert result.valid_fraction == 0.0
+        assert translator.calls == [(20, "en", "xx")]
+
+    def test_translator_error_propagates(self):
+        with pytest.raises(TranslatorError, match="backend down"):
+            rtt_langid_chrf(SOURCES, "xx", FailingTranslator(), ConstPredictor("xx"), "loose")
+
+    @pytest.mark.parametrize("way", ["out", "back"])
+    def test_wrong_number_of_translations_is_length_mismatch(self, way):
+        class DropsLast(IdentityTranslator):
+            def translate_batch(self, texts, source, target):
+                texts = list(texts)
+                return texts[:-1] if (target == "en") == (way == "back") else texts
+
+        with pytest.raises(LengthMismatch):
+            rtt_langid_chrf(SOURCES, "xx", DropsLast(), ConstPredictor("xx"), "loose")
 
     def test_invalid_iff_below_threshold(self):
         result = rtt_langid_chrf(SOURCES, "xx", IdentityTranslator(), ConstPredictor("xx"), "loose")

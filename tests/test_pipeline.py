@@ -103,12 +103,14 @@ class TestConfig:
             ({"stages": {"tfiif": {"rho": 0}}}, "stages.tfiif.rho: expected a finite value above 0"),
             ({"stages": {"tfiif": {"rrr_threshold": math.nan}}}, "stages.tfiif.rrr_threshold: expected a finite"),
             ({"min_sentences": -1}, "min_sentences: expected at least 0"),
+            ({"stages": {"tfiif": {"tau": 0}}}, "stages.tfiif.tau: expected at least 1, got 0"),
         ],
         ids=[
             "string-bool", "string-enabled", "float-workers", "bool-workers", "list-workers",
             "int-input", "unknown-key", "section-at-top", "string-threshold", "float-tau", "kappa",
             "list-section", "list-stages", "nan-threshold", "tfiif-threshold", "crawl-removed",
             "recall-above-1", "negative-tau", "infinite-rho", "zero-rho", "nan-rrr", "negative-min-sentences",
+            "zero-tau",
         ],
     )
     def test_bad_value_names_its_key(self, edit, where):
