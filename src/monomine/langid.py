@@ -53,10 +53,11 @@ def extract_features(text: str, spec: FeatureSpec) -> dict[int, float]:
     """L1-normalized hashed character n-gram counts. Empty text -> {}.
 
     An n-gram's bucket is `zlib.crc32(ngram.encode("utf-8"), hash_seed) &
-    (n_buckets - 1)`; this is the one row of `_feature_matrix([text], spec)`.
+    (n_buckets - 1)`; this is the one row of `_feature_matrices([text], [spec])`,
+    whose every column holds one entry.
     """
-    cols, x = _feature_matrix([text], spec)
-    return dict(zip(cols[x.indices].tolist(), x.data.tolist()))
+    ((cols, x),) = _feature_matrices([text], [spec])
+    return dict(zip(cols.tolist(), x.data.tolist()))
 
 
 class Predictor(Protocol):
@@ -127,67 +128,148 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# zlib's CRC-32 step table: from a zero register, byte i leaves _CRC_TABLE[i]
-# (zlib.crc32 complements the register on entry and on exit)
+# zlib's CRC-32 step tables, from a zero register (zlib.crc32 complements the
+# register on entry and on exit): byte b leaves _CRC_TABLE[b], and bytes b0,
+# b1 leave _CRC_TABLE2[b0 | b1 << 8]. The register is linear in the bytes, so
+# the pair's entry is that of b0 and then a zero byte, XOR that of b1: one
+# outer XOR, with no temporary larger than a row.
 _CRC_TABLE = np.array([~zlib.crc32(bytes([i]), 0xFFFFFFFF) & 0xFFFFFFFF for i in range(256)], dtype=np.uint32)
+_CRC_TABLE2 = np.empty(1 << 16, dtype=np.uint32)
+np.bitwise_xor(
+    _CRC_TABLE[:, None], _CRC_TABLE[_CRC_TABLE & 0xFF] ^ (_CRC_TABLE >> 8), out=_CRC_TABLE2.reshape(256, 256)
+)
 
 
-def _crc_step(reg: np.ndarray, byte: np.ndarray) -> None:
+def _feed_byte(reg: np.ndarray, byte: np.ndarray) -> None:
     """Feed one byte into each CRC-32 register, in place."""
     low = reg.astype(np.uint8)
     low ^= byte
     reg >>= 8
-    reg ^= _CRC_TABLE[low]
+    reg ^= _CRC_TABLE.take(low)
 
 
-def _ngram_keys(
-    texts: Sequence[str], lens: np.ndarray, n_keys: int, spec: FeatureSpec, row_bits: int, key_type: type
-) -> np.ndarray:
-    """`bucket << row_bits | row` of each of the `n_keys` n-grams of the batch.
+def _feed_pair(reg: np.ndarray, pair: np.ndarray) -> None:
+    """Feed two bytes, `b0 | b1 << 8`, into each CRC-32 register, in place."""
+    low = np.bitwise_xor(reg, pair, dtype=np.intp)
+    low &= 0xFFFF
+    reg >>= 16
+    reg ^= _CRC_TABLE2.take(low)
 
-    Every character starts a span. Step n extends each span's CRC-32 register
-    by the UTF-8 bytes of its n-th character, after dropping the spans that
-    would run past the end of their text, so no n-gram crosses two texts.
+
+def _pairs(raw: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """`raw[at] | raw[at + 1] << 8`."""
+    out = raw[at].astype(np.uint32)
+    out |= raw[at + 1].astype(np.uint32) << 8
+    return out
+
+
+def _zero_shifts(x: int, n: int) -> np.ndarray:
+    """The register `x` after each of 0..n zero bytes. CRC-32 is affine in its
+    start register, so `crc32(d, a) ^ crc32(d, b)` is `a ^ b` after
+    `len(d)` zero bytes, whatever bytes `d` holds."""
+    out = np.empty(n + 1, dtype=np.uint32)
+    for length in range(n + 1):
+        out[length] = x
+        x = (x >> 8) ^ int(_CRC_TABLE[x & 0xFF])
+    return out
+
+
+def _gaps(starts: np.ndarray, end: int, dtype: type) -> np.ndarray:
+    """From each of the ascending `starts` to the next one, and from the last
+    to `end`. `np.diff` of an appended copy measured several times slower."""
+    out = np.empty(len(starts), dtype=dtype)
+    np.subtract(starts[1:], starts[:-1], out=out[:-1], casting="unsafe")
+    out[-1:] = end - starts[-1:]
+    return out
+
+
+def _span_keys(texts: Sequence[str], lens: np.ndarray, specs: Sequence[FeatureSpec], row_bits: int) -> list[np.ndarray]:
+    """Per spec, `bucket << row_bits | row` of each n-gram of the batch, from
+    one CRC walk over every order any spec asks for, from the first spec's
+    seed. A span that would cross the end of its text gets the key type's
+    largest value instead, so that a sort puts it after every real key or
+    beside an equal one: once sorted, the first as many keys as the batch
+    has n-grams are its real keys.
+
+    The walk is indexed by character: every character starts a span, and at
+    order n span s takes character s + n - 1, so the spans of order n are a
+    prefix of the registers. Every span takes its character's first byte;
+    then the spans whose character has 2 or more bytes take its first two
+    instead, and of those, the spans whose character has 3 or 4 bytes take
+    the rest. Another spec's seed XORs in `_zero_shifts` of the two seeds'
+    difference at each span's byte length.
     """
     raw = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
-    idx = np.int32 if raw.size < (1 << 31) else np.int64
-    # per span: the byte offset of its next character, its register, the
-    # characters left in its text from its start, and its row
-    pos = np.flatnonzero((raw & 0xC0) != 0x80).astype(idx)
-    reg = np.full(pos.size, ~spec.hash_seed & 0xFFFFFFFF, dtype=np.uint32)
-    room = np.repeat(np.cumsum(lens).astype(idx), lens) - np.arange(pos.size, dtype=idx)
-    row = np.repeat(np.arange(len(lens), dtype=key_type), lens)
-    keys = np.empty(n_keys, dtype=key_type)
-    filled = 0
-    for n in range(1, spec.ngram_orders[-1] + 1):
-        if n > 1:
-            live = room >= n
-            pos = pos[live]
-            reg = reg[live]
-            room = room[live]
-            row = row[live]
-            if not pos.size:
-                break
-        lead = raw[pos]
-        _crc_step(reg, lead)
-        pos += 1
-        more = np.flatnonzero(lead >= 0xC0)  # characters with a 2nd byte
-        for longer in (0xE0, 0xF0, 0xF8):  # leads of characters with a 3rd, 4th, 5th byte
-            if not more.size:
-                break
-            at = pos[more]
-            part = reg[more]
-            _crc_step(part, raw[at])
-            reg[more] = part
-            pos[more] = at + 1
-            more = more[lead[more] >= longer]
-        if n in spec.ngram_orders:
-            bucket = ~reg  # zlib.crc32's final complement
-            bucket &= spec.n_buckets - 1
-            out = keys[filled : filled + pos.size]
-            np.left_shift(bucket, row_bits, out=out, dtype=key_type)
-            out |= row
-            filled += pos.size
+    starts = np.flatnonzero((raw & 0xC0) != 0x80)  # each character's first byte
+    n_chars = starts.size
+    sizes = _gaps(starts, raw.size, np.uint8)  # UTF-8 bytes per character
+    lead = raw[starts]
+    multi = np.flatnonzero(sizes >= 2)
+    pair = _pairs(raw, starts[multi])
+    # of the characters in `multi`: those of 3 bytes and their third, and
+    # those of 4 bytes and their last two
+    three = np.flatnonzero(sizes[multi] == 3)
+    third = raw[starts[multi[three]] + 2]
+    four = np.flatnonzero(sizes[multi] == 4)
+    last = _pairs(raw, starts[multi[four]] + 2)
+    del starts
+    top = max(n for spec in specs for n in spec.ngram_orders)
+    # the spans within top - 1 characters of their text's end, and the
+    # characters their text has left from their start: at order n, those
+    # with fewer than n cross the end
+    ends = np.cumsum(lens)
+    back = np.arange(1, top)
+    tail = ends[:, None] - back
+    inside = tail >= (ends - lens)[:, None]
+    tail, room = tail[inside], np.broadcast_to(back, inside.shape)[inside]
+    rows = np.repeat(np.arange(len(lens), dtype=np.uint32), lens)
+    seed = specs[0].hash_seed & 0xFFFFFFFF
+    # per spec, None at the walk's own seed
+    shifts = [
+        _zero_shifts(other ^ seed, 4 * top) if (other := spec.hash_seed & 0xFFFFFFFF) != seed else None
+        for spec in specs
+    ]
+    # each span's UTF-8 length so far: at most 4 * top bytes
+    span_bytes = None
+    if any(s is not None for s in shifts):
+        span_bytes = np.zeros(n_chars, dtype=np.uint8 if 4 * top < 256 else np.intp)
+    keys, filled = [], [0] * len(specs)
+    for spec in specs:
+        key_type = np.uint32 if spec.n_buckets.bit_length() - 1 + row_bits <= 32 else np.uint64
+        keys.append(np.empty(sum(max(n_chars - n + 1, 0) for n in spec.ngram_orders), dtype=key_type))
+    reg = np.full(n_chars, ~seed & 0xFFFFFFFF, dtype=np.uint32)
+    for n in range(1, top + 1):
+        m = n_chars - n + 1  # the spans whose n-th character exists
+        if m <= 0:
+            break
+        span = reg[:m]
+        k = np.searchsorted(multi, n - 1)
+        at = multi[k:] - (n - 1)
+        part = span[at]
+        _feed_byte(span, lead[n - 1 :])
+        _feed_pair(part, pair[k:])
+        for subset, data, feed in ((three, third, _feed_byte), (four, last, _feed_pair)):
+            j = np.searchsorted(subset, k)
+            if j < len(subset):
+                sub = part[subset[j:] - k]
+                feed(sub, data[j:])
+                part[subset[j:] - k] = sub
+        span[at] = part
+        if span_bytes is not None:
+            span_bytes[:m] += sizes[n - 1 :]
+        crossing = tail[(room < n) & (tail < m)]
+        for i, spec in enumerate(specs):
+            if n not in spec.ngram_orders:
+                continue
+            bucket = ~span  # zlib.crc32's final complement
+            if shifts[i] is not None:
+                bucket ^= shifts[i].take(span_bytes[:m])
+            bucket &= np.uint32(spec.n_buckets - 1)
+            out = keys[i][filled[i] : filled[i] + m]
+            np.left_shift(bucket, row_bits, out=out, dtype=out.dtype)
+            out |= rows[:m]
+            out[crossing] = np.iinfo(out.dtype).max
+            filled[i] += m
     return keys
 
 
@@ -198,44 +280,50 @@ def _runs(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _feature_matrix(texts: Sequence[str], spec: FeatureSpec) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The sorted buckets the batch touches, and `extract_features` of every
-    text over them as the rows of one CSR matrix, each row in bucket order.
-
-    The whole batch is hashed in one numpy pass (`_ngram_keys`) into
-    bucket-major keys, one per n-gram, then counted by one sort: each run of
-    equal keys is one (bucket, row) entry, and each run of equal buckets among
-    the entries is one column. So no array is `n_buckets` wide, and a product
-    with the touched weight columns adds the same terms in the same order as
-    one with the whole matrix. Each text's n-gram total is exact, so each
-    value is count / total, as the per-n-gram definition gives it, to the
-    last bit.
-    """
-    lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    totals = sum(np.maximum(lens - (n - 1), 0) for n in spec.ngram_orders)  # n-grams per text
+def _count(keys: np.ndarray, totals: np.ndarray, row_bits: int) -> tuple[np.ndarray, sp.csc_matrix]:
+    """The touched buckets and the CSC matrix of one spec's `_span_keys`,
+    given each text's n-gram total. Sorts `keys` in place."""
     n_keys = int(totals.sum())
-    row_bits = (len(texts) - 1).bit_length()
-    # 32-bit keys while they fit: a 256-text batch up to 2^24 buckets
-    fits = spec.n_buckets.bit_length() - 1 + row_bits <= 32
-    keys = _ngram_keys(texts, lens, n_keys, spec, row_bits, np.uint32 if fits else np.uint64)
     keys.sort()
-    # drop each array once used: the batch's peak memory is the key array
-    # and what is built beside it
+    keys = keys[:n_keys]  # the crossing spans' keys sort last
     at = _runs(keys)
-    keys = keys[at]
-    counts = np.diff(at, append=n_keys)
+    keys = keys.take(at)
+    counts = _gaps(at, n_keys, np.int64)
     del at
-    rows = keys & ((1 << row_bits) - 1)
+    rows = (keys & ((1 << row_bits) - 1)).astype(np.intp)
     keys >>= row_bits
     colptr = _runs(keys)
-    cols = keys[colptr].astype(np.int64)
+    cols = keys.take(colptr).astype(np.int64)
     del keys
-    data = counts / totals[rows]
+    data = counts / totals.take(rows)
     del counts
-    # a column-major matrix of the entries, turned row-major by scipy's
-    # counting pass, which keeps each row's entries in column order
-    x = sp.csc_matrix((data, rows, np.append(colptr, len(rows))), shape=(len(texts), len(cols)))
-    return cols, x.tocsr()
+    return cols, sp.csc_matrix((data, rows, np.append(colptr, len(rows))), shape=(len(totals), len(cols)))
+
+
+def _feature_matrices(
+    texts: Sequence[str], specs: Sequence[FeatureSpec]
+) -> list[tuple[np.ndarray, sp.csc_matrix]]:
+    """Per spec, the sorted buckets the batch touches, and `extract_features`
+    of every text over them as the rows of one CSC matrix.
+
+    One CRC walk (`_span_keys`) hashes every n-gram of the batch into
+    bucket-major keys, an array per distinct spec, and each array is counted
+    by one sort: each run of equal keys is one (bucket, row) entry, and each
+    run of equal buckets among the entries is one column, its rows in order.
+    So no array is `n_buckets` wide, and a product with the touched weight
+    columns adds each row's terms in the same column order as one with the
+    whole matrix. Each text's n-gram total is exact, so each value is count /
+    total, as the per-n-gram definition gives it, to the last bit.
+    """
+    lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    row_bits = (len(texts) - 1).bit_length()
+    distinct = list(dict.fromkeys(specs))
+    keys = _span_keys(texts, lens, distinct, row_bits)
+    matrices = {}
+    for spec in reversed(distinct):  # each key array is dropped once counted
+        totals = sum(np.maximum(lens - (n - 1), 0) for n in spec.ngram_orders)  # n-grams per text
+        matrices[spec] = _count(keys.pop(), totals, row_bits)
+    return [matrices[spec] for spec in specs]
 
 
 def train(
@@ -263,7 +351,9 @@ def train(
         examples.sort(key=lambda pair: (pair[1], pair[0]))
     lang_index = {lang: i for i, lang in enumerate(langs)}
 
-    cols, x = _feature_matrix([text for text, _ in examples], spec)
+    ((cols, x),) = _feature_matrices([text for text, _ in examples], [spec])
+    if hyper.batch_size is not None:
+        x = x.tocsr()  # mini-batches take rows
     y = np.asarray([lang_index[lang] for _, lang in examples], dtype=np.int64)
     n = len(examples)
     weights = np.zeros((len(langs), len(cols)), dtype=np.float64)
@@ -315,31 +405,43 @@ def train(
     )
 
 
-def _probabilities(model: LangIdModel, texts: Sequence[str]) -> np.ndarray:
-    """Softmax over the languages for each text, from the weight columns its batch touches.
+def _probabilities(model: LangIdModel, cols: np.ndarray, x: sp.csc_matrix) -> np.ndarray:
+    """Softmax over the languages for each row of `x`, a batch's features in
+    the model's spec over the buckets `cols`, from the weight columns it touches.
 
     A touched bucket that the model does not store weighs 0.0, so the batch's
-    block holds the very values a dense matrix would give it.
+    block holds the very values a dense matrix would give it. The block is
+    bucket-major, as the product reads it, so it is not copied again.
     """
-    cols, x = _feature_matrix(texts, model.spec)
     wanted = cols.astype(model.buckets.dtype, copy=False)
     at = np.searchsorted(model.buckets, wanted)
     stored = at < len(model.buckets)
     stored[stored] = model.buckets[at[stored]] == wanted[stored]
-    block = np.zeros((len(model.languages), len(cols)))
-    block[:, stored] = model.weights[:, at[stored]]
-    return _softmax(x @ block.T + model.bias.astype(np.float64))
+    block = np.zeros((len(cols), len(model.languages)))
+    block[stored] = model.weights[:, at[stored]].T
+    return _softmax(x @ block + model.bias.astype(np.float64))
 
 
-def predict_batch(model: LangIdModel, texts: Sequence[str]) -> list[tuple[str, float]]:
+def predict_batch(
+    model: LangIdModel, texts: Sequence[str], *others: LangIdModel
+) -> list[tuple[str, float]] | list[list[tuple[str, float]]]:
     """Predict every text, `BATCH_ROWS` at a time; rows are independent, so
-    sharding cannot change results."""
-    out: list[tuple[str, float]] = []
+    sharding cannot change results.
+
+    With `others`, every model predicts every text from one featurizer pass
+    per batch for all of them, and the result is one list per model,
+    `model`'s first.
+    """
+    models = (model, *others)
+    out: list[list[tuple[str, float]]] = [[] for _ in models]
     for start in range(0, len(texts), BATCH_ROWS):
-        probs = _probabilities(model, texts[start : start + BATCH_ROWS])
-        best = np.argmax(probs, axis=1)  # first max wins: earliest language breaks ties
-        out += [(model.languages[i], float(probs[row, i])) for row, i in enumerate(best)]
-    return out
+        features = _feature_matrices(texts[start : start + BATCH_ROWS], [m.spec for m in models])
+        for m, (cols, x), pairs in zip(models, features, out):
+            probs = _probabilities(m, cols, x)
+            best = np.argmax(probs, axis=1)  # first max wins: earliest language breaks ties
+            confidence = probs[np.arange(len(best)), best].tolist()
+            pairs += zip(map(m.languages.__getitem__, best.tolist()), confidence)
+    return out if others else out[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,17 +17,17 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, get_type_hints
 
 import yaml
 
 from . import corpus as corpus_mod
-from . import filters
+from . import filters, langid
 from .clustering import ClusterMap
 from .corpus import Document, IngestReport, MonoCorpus, SentenceRecord, load_documents
 from .errors import ConfigError, MissingWordlist, ParseError, check_fields, read_json, read_lines, require, utf8
 from .filters import StageReport, WordList
-from .langid import BATCH_ROWS, Predictor, load_model
+from .langid import BATCH_ROWS, LangIdModel, Predictor, load_model
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -225,6 +225,25 @@ class _Run:
     predicted: dict[str, str] = field(default_factory=dict)
 
 
+class _WithDecluster:
+    """One annotate chunk's predictor: it predicts with the annotation
+    predictor and, in the same call, keeps each text's language under the
+    decluster predictor. Two LangID models featurize each batch once for both."""
+
+    def __init__(self, predictor: Predictor, decluster: Predictor):
+        self.predictor, self.decluster = predictor, decluster
+        self.languages = predictor.languages
+        self.decluster_langs: list[str] = []
+
+    def predict_batch(self, texts: Sequence[str]) -> list[tuple[str, float]]:
+        if isinstance(self.predictor, LangIdModel) and isinstance(self.decluster, LangIdModel):
+            pairs, other = langid.predict_batch(self.predictor, texts, self.decluster)
+        else:
+            pairs, other = self.predictor.predict_batch(texts), self.decluster.predict_batch(texts)
+        self.decluster_langs = [lang for lang, _ in other]
+        return pairs
+
+
 # Sentences per annotate batch: as many as one LangID scoring call takes.
 # Chunks run across document boundaries, so a LangID call's fixed cost is paid
 # per chunk however the crawl is split into documents.
@@ -249,22 +268,42 @@ def _in_order(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterato
 
 
 def _annotate_all(
-    docs: Iterable[Document], predictor: Predictor, clusters: ClusterMap, workers: int
+    docs: Iterable[Document],
+    predictor: Predictor,
+    clusters: ClusterMap,
+    workers: int,
+    decluster: Optional[Predictor] = None,
+    predicted: Optional[dict[str, str]] = None,
 ) -> Iterator[Document]:
     """Each document annotated, in input order: the crawl's sentence records
     are one stream, annotated in chunks of `ANNOTATE_CHUNK`, and each
     document takes its own count of annotated records back off it. Rows are
     predicted independently, so the chunking changes no prediction, and
     `_in_order` keeps the chunks in order, so the worker count changes
-    nothing either."""
+    nothing either.
+
+    `predicted`, if given, gets each text's language for decluster as its
+    chunk comes out: the `decluster` predictor's, predicted in the same
+    chunk, or the annotation's without one."""
     docs, again = itertools.tee(docs)
     records = itertools.chain.from_iterable(doc.sentences for doc in docs)
     chunks = iter(lambda: tuple(itertools.islice(records, ANNOTATE_CHUNK)), ())
 
-    def annotate(chunk: tuple[SentenceRecord, ...]) -> tuple[SentenceRecord, ...]:
-        return filters.annotate_document(Document("chunk", chunk), predictor, clusters).sentences
+    def annotate(chunk: tuple[SentenceRecord, ...]) -> tuple[tuple[SentenceRecord, ...], list[str]]:
+        doc = Document("chunk", chunk)
+        if decluster is None:
+            sentences = filters.annotate_document(doc, predictor, clusters).sentences
+            return sentences, [s.predicted_lang for s in sentences]
+        both = _WithDecluster(predictor, decluster)
+        return filters.annotate_document(doc, both, clusters).sentences, both.decluster_langs
 
-    annotated = itertools.chain.from_iterable(_in_order(annotate, chunks, workers))
+    def annotated_records() -> Iterator[SentenceRecord]:
+        for sentences, langs in _in_order(annotate, chunks, workers):
+            if predicted is not None:
+                predicted.update(zip((s.text for s in sentences), langs))
+            yield from sentences
+
+    annotated = annotated_records()
     for doc in again:
         yield Document(doc.id, tuple(itertools.islice(annotated, len(doc.sentences))), url=doc.url)
 
@@ -321,14 +360,10 @@ def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str
     if config.decluster.model:
         decluster_model = load_model(config.resolve(config.decluster.model))
         _check_languages(decluster_model, run.clusters, "decluster model")
-    docs = list(_annotate_all(docs, model, run.clusters, config.workers))
     # rows are predicted independently, so a text's language is the same in
-    # any batch and whichever stage predicts it
-    run.predicted = {s.text: s.predicted_lang for d in docs for s in d.sentences}
-    if decluster_model is not None:
-        texts = list(run.predicted)  # each distinct text once
-        langs = (lang for lang, _ in decluster_model.predict_batch(texts))
-        run.predicted = dict(zip(texts, langs))
+    # any chunk, and a repeated text keeps it
+    run.predicted = {}
+    docs = list(_annotate_all(docs, model, run.clusters, config.workers, decluster_model, run.predicted))
     n_sentences = sum(len(d.sentences) for d in docs)
     return docs, {"*": StageReport("annotate", n_sentences, n_sentences).to_dict()}
 

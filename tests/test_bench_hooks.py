@@ -17,9 +17,11 @@ import pytest
 from monomine import filters, langid, pipeline
 from monomine.clustering import ClusterMap
 from monomine.corpus import Document, SentenceRecord, load_documents
+from monomine.langid import load_model, save_model
 from monomine.pipeline import ANNOTATE_CHUNK, PipelineConfig, run_pipeline
 
 from pipeline_env import build_env
+from test_golden import DECLUSTER_MODEL_PATH, load_golden_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,27 +50,29 @@ def _zero_model():
     return langid.LangIdModel(spec, ("aa", "bb"), np.arange(0), np.zeros((2, 0), np.float32), np.zeros(2, np.float32))
 
 
-# Prediction and training featurize a batch in one `_feature_matrix` call,
+# Prediction and training featurize a batch in one `_feature_matrices` call,
 # with each text once: a path that featurized a text again, or somewhere
 # else, would add cost that no per-layer metric of the featurizer shows.
 @pytest.mark.parametrize("batch_size", [None, 2], ids=["full-batch", "mini-batch"])
 def test_each_text_is_featurized_once(monkeypatch, batch_size):
     calls = []
-    real = langid._feature_matrix
+    real = langid._feature_matrices
 
-    def counting(texts, spec):
-        calls.append(list(texts))
-        return real(texts, spec)
+    def counting(texts, specs):
+        calls.append((list(texts), list(specs)))
+        return real(texts, specs)
 
-    monkeypatch.setattr(langid, "_feature_matrix", counting)
+    monkeypatch.setattr(langid, "_feature_matrices", counting)
     texts = ["abc", "", "abc", "ijk lmn"]
-    langid.predict_batch(_zero_model(), texts)
-    assert calls == [texts]
+    model = _zero_model()
+    langid.predict_batch(model, texts)
+    assert calls == [(texts, [model.spec])]
     calls.clear()
+    spec = langid.FeatureSpec(n_buckets=1 << 10)
     labeled = [("abc", "aa"), ("", "aa"), ("ijk", "bb"), ("abc", "bb")]
-    langid.train(labeled, langid.FeatureSpec(n_buckets=1 << 10), langid.TrainConfig(epochs=3, batch_size=batch_size))
+    langid.train(labeled, spec, langid.TrainConfig(epochs=3, batch_size=batch_size))
     assert len(calls) == 1
-    assert Counter(calls[0]) == Counter(text for text, _ in labeled)
+    assert Counter(calls[0][0]) == Counter(text for text, _ in labeled) and calls[0][1] == [spec]
 
 
 def test_batch_predictions_reach_the_traced_function(monkeypatch):
@@ -160,3 +164,44 @@ def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small
     assert set(called) == stage_calls
     tfiif = next(m for m in result.manifests if m.stage == "tfiif")
     assert {e["decision"] for e in tfiif.per_language.values()} == {"filtered"}
+
+
+# With a decluster model of its own, each annotate chunk is featurized once
+# for both models, in one traced `langid.predict_batch` call made inside the
+# chunk's `filters.annotate_document`, and no LangID call follows the chunks:
+# decluster routes on what annotate predicted.
+def test_each_chunk_is_featurized_once_for_both_models(monkeypatch, small_env, tmp_path):
+    events = []
+    real_features, real_predict = langid._feature_matrices, langid.predict_batch
+    real_annotate = filters.annotate_document
+
+    def featurizing(texts, specs):
+        events.append(("featurize", list(texts), list(specs)))
+        return real_features(texts, specs)
+
+    def predicting(model, texts, *others):
+        events.append(("predict", list(texts), [model.spec] + [m.spec for m in others]))
+        return real_predict(model, texts, *others)
+
+    def annotating(doc, *args):
+        events.append(("annotate", list(doc.texts), None))
+        return real_annotate(doc, *args)
+
+    monkeypatch.setattr(langid, "_feature_matrices", featurizing)
+    monkeypatch.setattr(langid, "predict_batch", predicting)
+    monkeypatch.setattr(filters, "annotate_document", annotating)
+    save_model(load_golden_model(DECLUSTER_MODEL_PATH), tmp_path / "decluster.bin")
+    raw = small_env.config_dict()
+    raw["output_dir"] = str(tmp_path / "out")
+    raw["stages"]["decluster"] = {"model": str(tmp_path / "decluster.bin")}
+    config = PipelineConfig.from_dict(raw, base_dir=small_env.root)
+    run_pipeline(config)
+
+    specs = [load_model(config.resolve(path)).spec for path in (config.model, config.decluster.model)]
+    assert specs[0] != specs[1]
+    chunks = [texts for kind, texts, _ in events if kind == "annotate"]
+    crawl = [s.text for doc in load_documents(small_env.crawl_path) for s in doc.sentences]
+    assert [t for chunk in chunks for t in chunk] == crawl
+    assert [len(c) for c in chunks[:-1]] == [ANNOTATE_CHUNK] * (len(chunks) - 1)
+    steps = (("annotate", None), ("predict", specs), ("featurize", specs))
+    assert events == [(kind, chunk, arg) for chunk in chunks for kind, arg in steps]

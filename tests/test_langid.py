@@ -25,7 +25,7 @@ from monomine.langid import (
     predict_batch,
     save_model,
     train,
-    _feature_matrix,
+    _feature_matrices,
     _probabilities,
     _softmax,
 )
@@ -92,11 +92,25 @@ def assert_same_csr(got, want):
 def assert_same_features(got, want):
     """`got`, a featurizer's `(cols, x)`, is the full-width CSR `want` over
     the buckets it touches: `cols` is the sort of every entry's bucket, and
-    `x` holds `want`'s rows, entries and values in the same order."""
+    `x`, column-major, holds `want`'s rows, entries and values in the same
+    order once turned row-major."""
     cols, x = got
     want_cols, inverse = np.unique(want.indices, return_inverse=True)
     assert cols.dtype == np.int64 and np.array_equal(cols, want_cols)
-    assert_same_csr(x, sp.csr_matrix((want.data, inverse, want.indptr), shape=(want.shape[0], len(want_cols))))
+    assert x.format == "csc"
+    want_x = sp.csr_matrix((want.data, inverse, want.indptr), shape=(want.shape[0], len(want_cols)))
+    assert_same_csr(x.tocsr(), want_x)
+
+
+def feature_matrix(texts, spec):
+    """The featurizer's `(cols, x)` of one spec."""
+    ((cols, x),) = _feature_matrices(texts, [spec])
+    return cols, x
+
+
+def probabilities(model, texts):
+    """The model's softmax over a batch, featurized in its own spec."""
+    return _probabilities(model, *feature_matrix(texts, model.spec))
 
 
 def dense_weights(model):
@@ -216,6 +230,18 @@ SPECS = st.builds(
     n_buckets=st.sampled_from([1 << 10, 1 << 16, 1 << 20]),
     hash_seed=st.sampled_from([0, 1, 2**32 - 1, 2**40 + 3, -7]),
 )
+# gapped orders, any bucket count a spec allows, and any seed
+ANY_SPECS = st.builds(
+    FeatureSpec,
+    ngram_orders=st.sets(st.integers(1, 9), min_size=1, max_size=4).map(tuple),
+    n_buckets=st.integers(10, 32).map(lambda bits: 1 << bits),
+    hash_seed=st.sampled_from([0, 1, 2**32 - 1, 2**40 + 3, -7]) | st.integers(-(2**63), 2**63 - 1),
+)
+# the annotation and decluster specs of the benchmark's long-document crawl
+BENCH_SPECS = (
+    FeatureSpec(ngram_orders=(1, 2, 3, 4), n_buckets=1 << 16),
+    FeatureSpec(ngram_orders=(1, 2, 3), n_buckets=1 << 15, hash_seed=1),
+)
 
 
 def crawl_sentences(n, seed):
@@ -282,7 +308,7 @@ class TestFeatureMatrix:
     @example(texts=["aaaa", "", "a"], spec=FeatureSpec(ngram_orders=(1,)))  # a single bucket
     @example(texts=["abc", "de"], spec=FeatureSpec(n_buckets=1 << 32))  # the whole CRC-32 is the bucket
     def test_matches_zlib_per_ngram(self, texts, spec):
-        assert_same_features(_feature_matrix(texts, spec), zlib_matrix(texts, spec))
+        assert_same_features(feature_matrix(texts, spec), zlib_matrix(texts, spec))
 
     @settings(max_examples=30, deadline=None)
     @given(texts=st.lists(UNICODE, min_size=1, max_size=6), rows=st.sampled_from([256, 257]))
@@ -293,26 +319,53 @@ class TestFeatureMatrix:
         texts = [texts[row % len(texts)] for row in range(rows)]
         spec = FeatureSpec(n_buckets=1 << 24)
         widths = []
-        real = langid._ngram_keys
+        real = langid._span_keys
 
         def recording(*args):
             keys = real(*args)
-            widths.append(keys.dtype)
+            widths.append([k.dtype for k in keys])
             return keys
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(langid, "_ngram_keys", recording)
-            got = _feature_matrix(texts, spec)
+            mp.setattr(langid, "_span_keys", recording)
+            got = feature_matrix(texts, spec)
         assert_same_features(got, zlib_matrix(texts, spec))
-        assert widths == [np.uint32 if rows == 256 else np.uint64]
+        assert widths == [[np.uint32 if rows == 256 else np.uint64]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(UNICODE, max_size=6), specs=st.lists(ANY_SPECS, min_size=1, max_size=3).map(tuple))
+    @example(texts=[], specs=(FeatureSpec(), FeatureSpec(hash_seed=1)))
+    @example(
+        texts=["", "a", "\x00\x00", "𝄞", "é€\U0010ffff"],
+        specs=(
+            FeatureSpec(ngram_orders=(2, 5), hash_seed=2**40 + 3),
+            FeatureSpec(ngram_orders=(1, 3, 9), n_buckets=1 << 32, hash_seed=-7),
+            FeatureSpec(ngram_orders=(2, 5), hash_seed=2**40 + 3),  # equal specs share one key array
+        ),
+    )
+    @example(texts=["abc def", "αβγ δεζ", "абв"], specs=BENCH_SPECS)
+    @example(  # 33-bit keys in the same walk as 32-bit ones
+        texts=["\U0010ffff\uffff", "a", "bc d"] * 86,
+        specs=(FeatureSpec(n_buckets=1 << 10, hash_seed=5), FeatureSpec(n_buckets=1 << 24)),
+    )
+    @example(  # spans of over 255 bytes
+        texts=["a" * 60 + "𝄞" * 20 + "é", "b"],
+        specs=(FeatureSpec(ngram_orders=(2, 70)), FeatureSpec(ngram_orders=(1, 80), hash_seed=3)),
+    )
+    def test_each_spec_matches_zlib(self, texts, specs):
+        got = _feature_matrices(texts, specs)
+        assert len(got) == len(specs)
+        for spec, features in zip(specs, got):
+            assert_same_features(features, zlib_matrix(texts, spec))
 
     @settings(max_examples=60, deadline=None)
     @given(texts=st.lists(UNICODE, max_size=6), spec=SPECS)
     def test_batch_is_its_rows(self, texts, spec):
         # no n-gram crosses from one text into the next
-        cols, x = _feature_matrix(texts, spec)
+        cols, x = feature_matrix(texts, spec)
+        x = x.tocsr()
         for row, text in enumerate(texts):
-            one_cols, one = _feature_matrix([text], spec)
+            one_cols, one = feature_matrix([text], spec)
             assert cols[x[row].indices].tobytes() == one_cols.tobytes()
             assert x[row].data.tobytes() == one.data.tobytes()
 
@@ -323,18 +376,18 @@ class TestFeatureMatrix:
 
     def test_lone_surrogate_raises(self):
         with pytest.raises(UnicodeEncodeError):
-            _feature_matrix(["ok", "a\ud800b"], FeatureSpec())
+            _feature_matrices(["ok", "a\ud800b"], [FeatureSpec(), FeatureSpec(hash_seed=1)])
         with pytest.raises(UnicodeEncodeError):
             extract_features("\udfffxy", FeatureSpec())
 
     @pytest.mark.parametrize(
-        "spec",
-        [FeatureSpec(ngram_orders=(1, 2, 3, 4), n_buckets=1 << 16), FeatureSpec(ngram_orders=(1, 2, 3), n_buckets=1 << 15, hash_seed=1)],
-        ids=["orders1-4", "orders1-3"],
+        "specs",
+        [BENCH_SPECS[:1], BENCH_SPECS[1:], BENCH_SPECS],
+        ids=["orders1-4", "orders1-3", "both"],
     )
-    def test_memory_within_the_reference(self, spec):
+    def test_memory_within_the_reference(self, specs):
         texts = crawl_sentences(2000, seed=8)
-        assert peak_bytes(_feature_matrix, texts, spec) <= peak_bytes(zlib_matrix, texts, spec)
+        assert peak_bytes(_feature_matrices, texts, specs) <= sum(peak_bytes(zlib_matrix, texts, s) for s in specs)
 
 
 class TestTrain:
@@ -499,16 +552,17 @@ class TestPredict:
         rng = random.Random(n)
         texts = [langs[rng.choice(["aa", "bb"])].sentence(rng) for _ in range(n)]
         # the reference: one scoring pass over every text
-        probs = langid._probabilities(model, texts) if texts else np.zeros((0, 2))
+        probs = probabilities(model, texts) if texts else np.zeros((0, 2))
         want = [(model.languages[i], float(probs[row, i])) for row, i in enumerate(np.argmax(probs, axis=1))]
         batches = []
-        real = langid._feature_matrix
+        real = langid._feature_matrices
 
-        def recording(texts, spec):
+        def recording(texts, specs):
+            assert specs == [model.spec]
             batches.append(len(texts))
-            return real(texts, spec)
+            return real(texts, specs)
 
-        monkeypatch.setattr(langid, "_feature_matrix", recording)
+        monkeypatch.setattr(langid, "_feature_matrices", recording)
         assert predict_batch(model, texts) == want  # bit for bit
         assert batches == [len(texts[i : i + langid.BATCH_ROWS]) for i in range(0, n, langid.BATCH_ROWS)]
         batches.clear()
@@ -531,7 +585,7 @@ class TestPredict:
     def test_gather_matches_dense_scoring(self, random_models, n_buckets, texts):
         model = random_models[n_buckets]
         probs = _softmax(dense_scores(model, texts))
-        got = _probabilities(model, texts)
+        got = probabilities(model, texts)
         assert got.shape == probs.shape and got.tobytes() == probs.tobytes()
         expected = [(model.languages[i], float(probs[row, i])) for row, i in enumerate(np.argmax(probs, axis=1))]
         assert predict_batch(model, texts) == expected
@@ -550,7 +604,7 @@ class TestPredict:
     def test_stored_columns_match_dense_scoring(self, texts, n_buckets, stored, id_type, seed):
         spec = FeatureSpec(n_buckets=n_buckets)
         rng = np.random.default_rng(seed)
-        touched, _ = _feature_matrix(texts, spec)
+        touched, _ = feature_matrix(texts, spec)
         buckets = {
             "none": np.arange(0),
             "first": np.array([0]),
@@ -562,7 +616,7 @@ class TestPredict:
         weights = (3 * rng.standard_normal((3, len(buckets)))).astype(np.float32)
         model = LangIdModel(spec, ("aa", "bb", "cc"), buckets, weights, rng.standard_normal(3).astype(np.float32))
         probs = _softmax(dense_scores(model, texts))
-        got = _probabilities(model, texts)
+        got = probabilities(model, texts)
         assert got.shape == probs.shape and got.tobytes() == probs.tobytes()
         expected = [(model.languages[i], float(probs[row, i])) for row, i in enumerate(np.argmax(probs, axis=1))]
         assert predict_batch(model, texts) == expected
@@ -837,11 +891,11 @@ class TestModelIO:
         assert back.languages == odd.languages
         assert back.weights.tobytes() == odd.weights.tobytes() and back.bias.tobytes() == odd.bias.tobytes()
         texts = crawl_sentences(20, seed=4) + ["", "a"]
-        assert _probabilities(back, texts).tobytes() == _probabilities(odd, texts).tobytes()
+        assert probabilities(back, texts).tobytes() == probabilities(odd, texts).tobytes()
         assert predict_batch(back, texts) == predict_batch(odd, texts)
         # the unaligned ids were copied once, at load, not on every batch
         assert back.buckets.flags.aligned and not back.buckets.flags.writeable
-        copy_per_batch = peak_bytes(_probabilities, back, texts) - peak_bytes(_probabilities, odd, texts)
+        copy_per_batch = peak_bytes(probabilities, back, texts) - peak_bytes(probabilities, odd, texts)
         assert copy_per_batch < back.buckets.nbytes / 4
 
     def test_nan_weight_rejected(self, tmp_path, random_models):
@@ -870,9 +924,9 @@ class TestModelIO:
         save_model(random_models[1 << 10], path)
         first = load_model(path)
         texts = crawl_sentences(10, seed=6)
-        before = _probabilities(first, texts).tobytes()
+        before = probabilities(first, texts).tobytes()
         save_model(random_models[1 << 20], path)
-        assert _probabilities(first, texts).tobytes() == before
+        assert probabilities(first, texts).tobytes() == before
         assert first.weights.tobytes() == random_models[1 << 10].weights.tobytes()
         assert load_model(path).spec == random_models[1 << 20].spec
 

@@ -416,6 +416,13 @@ class TestAnnotateChunks:
                 time.sleep(self.delay)
             return [("aa" if int(t) % 3 else "bb", int(t) / 1000) for t in texts]
 
+    class Swapped(Numbered):
+        """`Numbered` with its two languages swapped: a decluster predictor
+        that disagrees with annotation on every sentence."""
+
+        def predict_batch(self, texts):
+            return [("bb" if lang == "aa" else "aa", c) for lang, c in super().predict_batch(texts)]
+
     @settings(max_examples=100, deadline=None)
     @given(
         sizes=st.lists(st.integers(0, 20) | st.just(0), max_size=12),
@@ -428,13 +435,20 @@ class TestAnnotateChunks:
             Document(f"d{i}", tuple(SentenceRecord(str(next(numbers))) for _ in range(n)), url=f"u{i}")
             for i, n in enumerate(sizes)
         ]
+        texts = [s.text for d in docs for s in d.sentences]
         clusters = ClusterMap.from_groups([["aa"], ["bb"]])
         want = [filters.annotate_document(d, self.Numbered(chunk, 0.0), clusters) for d in docs]
-        predictor = self.Numbered(chunk, 0.001)
-        with mock.patch.object(pipeline, "ANNOTATE_CHUNK", chunk):
-            assert list(_annotate_all(iter(docs), predictor, clusters, workers)) == want
         full, rest = divmod(sum(sizes), chunk)
-        assert sorted(predictor.batches, reverse=True) == [chunk] * full + ([rest] if rest else [])
+        for decluster in (None, self.Swapped(chunk, 0.001)):
+            predictor, predicted = self.Numbered(chunk, 0.001), {}
+            with mock.patch.object(pipeline, "ANNOTATE_CHUNK", chunk):
+                assert list(_annotate_all(iter(docs), predictor, clusters, workers, decluster, predicted)) == want
+            # decluster routes on the decluster predictor's languages, else on annotate's
+            routing = (self.Swapped if decluster else self.Numbered)(chunk, 0.0)
+            assert predicted == {text: lang for text, (lang, _) in zip(texts, routing.predict_batch(texts))}
+            assert sorted(predictor.batches, reverse=True) == [chunk] * full + ([rest] if rest else [])
+            if decluster:
+                assert sorted(decluster.batches) == sorted(predictor.batches)
 
     def test_own_decluster_model_predicts_every_crawl_sentence(self, env, first_run, monkeypatch, tmp_path):
         runs = []
