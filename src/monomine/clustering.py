@@ -7,6 +7,7 @@ reproducible; oversized clusters are re-split at their highest internal merge.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -86,7 +87,22 @@ def fnr_distance_matrix(cm: ConfusionMatrix) -> np.ndarray:
     return dist
 
 
-_RESCAN_SLAB = 64  # rows per batched rescan in `_merges`, so its temporaries are 64 x n
+_RESCAN_SLAB = 64  # rows per batched rescan in `_linkage`, so its temporaries are 64 x n
+
+# Components of up to SMALL points are merged in stacks, larger ones by `_linkage`. On a
+# 2-core x86 host, ten components took 2.0 ms stacked against 5.0 ms in the loop at 32
+# points each, but 8.0 against 7.7 ms at 48 (stacked 64 wide). A lone one is cheaper in
+# the loop at any size (0.9 against 0.5 ms at 32); the workloads' small ones come many.
+SMALL = 32
+
+# A threshold cut at t merges within the connected components of the graph of
+# pairs below t (1 + n^2 _SLACK) on their own. An average across two of them
+# sums at most n^2 / 4 distances at or above that bound, and each addition and
+# the division by the exact product of sizes lowers it by at most 2^-53 of
+# itself, so it cannot come out below t: no merge below t joins two
+# components. Without it, three cross pairs at exactly 0.7, each below no bound
+# of 0.7, average to 0.6999999999999998 and merge below a cut at 0.7.
+_SLACK = 2.0**-52
 
 
 def _merges(
@@ -96,17 +112,14 @@ def _merges(
 
     Clusters are keyed by their smallest original point index; merging j into
     i keeps key i. Each merge takes the smallest (average distance, i, j)
-    over the open pairs, which pins down every tie. Pair sums are accumulated
-    and each open pair's average is stored, and each open row caches its
-    nearest open column to the right (Müllner's "generic" algorithm, kept
-    exact), so a merge is O(n) array work on row and column i plus an argmin
-    over the stored row of each row whose cached column was i or j: O(n^2)
-    time in all but contrived cases, and two n x n float matrices of memory.
+    over the open pairs, which pins down every tie.
 
     With no stopping point this is the whole dendrogram, n - 1 merges. It
     stops before the first merge whose average is >= `stop_at`, and after
     `limit` merges; every cut is a prefix of the whole list, since a merge
-    never depends on the ones after it.
+    never depends on the ones after it. A threshold cut merges within each
+    connected component of the graph of pairs below it on its own (see
+    `_SLACK`).
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -114,10 +127,47 @@ def _merges(
     if not (dist >= 0).all():  # also false at NaN; inf is a valid distance
         raise ValueError("distance matrix must be non-negative")
     # exact equality implies allclose, equal infs too, and costs a tenth as much
-    if not (dist == dist.T).all() and not np.allclose(dist, dist.T):
+    exact = (dist == dist.T).all()
+    if not exact and not np.allclose(dist, dist.T):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diagonal(dist) != 0):
         raise ValueError("distance matrix must have a zero diagonal")
+    if stop_at is None or limit is not None or math.isnan(stop_at):
+        return _linkage(dist, stop_at, limit)  # no average is >= NaN, so it never stops
+    if n < 2 or not stop_at > 0:  # every average is >= 0
+        return []
+    below = dist < stop_at * (1 + n * n * _SLACK)  # the zero diagonal too, as stop_at > 0
+    if not exact:
+        below |= below.T  # an edge in either triangle: more edges only join more
+    order, starts = _components(below)
+    sizes = np.diff(starts)
+    runs: list[list[tuple[float, int, int]]] = []
+    for start, size in zip(starts[:-1][sizes > SMALL].tolist(), sizes[sizes > SMALL].tolist()):
+        members = order[start : start + size]
+        sub = dist if size == n else dist[np.ix_(members, members)]
+        at = members.tolist()
+        runs.append([(avg, at[i], at[j]) for avg, i, j in _linkage(sub, stop_at)])
+    stacked = (sizes > 1) & (sizes <= SMALL)
+    if stacked.any():
+        runs.extend(_stacked_merges(dist, order, starts[:-1][stacked], sizes[stacked], stop_at))
+    # Each component's merges come in the order the whole-matrix loop makes them, and at each step
+    # that loop takes the smallest next merge of any component: the smallest head of the lists.
+    return runs[0] if len(runs) == 1 else list(heapq.merge(*runs))
+
+
+def _linkage(
+    dist: np.ndarray, stop_at: Optional[float] = None, limit: Optional[int] = None
+) -> list[tuple[float, int, int]]:
+    """`_merges` of a checked matrix, by one loop over the whole of it.
+
+    Pair sums are accumulated and each open pair's average is stored, and
+    each open row caches its nearest open column to the right (Müllner's
+    "generic" algorithm, kept exact), so a merge is O(n) array work on row and
+    column i plus an argmin over the stored row of each row whose cached
+    column was i or j: O(n^2) time in all but contrived cases, and two n x n
+    float matrices of memory.
+    """
+    n = dist.shape[0]
     # avg[k, c] for open k < open c, else inf. Sizes are 1, so it starts as the
     # upper triangle, which mirrored gives the sums: dist need only be symmetric to allclose.
     avg = np.triu(np.asarray(dist, dtype=float), 1)
@@ -161,6 +211,94 @@ def _merges(
         left[won] = col[won]
         nearest[:i][won] = i
     return merges
+
+
+def _components(below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The connected components of a graph given as a symmetric boolean
+    matrix with a True diagonal: every point in order of its component's
+    smallest point, then its own, and where each component starts (with n
+    appended). A few O(n^2) passes over the matrix, and work per edge only
+    for edges between trees that the first pass leaves apart.
+    """
+    n = below.shape[0]
+    # Each point points at its smallest neighbour, itself at the latest: the
+    # first True of its row. That forest already joins a complete graph.
+    root = _roots(below.argmax(axis=1))
+    # Any edge between two trees has an end outside the largest one.
+    rest = np.flatnonzero(root != np.bincount(root).argmax())
+    if rest.size:
+        at = np.flatnonzero(below[rest])
+        u, v = rest[at // n], at % n
+        cross = root[u] != root[v]
+        u, v = u[cross], v[cross]
+        while u.size:  # hook the larger root of each cross edge under the smaller
+            ru, rv = root[u], root[v]
+            root[np.maximum(ru, rv)] = np.minimum(ru, rv)  # one write wins per root
+            root = _roots(root)
+            cross = root[u] != root[v]
+            u, v = u[cross], v[cross]
+    sizes = np.bincount(root, minlength=n)
+    return np.argsort(root, kind="stable"), np.append(0, np.cumsum(sizes[sizes > 0]))
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Follow each point's chain of parents, each smaller than the last, to its end."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
+
+
+def _stacked_merges(
+    dist: np.ndarray, order: np.ndarray, starts: np.ndarray, sizes: np.ndarray, stop_at: float
+) -> list[list[tuple[float, int, int]]]:
+    """The threshold-cut merges of each component of at most `SMALL` points
+    (`order[start : start + size]`), its own list each.
+
+    Components are stacked by size rounded up to a power of two M, as one
+    [k, M, M] array of pair sums, and advanced together, one merge per live
+    component per step. Each step recomputes every open pair's average with
+    `_linkage`'s expression, sums / (size_i * size_j), and takes the first
+    smallest in row-major order, `_linkage`'s (avg, i, j) tie rule. Padded
+    slots are closed points of size 1, so no 0 / 0 is computed.
+    """
+    widths = 1 << np.ceil(np.log2(sizes)).astype(np.int64)
+    steps: list[tuple[np.ndarray, ...]] = []  # per step: component, average, i, j
+    for m in np.unique(widths).tolist():
+        ids = (widths == m).nonzero()[0]
+        slot = np.arange(m)
+        alive = slot < sizes[ids, None]
+        members = order[starts[ids, None] + np.minimum(slot, sizes[ids, None] - 1)]
+        upper = np.triu(dist[members[:, :, None], members[:, None, :]], 1)
+        sums = upper + upper.transpose(0, 2, 1)
+        size = np.ones(alive.shape)
+        # added to each average: 0 at an open pair i < j, else inf
+        shut = np.where(np.triu(alive[:, :, None] & alive[:, None, :], 1), 0.0, np.inf)
+        while ids.size:
+            rows = np.arange(ids.size)
+            avg = (sums / (size[:, :, None] * size[:, None, :]) + shut).reshape(ids.size, m * m)
+            at = avg.argmin(axis=1)
+            best = avg[rows, at]
+            live = best < stop_at
+            if not live.all():
+                ids, members, sums, size, shut, at, best = (
+                    x[live] for x in (ids, members, sums, size, shut, at, best)
+                )
+                rows = rows[: ids.size]
+            i, j = np.divmod(at, m)
+            steps.append((ids, best, members[rows, i], members[rows, j]))
+            sums[rows, i] += sums[rows, j]
+            sums[rows, :, i] = sums[rows, i]
+            size[rows, i] += size[rows, j]
+            shut[rows, j] = shut[rows, :, j] = np.inf
+    if not steps:
+        return []
+    ids, best, i, j = (np.concatenate(x) for x in zip(*steps))
+    by_id = np.argsort(ids, kind="stable")  # each component's merges stay in step order
+    merges = list(zip(best[by_id].tolist(), i[by_id].tolist(), j[by_id].tolist()))
+    ends = np.cumsum(np.bincount(ids, minlength=len(sizes))).tolist()
+    return [merges[a:b] for a, b in zip([0] + ends[:-1], ends) if b > a]
 
 
 def _replay(n: int, merges: Iterable[tuple[float, int, int]]) -> list[list[int]]:

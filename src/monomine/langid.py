@@ -15,12 +15,14 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegenerateData, ModelFormatError, UnknownLanguage, require
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MODEL_MAGIC = b"MMLI"
 MODEL_VERSION = 2
@@ -280,9 +282,11 @@ def _runs(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _count(keys: np.ndarray, totals: np.ndarray, row_bits: int) -> tuple[np.ndarray, sp.csc_matrix]:
+def _count(keys: np.ndarray, totals: np.ndarray, row_bits: int) -> tuple[np.ndarray, "sp.csc_matrix"]:
     """The touched buckets and the CSC matrix of one spec's `_span_keys`,
     given each text's n-gram total. Sorts `keys` in place."""
+    import scipy.sparse as sp  # here alone, so that commands that build no CSC matrix never load scipy
+
     n_keys = int(totals.sum())
     keys.sort()
     keys = keys[:n_keys]  # the crossing spans' keys sort last
@@ -302,7 +306,7 @@ def _count(keys: np.ndarray, totals: np.ndarray, row_bits: int) -> tuple[np.ndar
 
 def _feature_matrices(
     texts: Sequence[str], specs: Sequence[FeatureSpec]
-) -> list[tuple[np.ndarray, sp.csc_matrix]]:
+) -> list[tuple[np.ndarray, "sp.csc_matrix"]]:
     """Per spec, the sorted buckets the batch touches, and `extract_features`
     of every text over them as the rows of one CSC matrix.
 
@@ -405,7 +409,7 @@ def train(
     )
 
 
-def _probabilities(model: LangIdModel, cols: np.ndarray, x: sp.csc_matrix) -> np.ndarray:
+def _probabilities(model: LangIdModel, cols: np.ndarray, x: "sp.csc_matrix") -> np.ndarray:
     """Softmax over the languages for each row of `x`, a batch's features in
     the model's spec over the buckets `cols`, from the weight columns it touches.
 
@@ -552,6 +556,9 @@ class ParingReport:
         }
 
 
+_PARE_REASONS = ("low_precision", "high_confusion", "too_few_examples")
+
+
 def pare_languages(
     cm: ConfusionMatrix,
     train_sizes: dict[str, int],
@@ -573,25 +580,20 @@ def pare_languages(
     pair = np.maximum(counts, counts.T)
     np.fill_diagonal(pair, 0)
     worst = pair.max(axis=1, initial=0)
+    n = len(cm.languages)
+    precision = np.divide(counts.diagonal(), col_sums, out=np.zeros(n), where=col_sums != 0)
+    max_confusion = np.divide(worst, row_sums, out=np.zeros(n), where=row_sums != 0)
+    n_train = [train_sizes[lang] for lang in cm.languages]
+    flags = zip(
+        (precision < thr.min_precision).tolist(),
+        (max_confusion > thr.max_confusion).tolist(),
+        (np.asarray(n_train) < thr.min_examples).tolist(),
+    )
     entries: dict[str, PareEntry] = {}
-    for i, lang in enumerate(cm.languages):
-        precision = float(counts[i, i] / col_sums[i]) if col_sums[i] else 0.0
-        max_confusion = float(worst[i] / row_sums[i]) if row_sums[i] else 0.0
-        n_train = train_sizes[lang]
-        reasons = []
-        if precision < thr.min_precision:
-            reasons.append("low_precision")
-        if max_confusion > thr.max_confusion:
-            reasons.append("high_confusion")
-        if n_train < thr.min_examples:
-            reasons.append("too_few_examples")
+    for lang, p, c, size, hits in zip(cm.languages, precision.tolist(), max_confusion.tolist(), n_train, flags):
+        reasons = tuple(reason for reason, hit in zip(_PARE_REASONS, hits) if hit)
         entries[lang] = PareEntry(
-            lang=lang,
-            precision=precision,
-            max_confusion=max_confusion,
-            n_train=n_train,
-            dropped=bool(reasons),
-            reasons=tuple(reasons),
+            lang=lang, precision=p, max_confusion=c, n_train=size, dropped=bool(reasons), reasons=reasons
         )
     return ParingReport(entries)
 

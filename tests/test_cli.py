@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import monomine
 from monomine import filters, langid, pipeline
 from monomine.cli import CommandTranslator, main
 from monomine.clustering import ClusterMap
@@ -459,6 +463,48 @@ class TestTranslatorCommand:
         translator = CommandTranslator(f"{sys.executable} {script}")
         texts = ["a\u2028b", "c\x85d\x0ce\rf"]
         assert translator.translate_batch(texts, "en", "aa") == texts
+
+
+class TestImports:
+    """Only the commands that build a CSC matrix load scipy."""
+
+    PROBE = "; ".join((
+        "import sys",
+        "from monomine.cli import main",
+        "code = main(sys.argv[1:])",
+        "print('scipy' in sys.modules, file=sys.stderr)",
+        "sys.exit(code)",
+    ))
+
+    def loads_scipy(self, *argv):
+        src = str(Path(monomine.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *map(str, argv)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stderr.splitlines()[-1] == "True"
+
+    def test_commands_without_a_sparse_matrix_leave_scipy_out(self, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("ab cd\nab cd\n")
+        cm = tmp_path / "cm.json"
+        cm.write_text(json.dumps({"languages": ["aa", "bb", "cc"], "counts": [[8, 2, 0], [3, 7, 0], [0, 0, 9]]}))
+        for argv in (
+            ("stats", "--corpus", corpus),
+            ("dedup", "--input", corpus, "--lang", "aa", "--output", tmp_path / "d.txt"),
+            ("chrf", "--hyp", corpus, "--ref", corpus),
+            ("cluster", "--confusion", cm, "--distance-threshold", "0.8", "--output", tmp_path / "t.json"),
+            ("cluster", "--confusion", cm, "--n-clusters", "2", "--output", tmp_path / "k.json"),
+        ):
+            assert not self.loads_scipy(*argv), argv[0]
+
+    def test_annotate_loads_scipy(self, env, tmp_path):
+        assert self.loads_scipy(
+            "annotate", "--input", env.crawl_path, "--model", env.root / "langid.bin",
+            "--clusters", env.root / "clusters.json", "--output", tmp_path / "annotated.jsonl",
+        )
 
 
 class TestCorpusCommands:

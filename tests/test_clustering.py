@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monomine.clustering import (
+    SMALL,
     ClusterMap,
     _merges,
+    _replay,
     add_singletons,
     agglomerative_cluster,
     fnr_distance_matrix,
@@ -96,16 +98,14 @@ def symmetric(n, upper):
 
 # quarters and halves sum exactly, so equal averages are real ties; inf is a
 # valid distance that no sentinel may stand for
-VALUES = st.sampled_from(
-    [
-        st.sampled_from((0.25, 0.5, 0.75, 1.0)),
-        st.sampled_from((0.5, 1.0)),
-        st.sampled_from((0.5, 1.0, math.inf)),
-        # mostly inf: rows without a finite average, and merges when every average is inf
-        st.sampled_from((0.5, math.inf, math.inf, math.inf)),
-        st.floats(0.0, 1.0),
-    ]
+POOLS = (
+    (0.25, 0.5, 0.75, 1.0),
+    (0.5, 1.0),
+    (0.5, 1.0, math.inf),
+    # mostly inf: rows without a finite average, and merges when every average is inf
+    (0.5, math.inf, math.inf, math.inf),
 )
+VALUES = st.sampled_from([*(st.sampled_from(pool) for pool in POOLS), st.floats(0.0, 1.0)])
 
 
 @st.composite
@@ -113,6 +113,29 @@ def distance_matrices(draw):
     n = draw(st.integers(1, 30))
     values = draw(VALUES)
     return symmetric(n, draw(st.lists(values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+
+
+@st.composite
+def family_matrices(draw):
+    """(dist, t): families of 1-40 points, so that one cut merges components
+    both stacked and in the loop; distances within a family from VALUES, and
+    across families at t, the next float above it, 1.0 or inf, none below t.
+    The lower triangle is sometimes a float off the upper one, as `_merges`
+    allows: only the upper triangle counts."""
+    t = draw(st.one_of(st.sampled_from((0.25, 0.5, 0.75, 1.0)), st.floats(0.01, 1.0)))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    pool = draw(st.sampled_from((*POOLS, None)))  # None: VALUES' floats in [0, 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))  # too many values to draw one by one
+    family = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = len(family)
+    rows, cols = np.triu_indices(n, 1)
+    inner = rng.random(len(rows)) if pool is None else rng.choice(pool, len(rows))
+    cross = rng.choice((t, math.nextafter(t, math.inf), 1.0, math.inf), len(rows))
+    dist = symmetric(n, np.where(family[rows] == family[cols], inner, cross))
+    if draw(st.booleans()):
+        finite = np.isfinite(dist[cols, rows])
+        dist[cols[finite], rows[finite]] = np.nextafter(dist[cols[finite], rows[finite]], math.inf)
+    return dist, t
 
 
 def partition_of(cluster_map, labels):
@@ -323,6 +346,38 @@ class TestMerges:
         below = next((m for m, (avg, _, _) in enumerate(full) if avg >= t), len(full))
         assert _merges(dist, stop_at=t) == full[:below]
         assert _merges(dist, limit=k) == full[:k]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=family_matrices())
+    def test_threshold_cut_of_families_is_the_reference_prefix(self, case):
+        dist, t = case
+        full = reference_merges(dist)
+        below = next((m for m, (avg, _, _) in enumerate(full) if avg >= t), len(full))
+        assert _merges(dist, stop_at=t) == full[:below]
+        labels = [f"l{i:03d}" for i in range(len(dist))]
+        cmap = agglomerative_cluster(dist, labels, distance_threshold=t)
+        assert partition_of(cmap, labels) == {frozenset(g) for g in _replay(len(dist), full[:below])}
+
+    def test_cross_pairs_at_the_threshold_can_average_below_it(self):
+        # point 0 is 0.7 from each of 1, 2 and 3, which merge first: 0.7 + 0.7 + 0.7
+        # sums to 2.0999999999999996, and a third of that is below 0.7, so the cut
+        # at 0.7 merges 0 too although none of its distances is below 0.7
+        dist = symmetric(4, [0.7, 0.7, 0.7, 0.1, 0.2, 0.2])
+        merges = _merges(dist, stop_at=0.7)
+        assert merges == reference_merges(dist)
+        assert merges[-1] == ((0.7 + 0.7 + 0.7) / 3, 0, 1) and merges[-1][0] < 0.7
+
+    def test_threshold_cut_stacks_and_loops_in_one_call(self):
+        # three families: a pair, a triple (stacked) and one over SMALL (its own loop)
+        sizes = (2, 3, SMALL + 5)
+        family = np.repeat(np.arange(3), sizes)[np.random.default_rng(9).permutation(sum(sizes))]
+        n = len(family)
+        rows, cols = np.triu_indices(n, 1)
+        inner = np.random.default_rng(10).random(len(rows)) * 0.5
+        dist = symmetric(n, np.where(family[rows] == family[cols], inner, 1.0))
+        full = reference_merges(dist)
+        assert _merges(dist, stop_at=0.9) == full[: n - 3]
+        assert full[n - 4][0] < 0.5 and full[n - 3][0] == 1.0
 
     @pytest.mark.parametrize("value", [-math.inf, -0.5, math.nan])
     def test_negative_or_nan_distances_raise(self, value):
