@@ -10,7 +10,7 @@ recovered the training data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .corpus import MonoCorpus
@@ -30,10 +30,7 @@ class TokenDistribution:
     entries: tuple[tuple[str, float], ...]
 
     def freq(self, token: str) -> float:
-        for t, f in self.entries:
-            if t == token:
-                return f
-        return 0.0
+        return next((f for t, f in self.entries if t == token), 0.0)
 
     @property
     def tokens(self) -> list[str]:
@@ -101,14 +98,7 @@ class AnomalyReport:
         return cls(lang, overlap_2n, euclid_sim, harmonic, n_sentences, frozenset(flags))
 
     def to_dict(self) -> dict:
-        return {
-            "lang": self.lang,
-            "overlap_2n": self.overlap_2n,
-            "euclid_sim": self.euclid_sim,
-            "harmonic": self.harmonic,
-            "n_sentences": self.n_sentences,
-            "flags": sorted(self.flags),
-        }
+        return {**asdict(self), "flags": sorted(self.flags)}
 
 
 def anomaly_report(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import shlex
 import subprocess
@@ -18,7 +19,7 @@ from . import anomaly as anomaly_mod
 from . import clustering, filters, metrics, pipeline
 from . import corpus as corpus_mod
 from . import langid
-from .errors import MiningError, ParseError, TranslatorError, read_json
+from .errors import EmptyCorpus, MiningError, ParseError, TranslatorError, read_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,14 +203,18 @@ def cmd_annotate(args) -> dict:
     model = langid.load_model(args.model)
     clusters = clustering.ClusterMap.load_json(args.clusters)
     report = corpus_mod.IngestReport()
-    docs = corpus_mod.load_documents(args.input, strict=args.strict, report=report)
-    annotated = pipeline._annotate_all(docs, model, clusters, workers=1)
+    docs = list(corpus_mod.load_documents(args.input, strict=args.strict, report=report))
+    texts = [s.text for doc in docs for s in doc.sentences]
+    found = pipeline._annotations(texts, model, clusters, workers=1)
+    records = map(corpus_mod.SentenceRecord, texts, found.langs, found.clusters, found.confidences)
+    annotated = (corpus_mod.Document(d.id, tuple(itertools.islice(records, len(d.sentences))), d.url) for d in docs)
     corpus_mod.write_annotated(annotated, args.output)
     return {"documents": report.documents, "skipped": report.skipped, "output": args.output}
 
 
 def cmd_filter_doc_consistency(args) -> dict:
-    corpora, reports = filters.filter_doc_consistency(corpus_mod.read_annotated(args.input))
+    crawl = corpus_mod.Crawl.from_documents(corpus_mod.read_annotated(args.input))
+    corpora, reports = filters.filter_doc_consistency(crawl)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for cid, corpus in corpora.items():
@@ -233,12 +238,12 @@ def cmd_filter_decluster(args) -> dict:
     model = langid.load_model(args.model)
     clusters = clustering.ClusterMap.load_json(args.clusters)
     pipeline._check_languages(model, clusters, "decluster model")
-    cluster_corpora = {}
+    cluster_corpora, table = {}, filters.TokenTable()
     for path in sorted(Path(args.input_dir).glob("cluster-*.txt")):
         cid = int(path.stem.split("-", 1)[1])
-        cluster_corpora[cid] = corpus_mod.read_corpus(path, f"cluster:{cid}")
-    sentences = list(dict.fromkeys(s for corpus in cluster_corpora.values() for s in corpus.sentences))
-    predicted = dict(zip(sentences, (lang for lang, _ in model.predict_batch(sentences))))
+        cluster_corpora[cid] = corpus_mod.read_corpus(path, f"cluster:{cid}", table)
+        table.intern(cluster_corpora[cid].sentences)
+    predicted = [lang for lang, _ in model.predict_batch(list(table.ids))]
     corpora, reports = filters.decluster(cluster_corpora, predicted, clusters)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,23 +313,29 @@ def cmd_rrr(args) -> dict:
     return report.to_dict()
 
 
+def _anomaly_report(corpus_path: str | Path, reference_path: str | Path, lang: str, top_n: int):
+    """The corpus scored against its reference; either file without a token
+    is EmptyCorpus naming it."""
+    corpora = []
+    for path in (corpus_path, reference_path):
+        corpus = corpus_mod.read_corpus(path, lang)
+        if not any(corpus.table.rows(corpus.sentences)):
+            raise EmptyCorpus(f"no tokens in corpus {path}")
+        corpora.append(corpus)
+    return anomaly_mod.anomaly_report(*corpora, n=top_n)
+
+
 def cmd_anomaly(args) -> dict | str:
     if args.corpus_dir:
         reports = []
         for path in sorted(Path(args.corpus_dir).glob("*.txt")):
-            lang = path.stem
             ref_path = Path(args.reference_dir) / path.name
-            if not ref_path.exists():
-                continue
-            corpus = corpus_mod.read_corpus(path, lang)
-            reference = corpus_mod.read_corpus(ref_path, lang)
-            reports.append(anomaly_mod.anomaly_report(corpus, reference, n=args.top_n))
+            if ref_path.exists():
+                reports.append(_anomaly_report(path, ref_path, path.stem, args.top_n))
         if args.tsv:
             return anomaly_mod.reports_to_tsv(reports)
         return {"reports": [r.to_dict() for r in reports]}
-    corpus = corpus_mod.read_corpus(args.corpus, args.lang)
-    reference = corpus_mod.read_corpus(args.reference, args.lang)
-    return anomaly_mod.anomaly_report(corpus, reference, n=args.top_n).to_dict()
+    return _anomaly_report(args.corpus, args.reference, args.lang, args.top_n).to_dict()
 
 
 def cmd_dedup(args) -> dict:

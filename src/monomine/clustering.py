@@ -133,7 +133,7 @@ def _merges(
     if np.any(np.diagonal(dist) != 0):
         raise ValueError("distance matrix must have a zero diagonal")
     if stop_at is None or limit is not None or math.isnan(stop_at):
-        return _linkage(dist, stop_at, limit)  # no average is >= NaN, so it never stops
+        return _linkage(dist, stop_at, limit, exact)  # no average is >= NaN, so it never stops
     if n < 2 or not stop_at > 0:  # every average is >= 0
         return []
     below = dist < stop_at * (1 + n * n * _SLACK)  # the zero diagonal too, as stop_at > 0
@@ -146,7 +146,7 @@ def _merges(
         members = order[start : start + size]
         sub = dist if size == n else dist[np.ix_(members, members)]
         at = members.tolist()
-        runs.append([(avg, at[i], at[j]) for avg, i, j in _linkage(sub, stop_at)])
+        runs.append([(avg, at[i], at[j]) for avg, i, j in _linkage(sub, stop_at, symmetric=exact)])
     stacked = (sizes > 1) & (sizes <= SMALL)
     if stacked.any():
         runs.extend(_stacked_merges(dist, order, starts[:-1][stacked], sizes[stacked], stop_at))
@@ -156,7 +156,7 @@ def _merges(
 
 
 def _linkage(
-    dist: np.ndarray, stop_at: Optional[float] = None, limit: Optional[int] = None
+    dist: np.ndarray, stop_at: Optional[float] = None, limit: Optional[int] = None, symmetric: bool = False
 ) -> list[tuple[float, int, int]]:
     """`_merges` of a checked matrix, by one loop over the whole of it.
 
@@ -165,14 +165,19 @@ def _linkage(
     "generic" algorithm, kept exact), so a merge is O(n) array work on row and
     column i plus an argmin over the stored row of each row whose cached
     column was i or j: O(n^2) time in all but contrived cases, and two n x n
-    float matrices of memory.
+    float matrices of memory. `symmetric` says that `dist` equals its
+    transpose exactly.
     """
     n = dist.shape[0]
     # avg[k, c] for open k < open c, else inf. Sizes are 1, so it starts as the
-    # upper triangle, which mirrored gives the sums: dist need only be symmetric to allclose.
-    avg = np.triu(np.asarray(dist, dtype=float), 1)
-    sums = avg + avg.T
-    avg[np.tri(n, dtype=bool)] = np.inf
+    # upper triangle, which mirrored gives the sums: dist need only be symmetric
+    # to allclose. Row by row, so no n x n temporary is made.
+    sums = np.array(dist, dtype=float)
+    avg = np.empty((n, n))
+    for k in range(n):
+        avg[k, : k + 1], avg[k, k + 1 :] = np.inf, sums[k, k + 1 :]
+        if not symmetric:
+            sums[k + 1 :, k] = sums[k, k + 1 :]
     sizes = np.ones(n)  # a product of two sizes is below 2^53, so exact
     alive = np.ones(n, dtype=bool)
     # per row: the first column of its smallest average, and that average.

@@ -11,20 +11,26 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
+import numpy as np
+
 from . import filters
-from .errors import ParseError, check_json_strings, read_lines, utf8
+from .errors import EmptyDocument, ParseError, check_json_strings, read_lines, utf8
 
 
 def normalize_sentence(text: str) -> str:
     """Trim, collapse internal whitespace runs to one space, apply NFC.
 
-    Idempotent; "" maps to "".
+    Idempotent; "" maps to "". Every whitespace character but U+0020 is
+    unprintable, so a printable text with no leading, trailing or double
+    space has nothing to trim or collapse.
     """
-    return unicodedata.normalize("NFC", " ".join(text.split()))
+    if not text.isprintable() or "  " in text or text[:1] == " " or text[-1:] == " ":
+        text = " ".join(text.split())
+    return unicodedata.normalize("NFC", text)
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,31 @@ class Document:
         return [s.text for s in self.sentences]
 
 
+@dataclass(frozen=True, eq=False)
+class Crawl:
+    """Documents as offsets into one array of sentence ids in `table`:
+    document k holds `ids[starts[k]:starts[k + 1]]`. Once annotated,
+    `clusters` holds the predicted cluster at each position of `ids`."""
+
+    table: filters.TokenTable
+    ids: np.ndarray
+    starts: np.ndarray
+    clusters: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_documents(cls, docs: Iterable[Document]) -> "Crawl":
+        """The annotated documents on a fresh table; EmptyDocument if a sentence has no cluster."""
+        table, ids, starts, cids = filters.TokenTable(), [], [0], []
+        for doc in docs:
+            for i, record in enumerate(doc.sentences):
+                if record.predicted_cluster is None:
+                    raise EmptyDocument(f"sentence {i} of {doc.id} is not annotated")
+                ids.append(table.ids[record.text])
+                cids.append(record.predicted_cluster)
+            starts.append(len(ids))
+        return cls(table, np.array(ids, np.intp), np.array(starts, np.intp), np.array(cids))
+
+
 @dataclass(frozen=True)
 class MonoCorpus:
     """Per-language sentence list with a survival counter per pipeline stage.
@@ -86,9 +117,7 @@ class MonoCorpus:
     def advanced(self, stage: str, sentences: Iterable[str]) -> "MonoCorpus":
         """New corpus with `sentences` surviving `stage` appended to the funnel."""
         sents = tuple(sentences)
-        counts = dict(self.stage_counts)
-        counts[stage] = len(sents)
-        return MonoCorpus(self.lang, sents, counts, self.table)
+        return MonoCorpus(self.lang, sents, {**self.stage_counts, stage: len(sents)}, self.table)
 
     def check_funnel(self) -> None:
         """Assert stage counts never increase along their recorded order."""
@@ -107,12 +136,7 @@ class CorpusStats:
     chars_per_sentence: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_sentences": self.n_sentences,
-            "n_tokens": self.n_tokens,
-            "n_chars": self.n_chars,
-            "chars_per_sentence": self.chars_per_sentence,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,7 +146,7 @@ class DedupReport:
     factor: float
 
     def to_dict(self) -> dict:
-        return {"before": self.before, "after": self.after, "factor": self.factor}
+        return asdict(self)
 
 
 @dataclass
@@ -137,13 +161,7 @@ class IngestReport:
     errors: list[tuple[int, str]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "lines": self.lines,
-            "documents": self.documents,
-            "skipped": self.skipped,
-            "duplicate_ids": self.duplicate_ids,
-            "errors": [{"line": n, "message": m} for n, m in self.errors],
-        }
+        return {**asdict(self), "errors": [{"line": n, "message": m} for n, m in self.errors]}
 
 
 def _optional(obj: dict, key: str, kinds: tuple[type, ...], what: str):
@@ -172,9 +190,10 @@ def _annotated_sentence(obj: object) -> SentenceRecord:
     )
 
 
-def _document_from_obj(obj: object) -> Document:
-    """A document from its JSON object: a crawl line, or a line that
-    `write_annotated` wrote. Sentence text is normalized either way."""
+def _parsed(obj: object) -> tuple[str, list[str | SentenceRecord], Optional[str]]:
+    """The id, sentences and URL of a document's JSON object: a crawl line,
+    or a line that `write_annotated` wrote. A crawl sentence is its
+    normalized text, an annotated one its record, normalized too."""
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
     doc_id = obj.get("id")
@@ -183,29 +202,29 @@ def _document_from_obj(obj: object) -> Document:
     if "sentences" in obj:
         if not isinstance(obj["sentences"], list):
             raise ValueError("'sentences' must be a list of strings or objects")
-        records = tuple(
-            SentenceRecord(normalize_sentence(s)) if isinstance(s, str) else _annotated_sentence(s)
-            for s in obj["sentences"]
-        )
+        sentences = [normalize_sentence(s) if isinstance(s, str) else _annotated_sentence(s) for s in obj["sentences"]]
     elif "text" in obj:
         if not isinstance(obj["text"], str):
             raise ValueError("'text' must be a string")
         # Newline splitting is the only sentence detection performed; blank
         # segments are not sentences.
-        texts = (normalize_sentence(p) for p in obj["text"].split("\n"))
-        records = tuple(SentenceRecord(t) for t in texts if t)
+        sentences = [t for t in map(normalize_sentence, obj["text"].split("\n")) if t]
     else:
         raise ValueError("needs 'sentences' or 'text'")
-    return Document(doc_id, records, url=_optional(obj, "url", (str,), "a string"))
+    return doc_id, sentences, _optional(obj, "url", (str,), "a string")
 
 
-def _document_at(line_no: int, line: str, path: str | Path) -> Document:
-    """The document on one line of a JSON-lines file; bad bytes, bad JSON, a
+def _document(doc_id: str, sentences: list[str | SentenceRecord], url: Optional[str]) -> Document:
+    return Document(doc_id, tuple(SentenceRecord(s) if isinstance(s, str) else s for s in sentences), url=url)
+
+
+def _parsed_at(line_no: int, line: str, path: str | Path) -> tuple[str, list[str | SentenceRecord], Optional[str]]:
+    """`_parsed` of one line of a JSON-lines file; bad bytes, bad JSON, a
     lone surrogate in a string or a bad document raise ParseError."""
     try:
         obj = json.loads(utf8(line_no, line, path))
         check_json_strings(line_no, line, path)
-        return _document_from_obj(obj)
+        return _parsed(obj)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError; deep nesting recurses
         raise ParseError(line_no, str(exc), path) from exc
 
@@ -214,8 +233,10 @@ def load_documents(
     path: str | Path,
     strict: bool = False,
     report: Optional[IngestReport] = None,
-) -> Iterator[Document]:
-    """Stream Documents from a JSONL file in file order.
+    table: Optional[filters.TokenTable] = None,
+) -> Iterator[Document] | Iterator[list[int]]:
+    """Stream Documents from a JSONL file in file order; with a `table`,
+    each document as the ids of its sentences in it, with no records made.
 
     Whitespace-only lines are ignored. A malformed line (bad bytes, bad JSON
     or a bad document) raises ParseError in strict mode; in lenient mode it
@@ -230,7 +251,7 @@ def load_documents(
         if not line.strip():
             continue
         try:
-            doc = _document_at(line_no, line, path)
+            doc_id, sentences, url = _parsed_at(line_no, line, path)
         except ParseError as exc:
             if strict:
                 raise
@@ -238,15 +259,18 @@ def load_documents(
                 report.skipped += 1
                 report.errors.append((line_no, exc.message))
             continue
-        first = first_line.setdefault(doc.id, line_no)
+        first = first_line.setdefault(doc_id, line_no)
         if first != line_no:
             if strict:
-                raise ParseError(line_no, f"duplicate document id {doc.id!r}, first used on line {first}", path)
+                raise ParseError(line_no, f"duplicate document id {doc_id!r}, first used on line {first}", path)
             if report is not None:
                 report.duplicate_ids += 1
         if report is not None:
             report.documents += 1
-        yield doc
+        if table is None:
+            yield _document(doc_id, sentences, url)
+        else:
+            yield table.intern(s if isinstance(s, str) else s.text for s in sentences)
 
 
 def document_to_obj(doc: Document) -> dict:
@@ -278,7 +302,7 @@ def read_annotated(path: str | Path) -> Iterator[Document]:
     raises ParseError; unlike strict `load_documents`, ids may repeat."""
     for line_no, line in read_lines(path):
         if line.strip():
-            yield _document_at(line_no, line, path)
+            yield _document(*_parsed_at(line_no, line, path))
 
 
 def _dedup(corpus: MonoCorpus, seen: set[str]) -> tuple[MonoCorpus, DedupReport]:
@@ -328,8 +352,7 @@ def corpus_stats(corpus: MonoCorpus) -> CorpusStats:
 def write_corpus(corpus: MonoCorpus, path: str | Path) -> None:
     """One UTF-8 sentence per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for s in corpus.sentences:
-            fh.write(s + "\n")
+        fh.write("".join(s + "\n" for s in corpus.sentences))
 
 
 def read_corpus(path: str | Path, lang: str, table: Optional[filters.TokenTable] = None) -> MonoCorpus:

@@ -16,7 +16,7 @@ import json
 import math
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -39,10 +39,11 @@ from .errors import (
     require,
     utf8,
 )
+from . import langid
 from .langid import ConfusionMatrix, Predictor
 
 if TYPE_CHECKING:
-    from .corpus import Document, MonoCorpus
+    from .corpus import Crawl, Document, MonoCorpus
 
 T = TypeVar("T")
 
@@ -72,13 +73,22 @@ def _split_tokens(text: str, fold: bool) -> list[str]:
 
 
 def tokenize(text: str) -> list[str]:
-    """Whitespace split, edge punctuation stripped, case-folded."""
+    """Whitespace split, edge punctuation stripped, case-folded.
+
+    A text of alphanumeric characters and U+0020 alone has no punctuation to
+    strip and no other whitespace, and case folding an alphanumeric
+    character never gives whitespace, so its tokens are those of the folded
+    text split at its spaces.
+    """
+    if text.replace(" ", "").isalnum():
+        return text.casefold().split()
     return _split_tokens(text, fold=True)
 
 
 class TokenTable:
-    """Each distinct sentence's `tokenize` output as ids into one vocabulary,
-    computed the first time a stage asks for it.
+    """A run's sentence table: each distinct sentence's id, and its
+    `tokenize` output as ids into one vocabulary, computed the first time a
+    stage asks for it.
 
     Every `MonoCorpus` carries a table, and corpora derived from one another
     share it, so a sentence is tokenized once however many stages read its
@@ -86,9 +96,15 @@ class TokenTable:
     """
 
     def __init__(self) -> None:
-        # token -> id, in id order: looking up a token not seen before gives it the next id
+        # token -> id and sentence -> id, each in id order: looking up a key
+        # not seen before gives it the next id
         self.vocab: dict[str, int] = defaultdict(itertools.count().__next__)
+        self.ids: dict[str, int] = defaultdict(itertools.count().__next__)
         self._rows: dict[str, list[int]] = {}  # sentence -> its token ids
+
+    def intern(self, sentences: Iterable[str]) -> list[int]:
+        """Each sentence's id, a new one the first time a sentence is seen."""
+        return list(map(self.ids.__getitem__, sentences))
 
     def rows(self, sentences: Sequence[str]) -> list[list[int]]:
         """Each sentence's token ids, as the table's own lists: read them only."""
@@ -182,29 +198,44 @@ def read_tsv_pairs(path: str | Path, convert: Callable[[str], T]) -> Iterator[tu
         yield key, parsed
 
 
-def annotate_document(doc: Document, predictor: Predictor, clusters: ClusterMap) -> Document:
-    """Attach a language, cluster, and confidence to every sentence."""
-    predictions = predictor.predict_batch(doc.texts)
-    annotated = []
-    for record, (lang, confidence) in zip(doc.sentences, predictions):
-        if lang not in clusters.assignment:
-            raise UnknownLanguage(f"predictor emitted unclustered language {lang!r}")
-        annotated.append(
-            corpus_mod.SentenceRecord(
-                text=record.text,
-                predicted_lang=lang,
-                predicted_cluster=clusters.cluster_of(lang),
-                confidence=confidence,
-            )
-        )
-    return corpus_mod.Document(doc.id, tuple(annotated), url=doc.url)
+@dataclass
+class Annotations:
+    """Each text's language, that language's cluster, the confidence, and the
+    language decluster routes the text on, by the text's position."""
+
+    langs: list[str] = field(default_factory=list)
+    clusters: list[int] = field(default_factory=list)
+    confidences: list[float] = field(default_factory=list)
+    routes: list[str] = field(default_factory=list)
+
+    def extend(self, other: "Annotations") -> None:
+        for name, values in vars(other).items():
+            getattr(self, name).extend(values)
+
+
+def annotate_document(
+    texts: Sequence[str], predictor: Predictor, clusters: ClusterMap, decluster: Optional[Predictor] = None
+) -> Annotations:
+    """Annotate a document's texts, or any batch of them. A text's route is
+    its language under `decluster`, predicted in the same call (two LangID
+    models featurize the batch once for both), or without one its language."""
+    if decluster is None:
+        pairs = routed = predictor.predict_batch(texts)
+    elif isinstance(predictor, langid.LangIdModel) and isinstance(decluster, langid.LangIdModel):
+        pairs, routed = langid.predict_batch(predictor, texts, decluster)
+    else:
+        pairs, routed = predictor.predict_batch(texts), decluster.predict_batch(texts)
+    langs = [lang for lang, _ in pairs]
+    cluster_of = clusters.assignment
+    unknown = next((lang for lang in langs if lang not in cluster_of), None)
+    if unknown is not None:
+        raise UnknownLanguage(f"predictor emitted unclustered language {unknown!r}")
+    return Annotations(langs, [cluster_of[lang] for lang in langs], [c for _, c in pairs], [lang for lang, _ in routed])
 
 
 def document_cluster(doc: Document) -> int:
     """The most-often predicted cluster; ties go to the smallest cluster id."""
-    votes = Counter(
-        s.predicted_cluster for s in doc.sentences if s.predicted_cluster is not None
-    )
+    votes = Counter(s.predicted_cluster for s in doc.sentences if s.predicted_cluster is not None)
     if not votes:
         raise EmptyDocument(f"document {doc.id} has no annotated sentences")
     return min(votes, key=lambda cid: (-votes[cid], cid))
@@ -217,51 +248,47 @@ def consistency_score(doc: Document, sentence_index: int) -> float:
     target = doc.sentences[sentence_index].predicted_cluster
     if target is None:
         raise EmptyDocument(f"sentence {sentence_index} of {doc.id} is not annotated")
-    same = sum(1 for s in doc.sentences if s.predicted_cluster == target)
-    return same / len(doc.sentences)
+    return sum(s.predicted_cluster == target for s in doc.sentences) / len(doc.sentences)
 
 
-def filter_doc_consistency(
-    docs: Iterable[Document],
-) -> tuple[dict[int, MonoCorpus], dict[str, StageReport]]:
-    """Keep only sentences whose cluster matches their document's cluster.
+def filter_doc_consistency(crawl: Crawl) -> tuple[dict[int, MonoCorpus], dict[str, StageReport]]:
+    """Keep only sentences whose cluster matches their document's cluster,
+    the one most of its sentences are in, ties going to the smallest
+    cluster id (`document_cluster`).
 
-    Output corpora are cluster-level, labeled ``cluster:<id>``, and so are
-    the reports, in cluster-id order; they also cover clusters that never
-    won a document majority. A sentence with a consistency score over 0.5 is
-    in the strict majority and can never be dropped here.
+    Output corpora are cluster-level, labeled ``cluster:<id>``, on the
+    crawl's table, and so are the reports, in cluster-id order; they also
+    cover clusters that never won a document majority. A sentence with a
+    consistency score over 0.5 is in the strict majority and can never be
+    dropped here.
 
     A refinement that would also keep minority sentences of genuinely
     multilingual pages (those below some consistency threshold) is a known
     extension point; it is deliberately not implemented, and a whole-document
     veto is applied instead.
     """
-    kept: dict[int, list[str]] = {}
-    dropped: dict[int, int] = {}
-    for doc in docs:
-        if not doc.sentences:
-            continue
-        doc_cid = document_cluster(doc)
-        kept.setdefault(doc_cid, [])
-        for i, record in enumerate(doc.sentences):
-            cid = record.predicted_cluster
-            if cid == doc_cid:
-                kept[doc_cid].append(record.text)
-            elif cid is None:
-                raise EmptyDocument(f"sentence {i} of {doc.id} is not annotated")
-            else:
-                dropped[cid] = dropped.get(cid, 0) + 1
-    table = TokenTable()
-    out = {
-        cid: corpus_mod.MonoCorpus.from_sentences(f"cluster:{cid}", kept[cid], "doc_consistency", table)
-        for cid in sorted(kept)
-    }
-    reports = {}
-    for cid in sorted(set(kept) | set(dropped)):
-        n_kept = len(kept.get(cid, ()))
-        rep = reports[f"cluster:{cid}"] = StageReport("doc_consistency", n_kept + dropped.get(cid, 0), n_kept)
-        if dropped.get(cid):
-            rep.dropped_by_reason["cluster_mismatch"] = dropped[cid]
+    labels, cids = np.unique(crawl.clusters, return_inverse=True)  # cluster ids as 0..k-1, in order
+    width = max(len(labels), 1)
+    doc = np.repeat(np.arange(len(crawl.starts) - 1), np.diff(crawl.starts))
+    votes = np.unique(doc * width + cids, return_counts=True)  # (document, cluster) pairs and their counts
+    ranked = votes[0][np.lexsort((votes[0], -votes[1], votes[0] // width))]
+    winners = ranked[np.diff(ranked // width, prepend=-1) != 0]  # each document's first pair
+    doc_cluster = np.full(len(crawl.starts) - 1, -1)
+    doc_cluster[winners // width] = winners % width
+    keep = cids == doc_cluster[doc]
+    texts = np.array(list(crawl.table.ids), dtype=object)
+    kept_ids, kept_cids = crawl.ids[keep], cids[keep]
+    n_kept = np.bincount(kept_cids, minlength=width).tolist()
+    dropped = np.bincount(cids[~keep], minlength=width).tolist()
+    out, reports = {}, {}
+    for k in np.flatnonzero(np.add(n_kept, dropped)).tolist():
+        label = f"cluster:{labels[k]}"
+        if n_kept[k]:
+            sentences = texts[kept_ids[kept_cids == k]].tolist()
+            out[int(labels[k])] = corpus_mod.MonoCorpus.from_sentences(label, sentences, "doc_consistency", crawl.table)
+        rep = reports[label] = StageReport("doc_consistency", n_kept[k] + dropped[k], n_kept[k])
+        if dropped[k]:
+            rep.dropped_by_reason["cluster_mismatch"] = dropped[k]
     return out, reports
 
 
@@ -370,33 +397,32 @@ def filter_wordlist(
 
 def decluster(
     cluster_corpora: Mapping[int, MonoCorpus],
-    predicted: Mapping[str, str],
+    predicted: Sequence[str],
     clusters: Optional[ClusterMap],
 ) -> tuple[dict[str, MonoCorpus], dict[str, StageReport]]:
     """Split cluster corpora into per-language corpora: each sentence goes to
-    its language in `predicted`, which must hold every sentence.
+    `predicted[i]`, where i is its id in the corpora's one table.
 
     A sentence whose language falls outside its cluster is dropped, and
     counted in the report of its cluster corpus; the reports are in label
     order. With no cluster map every language is a member of every cluster:
     nothing is dropped, and only languages predicted at least once get a
-    corpus. The output corpora share the token table of the first input
-    corpus.
+    corpus. The output corpora share the table of the input corpora.
     """
     routed: dict[str, list[str]] = {}
     dropped: dict[str, int] = {}
+    table = next((cluster_corpora[cid].table for cid in sorted(cluster_corpora)), None)
     for cid in sorted(cluster_corpora):
         corpus = cluster_corpora[cid]
         members = None if clusters is None else set(clusters.members.get(cid, ()))
         for lang in members or ():
             routed.setdefault(lang, [])
-        for sentence in corpus.sentences:
-            lang = predicted[sentence]
+        for sentence, i in zip(corpus.sentences, table.intern(corpus.sentences)):
+            lang = predicted[i]
             if members is None or lang in members:
                 routed.setdefault(lang, []).append(sentence)
             else:
                 dropped[corpus.lang] = dropped.get(corpus.lang, 0) + 1
-    table = next((cluster_corpora[cid].table for cid in sorted(cluster_corpora)), None)
     out = {lang: corpus_mod.MonoCorpus.from_sentences(lang, routed[lang], "decluster", table) for lang in sorted(routed)}
     reports = {lang: StageReport("decluster", len(kept), len(kept)) for lang, kept in routed.items()}
     for label, n in dropped.items():
@@ -510,15 +536,7 @@ class RrrReport:
     reasons: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "lang": self.lang,
-            "r_gold": self.r_gold,
-            "r_crawl": self.r_crawl,
-            "rho": self.rho,
-            "rrr": self.rrr,
-            "apply_filter": self.apply_filter,
-            "reasons": list(self.reasons),
-        }
+        return {**asdict(self), "reasons": list(self.reasons)}
 
 
 def rrr_gate(

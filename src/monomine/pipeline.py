@@ -9,25 +9,25 @@ reasons; disabling a stage means no sentence is dropped by it.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, get_type_hints
 
+import numpy as np
 import yaml
 
 from . import corpus as corpus_mod
-from . import filters, langid
+from . import filters
 from .clustering import ClusterMap
-from .corpus import Document, IngestReport, MonoCorpus, SentenceRecord, load_documents
+from .corpus import Crawl, IngestReport, MonoCorpus, load_documents
 from .errors import ConfigError, MissingWordlist, ParseError, check_fields, read_json, read_lines, require, utf8
-from .filters import StageReport, WordList
-from .langid import BATCH_ROWS, LangIdModel, Predictor, load_model
+from .filters import StageReport, TokenTable, WordList
+from .langid import BATCH_ROWS, Predictor, load_model
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -191,13 +191,7 @@ class StageManifest:
     config_hash: str
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "per_language": self.per_language,
-            "wall_time": self.wall_time,
-            "cpu_time": self.cpu_time,
-            "config_hash": self.config_hash,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -207,41 +201,17 @@ class PipelineResult:
     summary: dict
 
     def to_dict(self) -> dict:
-        return {
-            "stages": [m.to_dict() for m in self.manifests],
-            "summary": self.summary,
-        }
+        return {"stages": [m.to_dict() for m in self.manifests], "summary": self.summary}
 
 
 @dataclass
 class _Run:
-    """What a stage needs besides its corpora: the config, and what the
-    annotate stage loaded and predicted for the stages after it. `predicted`
-    holds the language decluster routes each crawl text to: the decluster
-    model's prediction if one is configured, else annotate's own."""
+    """What a stage needs besides its corpora: the config, and what annotate
+    loaded and predicted for the stages after it, by sentence id."""
 
     config: PipelineConfig
     clusters: Optional[ClusterMap] = None
-    predicted: dict[str, str] = field(default_factory=dict)
-
-
-class _WithDecluster:
-    """One annotate chunk's predictor: it predicts with the annotation
-    predictor and, in the same call, keeps each text's language under the
-    decluster predictor. Two LangID models featurize each batch once for both."""
-
-    def __init__(self, predictor: Predictor, decluster: Predictor):
-        self.predictor, self.decluster = predictor, decluster
-        self.languages = predictor.languages
-        self.decluster_langs: list[str] = []
-
-    def predict_batch(self, texts: Sequence[str]) -> list[tuple[str, float]]:
-        if isinstance(self.predictor, LangIdModel) and isinstance(self.decluster, LangIdModel):
-            pairs, other = langid.predict_batch(self.predictor, texts, self.decluster)
-        else:
-            pairs, other = self.predictor.predict_batch(texts), self.decluster.predict_batch(texts)
-        self.decluster_langs = [lang for lang, _ in other]
-        return pairs
+    annotations: filters.Annotations = field(default_factory=filters.Annotations)
 
 
 # Sentences per annotate batch: as many as one LangID scoring call takes.
@@ -267,45 +237,18 @@ def _in_order(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterato
             yield future.result()
 
 
-def _annotate_all(
-    docs: Iterable[Document],
-    predictor: Predictor,
-    clusters: ClusterMap,
-    workers: int,
-    decluster: Optional[Predictor] = None,
-    predicted: Optional[dict[str, str]] = None,
-) -> Iterator[Document]:
-    """Each document annotated, in input order: the crawl's sentence records
-    are one stream, annotated in chunks of `ANNOTATE_CHUNK`, and each
-    document takes its own count of annotated records back off it. Rows are
-    predicted independently, so the chunking changes no prediction, and
-    `_in_order` keeps the chunks in order, so the worker count changes
-    nothing either.
-
-    `predicted`, if given, gets each text's language for decluster as its
-    chunk comes out: the `decluster` predictor's, predicted in the same
-    chunk, or the annotation's without one."""
-    docs, again = itertools.tee(docs)
-    records = itertools.chain.from_iterable(doc.sentences for doc in docs)
-    chunks = iter(lambda: tuple(itertools.islice(records, ANNOTATE_CHUNK)), ())
-
-    def annotate(chunk: tuple[SentenceRecord, ...]) -> tuple[tuple[SentenceRecord, ...], list[str]]:
-        doc = Document("chunk", chunk)
-        if decluster is None:
-            sentences = filters.annotate_document(doc, predictor, clusters).sentences
-            return sentences, [s.predicted_lang for s in sentences]
-        both = _WithDecluster(predictor, decluster)
-        return filters.annotate_document(doc, both, clusters).sentences, both.decluster_langs
-
-    def annotated_records() -> Iterator[SentenceRecord]:
-        for sentences, langs in _in_order(annotate, chunks, workers):
-            if predicted is not None:
-                predicted.update(zip((s.text for s in sentences), langs))
-            yield from sentences
-
-    annotated = annotated_records()
-    for doc in again:
-        yield Document(doc.id, tuple(itertools.islice(annotated, len(doc.sentences))), url=doc.url)
+def _annotations(
+    texts: Sequence[str], predictor: Predictor, clusters: ClusterMap, workers: int, decluster: Predictor | None = None
+) -> filters.Annotations:
+    """Each text annotated, in chunks of `ANNOTATE_CHUNK` on up to `workers`
+    threads. Rows are predicted independently, so the chunking changes no
+    prediction, and `_in_order` keeps the chunks in order, so the worker
+    count changes nothing either."""
+    chunks = (texts[start : start + ANNOTATE_CHUNK] for start in range(0, len(texts), ANNOTATE_CHUNK))
+    out = filters.Annotations()
+    for part in _in_order(lambda c: filters.annotate_document(c, predictor, clusters, decluster), chunks, workers):
+        out.extend(part)
+    return out
 
 
 def _load_wordlists_for(langs: list[str], directory: Path) -> dict[str, WordList]:
@@ -330,17 +273,21 @@ def _pass_through(stage: str, corpora: dict) -> dict[str, dict]:
     )
 
 
-def _ingest(run: _Run, _: None) -> tuple[list[Document], dict[str, dict]]:
+def _ingest(run: _Run, _: None) -> tuple[Crawl, dict[str, dict]]:
+    """The crawl over a new sentence table, each distinct sentence interned once."""
     config = run.config
-    ingest = IngestReport()
-    docs = list(load_documents(config.resolve(config.input), strict=config.strict, report=ingest))
+    ingest, table = IngestReport(), TokenTable()
+    ids, starts = [], [0]
+    for doc in load_documents(config.resolve(config.input), strict=config.strict, report=ingest, table=table):
+        ids += doc
+        starts.append(len(ids))
     rep = StageReport("ingest", ingest.lines, ingest.documents)
     if ingest.skipped:
         rep.dropped_by_reason["malformed"] = ingest.skipped
-    entry = {**rep.to_dict(), "sentences": sum(len(d.sentences) for d in docs)}
+    entry = {**rep.to_dict(), "sentences": len(ids)}
     if ingest.duplicate_ids:  # only when non-zero: a clean crawl's entry keeps its shape
         entry["duplicate_ids"] = ingest.duplicate_ids
-    return docs, {"*": entry}
+    return Crawl(table, np.array(ids, np.intp), np.array(starts, np.intp)), {"*": entry}
 
 
 def _check_languages(model: Predictor, clusters: ClusterMap, what: str) -> None:
@@ -351,7 +298,9 @@ def _check_languages(model: Predictor, clusters: ClusterMap, what: str) -> None:
         raise ConfigError(f"{what} languages missing from cluster map: {', '.join(missing)}")
 
 
-def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str, dict]]:
+def _annotate(run: _Run, crawl: Crawl) -> tuple[Crawl, dict[str, dict]]:
+    """Each distinct crawl sentence predicted once, by each model: the table
+    lists them in id order, so the annotations are indexed by sentence id."""
     config = run.config
     model = load_model(config.resolve(config.model))
     run.clusters = ClusterMap.load_json(config.resolve(config.clusters))
@@ -360,21 +309,19 @@ def _annotate(run: _Run, docs: list[Document]) -> tuple[list[Document], dict[str
     if config.decluster.model:
         decluster_model = load_model(config.resolve(config.decluster.model))
         _check_languages(decluster_model, run.clusters, "decluster model")
-    # rows are predicted independently, so a text's language is the same in
-    # any chunk, and a repeated text keeps it
-    run.predicted = {}
-    docs = list(_annotate_all(docs, model, run.clusters, config.workers, decluster_model, run.predicted))
-    n_sentences = sum(len(d.sentences) for d in docs)
-    return docs, {"*": StageReport("annotate", n_sentences, n_sentences).to_dict()}
+    run.annotations = _annotations(list(crawl.table.ids), model, run.clusters, config.workers, decluster_model)
+    clusters = np.array(run.annotations.clusters, np.int64)[crawl.ids]
+    n_sentences = len(crawl.ids)
+    return replace(crawl, clusters=clusters), {"*": StageReport("annotate", n_sentences, n_sentences).to_dict()}
 
 
-def _doc_consistency(run: _Run, docs: list[Document]) -> tuple[dict, dict[str, dict]]:
+def _doc_consistency(run: _Run, crawl: Crawl) -> tuple[dict, dict[str, dict]]:
     """Disabled, the stage still groups the sentences by cluster: a
     one-sentence document always agrees with itself, so every sentence goes
     to its own predicted cluster."""
     if not run.config.doc_consistency.enabled:
-        docs = (Document(doc.id, (record,)) for doc in docs for record in doc.sentences)
-    cluster_corpora, reports = filters.filter_doc_consistency(docs)
+        crawl = replace(crawl, starts=np.arange(len(crawl.ids) + 1))
+    cluster_corpora, reports = filters.filter_doc_consistency(crawl)
     return cluster_corpora, _entries(reports)
 
 
@@ -395,7 +342,7 @@ def _decluster(run: _Run, cluster_corpora: dict[int, MonoCorpus]) -> tuple[dict,
     dropping those outside their cluster; disabled, the stage routes with no
     cluster map and drops nothing."""
     clusters = run.clusters if run.config.decluster.enabled else None
-    corpora, reports = filters.decluster(cluster_corpora, run.predicted, clusters)
+    corpora, reports = filters.decluster(cluster_corpora, run.annotations.routes, clusters)
     return corpora, _entries(reports)
 
 
@@ -544,7 +491,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
 
 def report(manifests_path: str | Path) -> dict:
-    """Aggregate written manifests into a per-language funnel summary."""
+    """Aggregate written manifests into a per-language funnel summary, with
+    each stage's totals and cost: its wall and CPU seconds."""
     data = read_json(manifests_path, dict, "a manifests object")
     stages, summary = data.get("stages"), data.get("summary", {})
 
@@ -555,6 +503,7 @@ def report(manifests_path: str | Path) -> dict:
         raise bad(f"a list of stages under 'stages', got {stages!r}")
     funnel: dict[str, dict[str, int]] = {}
     totals: dict[str, int] = {}
+    cost: dict[str, dict[str, float]] = {}
     for stage in stages:
         if not isinstance(stage, dict) or not isinstance(stage.get("stage"), str):
             raise bad(f"a {{stage, per_language}} object, got {stage!r}")
@@ -566,14 +515,18 @@ def report(manifests_path: str | Path) -> dict:
                 raise bad(f"an integer 'out' for {label!r} in stage {name!r}, got {entry!r}")
             funnel.setdefault(label, {})[name] = entry["out"]
         totals[name] = sum(entry["out"] for entry in per_language.values())
+        cost[name] = {key: stage.get(key) for key in ("wall_time", "cpu_time")}
+        if not all(type(seconds) in (int, float) for seconds in cost[name].values()):
+            raise bad(f"a number of seconds for 'wall_time' and 'cpu_time' in stage {name!r}")
     rows = summary.get("languages", {}) if isinstance(summary, dict) else None
     if not isinstance(rows, dict) or not all(isinstance(row, dict) for row in rows.values()):
         raise bad("a {language: object} map under summary.languages")
-    return {"funnel": {k: funnel[k] for k in sorted(funnel)}, "totals": totals, "summary": summary}
+    return {"funnel": {k: funnel[k] for k in sorted(funnel)}, "totals": totals, "cost": cost, "summary": summary}
 
 
 def render_report_text(rep: dict) -> str:
-    """Human-readable funnel table."""
+    """Human-readable funnel table, then a line of totals and one for each
+    cost measure."""
     lines = []
     summary = rep.get("summary", {})
     lang_rows = summary.get("languages", {})
@@ -589,4 +542,6 @@ def render_report_text(rep: dict) -> str:
         lines.append("\t".join(row))
     lines.append("")
     lines.append("totals:\t" + "\t".join(f"{s}={rep['totals'][s]}" for s in stage_names))
+    for measure in ("wall_time", "cpu_time"):
+        lines.append(f"{measure}:\t" + "\t".join(f"{s}={rep['cost'][s][measure]:.4f}" for s in stage_names))
     return "\n".join(lines) + "\n"

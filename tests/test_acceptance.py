@@ -13,7 +13,7 @@ import pytest
 
 from monomine.anomaly import AnomalyReport, anomaly_report
 from monomine.clustering import agglomerative_cluster, resplit, ClusterMap
-from monomine.corpus import Document, MonoCorpus, SentenceRecord
+from monomine.corpus import Crawl, Document, MonoCorpus, SentenceRecord
 from monomine.filters import (
     IifTable,
     build_tfiif_wordlist,
@@ -78,7 +78,7 @@ def make_57_sentence_doc():
 def test_document_consistency_worked_example():
     doc = make_57_sentence_doc()
     assert document_cluster(doc) == 0
-    out, _ = filter_doc_consistency([doc])
+    out, _ = filter_doc_consistency(Crawl.from_documents([doc]))
     assert set(out) == {0}
     assert out[0].sentences == tuple(f"sentence {i}" for i in range(20))
 
@@ -100,7 +100,7 @@ def test_majority_guarantee():
             )
         )
     kept = set()
-    for corpus in filter_doc_consistency(docs)[0].values():
+    for corpus in filter_doc_consistency(Crawl.from_documents(docs))[0].values():
         kept.update(corpus.sentences)
     for doc in docs:
         for i, record in enumerate(doc.sentences):

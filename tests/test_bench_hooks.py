@@ -16,7 +16,7 @@ import pytest
 
 from monomine import filters, langid, pipeline
 from monomine.clustering import ClusterMap
-from monomine.corpus import Document, SentenceRecord, load_documents
+from monomine.corpus import load_documents
 from monomine.langid import load_model, save_model
 from monomine.pipeline import ANNOTATE_CHUNK, PipelineConfig, run_pipeline
 
@@ -86,8 +86,7 @@ def test_batch_predictions_reach_the_traced_function(monkeypatch):
     monkeypatch.setattr(langid, "predict_batch", recording)
     model = _zero_model()
     model.predict_batch(["a"])
-    doc = Document("d", (SentenceRecord("b"), SentenceRecord("c")))
-    filters.annotate_document(doc, model, ClusterMap.from_groups([["aa", "bb"]]))
+    filters.annotate_document(["b", "c"], model, ClusterMap.from_groups([["aa", "bb"]]))
     assert seen == [["a"], ["b", "c"]]
 
 
@@ -98,11 +97,13 @@ def small_env(tmp_path_factory):
     )
 
 
-# A run tokenizes each crawl and gold sentence once, through the traced
-# `filters.tokenize`, also a gold sentence that the crawl holds too, and with no decluster model of its own predicts each
-# crawl sentence once, in annotate, where every batch is one traced
-# `filters.annotate_document` call on a chunk of the crawl. Every traced call
-# that gives a stage its peak RSS is still made.
+# A run tokenizes each distinct crawl and gold sentence once, through the
+# traced `filters.tokenize`, also a gold sentence that the crawl holds too,
+# and with no decluster model of its own predicts each distinct crawl sentence
+# once, in annotate, where every batch is one traced
+# `filters.annotate_document` call on a chunk of the crawl's distinct
+# sentences, in the order they first occur. Every traced call that gives a
+# stage its peak RSS is still made.
 def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small_env, tmp_path):
     tokenized, predicted, called = Counter(), Counter(), Counter()
     batches, annotated = [], []
@@ -132,9 +133,9 @@ def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small
             monkeypatch.setattr(module, attr, count_calls(name, getattr(module, attr)))
     real_annotate = filters.annotate_document
 
-    def annotating(doc, *args):
-        annotated.append(doc.texts)
-        return real_annotate(doc, *args)
+    def annotating(texts, *args):
+        annotated.append(list(texts))
+        return real_annotate(texts, *args)
 
     monkeypatch.setattr(filters, "annotate_document", annotating)
     raw = small_env.config_dict()
@@ -147,6 +148,11 @@ def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small
     with open(tmp_path / "gold" / "aa.txt", "a", encoding="utf-8") as fh:
         fh.write(shared + "\n")
     raw["stages"]["tfiif"]["gold_dir"] = str(tmp_path / "gold")
+    # the first document again at the end, its sentences repeated
+    crawl_path = tmp_path / "crawl.jsonl"
+    lines = small_env.crawl_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    crawl_path.write_text("".join(lines) + lines[0].replace('"doc00000"', '"again"'), encoding="utf-8")
+    raw["input"] = str(crawl_path)
     config = PipelineConfig.from_dict(raw, base_dir=small_env.root)
     assert config.decluster.model is None
     result = run_pipeline(config)
@@ -156,8 +162,10 @@ def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small
     outputs = {s for corpus in result.corpora.values() for s in corpus.sentences}
     assert shared in gold and shared in result.corpora["aa"].sentences
     assert gold | outputs <= set(tokenized)
-    crawl = Counter(s.text for doc in load_documents(small_env.crawl_path) for s in doc.sentences)
-    assert predicted == crawl
+    crawl = [s.text for doc in load_documents(crawl_path) for s in doc.sentences]
+    assert len(set(crawl)) < len(crawl)
+    assert predicted == Counter(set(crawl))
+    assert [t for b in batches for t in b] == list(dict.fromkeys(crawl))
     assert batches == annotated
     assert [len(b) for b in batches[:-1]] == [ANNOTATE_CHUNK] * (len(batches) - 1)
     assert 0 < len(batches[-1]) <= ANNOTATE_CHUNK
@@ -166,8 +174,8 @@ def test_each_sentence_is_tokenized_and_predicted_once(monkeypatch, spans, small
     assert {e["decision"] for e in tfiif.per_language.values()} == {"filtered"}
 
 
-# With a decluster model of its own, each annotate chunk is featurized once
-# for both models, in one traced `langid.predict_batch` call made inside the
+# With a decluster model of its own, each annotate chunk of distinct crawl
+# sentences is featurized once for both models, in one traced `langid.predict_batch` call made inside the
 # chunk's `filters.annotate_document`, and no LangID call follows the chunks:
 # decluster routes on what annotate predicted.
 def test_each_chunk_is_featurized_once_for_both_models(monkeypatch, small_env, tmp_path):
@@ -183,9 +191,9 @@ def test_each_chunk_is_featurized_once_for_both_models(monkeypatch, small_env, t
         events.append(("predict", list(texts), [model.spec] + [m.spec for m in others]))
         return real_predict(model, texts, *others)
 
-    def annotating(doc, *args):
-        events.append(("annotate", list(doc.texts), None))
-        return real_annotate(doc, *args)
+    def annotating(texts, *args):
+        events.append(("annotate", list(texts), None))
+        return real_annotate(texts, *args)
 
     monkeypatch.setattr(langid, "_feature_matrices", featurizing)
     monkeypatch.setattr(langid, "predict_batch", predicting)
@@ -201,7 +209,7 @@ def test_each_chunk_is_featurized_once_for_both_models(monkeypatch, small_env, t
     assert specs[0] != specs[1]
     chunks = [texts for kind, texts, _ in events if kind == "annotate"]
     crawl = [s.text for doc in load_documents(small_env.crawl_path) for s in doc.sentences]
-    assert [t for chunk in chunks for t in chunk] == crawl
+    assert [t for chunk in chunks for t in chunk] == list(dict.fromkeys(crawl))
     assert [len(c) for c in chunks[:-1]] == [ANNOTATE_CHUNK] * (len(chunks) - 1)
     steps = (("annotate", None), ("predict", specs), ("featurize", specs))
     assert events == [(kind, chunk, arg) for chunk in chunks for kind, arg in steps]

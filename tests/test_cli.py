@@ -575,6 +575,19 @@ class TestCorpusCommands:
         assert "\naa\t" in out
 
 
+    @pytest.mark.parametrize("empty", ["corpus", "reference"])
+    def test_anomaly_names_the_empty_file(self, capsys, tmp_path, empty):
+        for name in ("corpus", "reference"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "aa.txt").write_text("... --\n" if name == empty else "u v w\n")
+        path = tmp_path / empty / "aa.txt"
+        single = ["--corpus", tmp_path / "corpus" / "aa.txt", "--reference", tmp_path / "reference" / "aa.txt"]
+        batch = ["--corpus-dir", tmp_path / "corpus", "--reference-dir", tmp_path / "reference"]
+        for argv in (single, batch):
+            assert main(["anomaly", *map(str, argv)]) == 2
+            assert capsys.readouterr().err == f"monomine: error: no tokens in corpus {path}\n"
+
+
 class TestPipelineCommands:
     def test_run_and_report(self, capsys, env):
         summary = run_json(capsys, "pipeline", "run", "--config", str(env.config_path))
@@ -671,8 +684,10 @@ class TestFilterCommands:
             for cid in clusters.members:
                 write_corpus(MonoCorpus.from_sentences("x", mixed), tmp_path / "in" / f"cluster-{cid}.txt")
             model = langid.load_model(env.root / "langid.bin")
-            corpora = {cid: read_corpus(path, f"cluster:{cid}") for cid in sorted(clusters.members)}
-            predicted = dict(zip(mixed, (lang for lang, _ in model.predict_batch(mixed))))
+            table = filters.TokenTable()
+            corpora = {cid: read_corpus(path, f"cluster:{cid}", table) for cid in sorted(clusters.members)}
+            table.intern(mixed)
+            predicted = [lang for lang, _ in model.predict_batch(list(table.ids))]
             got, reports = filters.decluster(corpora, predicted, clusters)
             want = (got, pipeline._entries(reports))
             argv = ["--input-dir", tmp_path / "in", "--model", env.root / "langid.bin",

@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,8 @@ from monomine.corpus import (
     SentenceRecord,
     corpus_stats,
     dedup,
-    _document_from_obj,
+    _document,
+    _parsed,
     dedup_corpora,
     document_to_obj,
     load_documents,
@@ -51,6 +54,20 @@ class TestNormalize:
     def test_idempotent(self, text):
         once = normalize_sentence(text)
         assert normalize_sentence(once) == once
+
+    def test_every_whitespace_character_but_space_is_unprintable(self):
+        # the fast path takes a printable text with single inner spaces as trimmed and collapsed
+        printable = [
+            f"U+{cp:04X}"
+            for cp in range(sys.maxunicode + 1)
+            if not 0xD800 <= cp <= 0xDFFF and cp != 0x20 and chr(cp).isspace() and chr(cp).isprintable()
+        ]
+        assert printable == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(" \t\n\x1f\x85\xa0\u2028\u3000e\u0301"), max_size=40))
+    def test_equals_nfc_of_the_collapsed_text(self, text):
+        assert normalize_sentence(text) == unicodedata.normalize("NFC", " ".join(text.split()))
 
 
 class TestLoadDocuments:
@@ -174,7 +191,7 @@ class TestDocumentModel:
 
     def test_obj_roundtrip(self):
         doc = Document("d", (SentenceRecord("s", "aa", 1, 0.5),))
-        assert _document_from_obj(document_to_obj(doc)) == doc
+        assert _document(*_parsed(document_to_obj(doc))) == doc
 
     def test_crawl_reader_reads_annotated_lines(self, tmp_path):
         doc = Document("d", (SentenceRecord("hello", "aa", 0, 0.9), SentenceRecord("plain")), url="http://x")

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from monomine import filters
 from monomine.clustering import ClusterMap
-from monomine.corpus import Document, MonoCorpus, SentenceRecord
+from monomine.corpus import Crawl, Document, MonoCorpus, SentenceRecord
 from monomine.errors import (
     EmptyCorpus,
     EmptyDocument,
@@ -126,6 +126,20 @@ class TestTokenize:
         ]
         assert clash == []
 
+    def test_folding_an_alphanumeric_character_gives_no_whitespace(self):
+        # the fast path splits a folded alphanumeric text at its spaces only
+        clash = [
+            f"U+{cp:04X}"
+            for cp in range(sys.maxunicode + 1)
+            if not 0xD800 <= cp <= 0xDFFF and chr(cp).isalnum() and any(map(str.isspace, chr(cp).casefold()))
+        ]
+        assert clash == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from("aZ9\u00df\u0130\ufb01\u03a3 \xa0,"), max_size=40))
+    def test_fast_path_equals_the_token_loop(self, text):
+        assert tokenize(text) == _split_tokens(text, fold=True)
+
     @settings(max_examples=300, deadline=None)
     @given(text=st.text(alphabet=st.one_of(st.characters(), st.sampled_from(TOKEN_EDGE_CHARS)), max_size=40))
     def test_matches_stripping_every_token(self, text):
@@ -135,33 +149,33 @@ class TestTokenize:
 
 class TestAnnotate:
     def test_empty_document_unchanged(self):
-        doc = Document("d", ())
         clusters = ClusterMap.from_groups([["aa"]])
-        assert annotate_document(doc, MappingPredictor({}), clusters) == doc
+        assert annotate_document([], MappingPredictor({}), clusters) == filters.Annotations()
 
     def test_all_in_one_cluster(self):
-        doc = Document("d", tuple(SentenceRecord(f"s{i}") for i in range(4)))
         clusters = ClusterMap.from_groups([["aa", "bb"]])
-        out = annotate_document(doc, MappingPredictor({}, default="aa"), clusters)
-        assert all(s.predicted_cluster == clusters.cluster_of("aa") for s in out.sentences)
+        out = annotate_document([f"s{i}" for i in range(4)], MappingPredictor({}, default="aa"), clusters)
+        assert out.clusters == [clusters.cluster_of("aa")] * 4
 
     def test_matches_per_sentence_oracle(self):
         mapping = {"x": "aa", "y": "bb", "z": "aa"}
         predictor = MappingPredictor(mapping, default="bb")
         clusters = ClusterMap.from_groups([["aa"], ["bb"]])
-        doc = Document("d", (SentenceRecord("x"), SentenceRecord("y"), SentenceRecord("z")))
-        out = annotate_document(doc, predictor, clusters)
-        for record in out.sentences:
-            lang, conf = predictor.predict(record.text)
-            assert record.predicted_lang == lang
-            assert record.predicted_cluster == clusters.cluster_of(lang)
-            assert record.confidence == conf
+        out = annotate_document(["x", "y", "z"], predictor, clusters)
+        for i, text in enumerate(["x", "y", "z"]):
+            lang, conf = predictor.predict(text)
+            assert (out.langs[i], out.clusters[i], out.confidences[i]) == (lang, clusters.cluster_of(lang), conf)
+        assert out.routes == out.langs
+
+    def test_routes_on_the_decluster_predictor(self):
+        clusters = ClusterMap.from_groups([["aa"], ["bb"]])
+        out = annotate_document(["x", "y"], MappingPredictor({"x": "bb"}), clusters, MappingPredictor({"y": "bb"}))
+        assert (out.langs, out.routes) == (["bb", "aa"], ["aa", "bb"])
 
     def test_unclustered_language_rejected(self):
-        doc = Document("d", (SentenceRecord("x"),))
         clusters = ClusterMap.from_groups([["bb"]])
         with pytest.raises(UnknownLanguage):
-            annotate_document(doc, MappingPredictor({}, default="aa"), clusters)
+            annotate_document(["x"], MappingPredictor({}, default="aa"), clusters)
 
 
 class TestDocumentCluster:
@@ -206,12 +220,12 @@ class TestConsistencyScore:
 class TestFilterDocConsistency:
     def test_homogeneous_doc_keeps_all(self):
         docs = [annotated_doc("d", [1, 1, 1])]
-        out, _ = filter_doc_consistency(docs)
+        out, _ = filter_doc_consistency(Crawl.from_documents(docs))
         assert out[1].sentences == ("s0", "s1", "s2")
 
     def test_paper_worked_example(self):
         doc = annotated_doc("d", [0] * 20 + [1] * 19 + [2] * 18)
-        out, reports = filter_doc_consistency([doc])
+        out, reports = filter_doc_consistency(Crawl.from_documents([doc]))
         assert set(out) == {0}
         assert len(out[0].sentences) == 20
         assert out[0].sentences == tuple(f"s{i}" for i in range(20))
@@ -223,7 +237,7 @@ class TestFilterDocConsistency:
             annotated_doc(f"d{k}", [rng.randint(0, 2) for _ in range(rng.randint(1, 10))])
             for k in range(40)
         ]
-        out, _ = filter_doc_consistency(docs)
+        out, _ = filter_doc_consistency(Crawl.from_documents(docs))
         expected = {}
         for doc in docs:
             votes = Counter(s.predicted_cluster for s in doc.sentences)
@@ -234,18 +248,25 @@ class TestFilterDocConsistency:
                     expected.setdefault(doc_cid, []).append(s.text)
         assert {cid: list(c.sentences) for cid, c in out.items()} == expected
 
+    def test_cluster_ids_of_any_size(self):
+        # an annotated file may number its clusters as it likes
+        doc = annotated_doc("d", [2**70, -3, 2**70])
+        out, reports = filter_doc_consistency(Crawl.from_documents([doc]))
+        assert out[2**70].sentences == ("s0", "s2")
+        assert list(reports) == ["cluster:-3", f"cluster:{2**70}"]
+
     def test_empty_docs_skipped(self):
-        assert filter_doc_consistency([Document("d", ())]) == ({}, {})
+        assert filter_doc_consistency(Crawl.from_documents([Document("d", ())])) == ({}, {})
 
     def test_partly_annotated_document_names_the_sentence(self):
         doc = Document("d1", (*annotated_doc("d1", [0, 0]).sentences, SentenceRecord("b")))
         with pytest.raises(EmptyDocument, match="^sentence 2 of d1 is not annotated$"):
-            filter_doc_consistency([doc])
+            filter_doc_consistency(Crawl.from_documents([doc]))
 
     def test_report_covers_drop_only_clusters(self):
         # cluster 9 never wins a majority; its drops must still be reported
         doc = annotated_doc("d", [0, 0, 0, 9])
-        out, reports = filter_doc_consistency([doc])
+        out, reports = filter_doc_consistency(Crawl.from_documents([doc]))
         assert set(out) == {0}
         assert reports["cluster:9"].n_in == 1 and reports["cluster:9"].n_out == 0
         assert reports["cluster:9"].dropped_by_reason == {"cluster_mismatch": 1}
@@ -408,12 +429,21 @@ class TestFilterWordlist:
         assert out.sentences == (sentence,)
 
 
+def routes(mapping, corpora):
+    """`mapping`'s language of each sentence of the corpora, by its id in
+    their one table."""
+    table = next(iter(corpora.values())).table
+    for cid in sorted(corpora):
+        table.intern(corpora[cid].sentences)
+    return [mapping[s] for s in table.ids]
+
+
 class TestDecluster:
     def test_in_cluster_kept_and_split(self):
         clusters = ClusterMap.from_groups([["aa", "bb"]])
         cid = clusters.cluster_of("aa")
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x", "y", "x2"])}
-        out, _ = decluster(corpora, {"x": "aa", "x2": "aa", "y": "bb"}, clusters)
+        out, _ = decluster(corpora, routes({"x": "aa", "x2": "aa", "y": "bb"}, corpora), clusters)
         assert out["aa"].sentences == ("x", "x2")
         assert out["bb"].sentences == ("y",)
 
@@ -421,7 +451,7 @@ class TestDecluster:
         clusters = ClusterMap.from_groups([["aa"], ["zz"]])
         cid = clusters.cluster_of("aa")
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x", "y"])}
-        out, reports = decluster(corpora, {"x": "aa", "y": "zz"}, clusters)
+        out, reports = decluster(corpora, routes({"x": "aa", "y": "zz"}, corpora), clusters)
         assert out["aa"].sentences == ("x",)
         assert reports[f"cluster:{cid}"].dropped_by_reason == {"out_of_cluster": 1}
 
@@ -431,7 +461,7 @@ class TestDecluster:
         sentences = [f"s{i}" for i in range(50)]
         mapping = {s: rng.choice(["aa", "bb", "zz"]) for s in sentences}
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", sentences)}
-        out, _ = decluster(corpora, mapping, clusters)
+        out, _ = decluster(corpora, routes(mapping, corpora), clusters)
         for lang in ("aa", "bb"):
             assert list(out[lang].sentences) == [s for s in sentences if mapping[s] == lang]
 
@@ -439,11 +469,12 @@ class TestDecluster:
         clusters = ClusterMap.from_groups([["aa", "bb"], ["cc"]])
         sentences = [f"s{i}" for i in range(40)]
         mapping = {s: rng.choice(["aa", "bb", "cc"]) for s in sentences}
+        table = TokenTable()
         corpora = {
-            clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", sentences[:25]),
-            clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", sentences[25:]),
+            clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", sentences[:25], table=table),
+            clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", sentences[25:], table=table),
         }
-        out, _ = decluster(corpora, mapping, clusters)
+        out, _ = decluster(corpora, routes(mapping, corpora), clusters)
         seen =  [s for lang in sorted(out) for s in out[lang].sentences]
         assert len(seen) == len(set(seen))  # pairwise disjoint
 
@@ -451,17 +482,18 @@ class TestDecluster:
         clusters = ClusterMap.from_groups([["aa", "bb"]])
         cid = clusters.cluster_of("aa")
         corpora = {cid: MonoCorpus.from_sentences(f"cluster:{cid}", ["x"])}
-        out, reports = decluster(corpora, {"x": "aa"}, clusters)
+        out, reports = decluster(corpora, routes({"x": "aa"}, corpora), clusters)
         assert out["bb"].sentences == ()
         assert (reports["bb"].n_in, reports["bb"].n_out) == (0, 0)
 
     def test_without_clusters_every_language_is_a_member(self):
         clusters = ClusterMap.from_groups([["aa", "bb"], ["cc"]])
+        table = TokenTable()
         corpora = {
-            clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", ["x", "y"]),
-            clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", ["z"]),
+            clusters.cluster_of("aa"): MonoCorpus.from_sentences("cluster:0", ["x", "y"], table=table),
+            clusters.cluster_of("cc"): MonoCorpus.from_sentences("cluster:1", ["z"], table=table),
         }
-        out, reports = decluster(corpora, {"x": "cc", "y": "aa", "z": "aa"}, None)
+        out, reports = decluster(corpora, routes({"x": "cc", "y": "aa", "z": "aa"}, corpora), None)
         assert {lang: c.sentences for lang, c in out.items()} == {"aa": ("y", "z"), "cc": ("x",)}
         assert all(rep.n_in == rep.n_out for rep in reports.values())
 

@@ -15,13 +15,13 @@ from hypothesis import given, settings, strategies as st
 from monomine import corpus as corpus_mod
 from monomine import filters, langid, pipeline
 from monomine.clustering import ClusterMap
-from monomine.corpus import Document, SentenceRecord, load_documents, read_corpus
+from monomine.corpus import Crawl, Document, SentenceRecord, load_documents, read_corpus
 from monomine.errors import ConfigError, ParseError
 from monomine.langid import load_model
 from monomine.pipeline import (
     ANNOTATE_CHUNK,
     PipelineConfig,
-    _annotate_all,
+    _annotations,
     render_report_text,
     report,
     run_pipeline,
@@ -303,11 +303,11 @@ class TestCompositionOracle:
         config, result = first_run
         model = load_model(env.root / "langid.bin")
         clusters = ClusterMap.load_json(env.root / "clusters.json")
-        docs = [
-            filters.annotate_document(d, model, clusters)
-            for d in load_documents(env.crawl_path)
-        ]
-        cluster_corpora, _ = filters.filter_doc_consistency(docs)
+        docs = []
+        for doc in load_documents(env.crawl_path):
+            found = filters.annotate_document(doc.texts, model, clusters)
+            docs.append(Document(doc.id, tuple(map(SentenceRecord, doc.texts, found.langs, found.clusters))))
+        cluster_corpora, _ = filters.filter_doc_consistency(Crawl.from_documents(docs))
         filtered = {}
         for cid, corpus in cluster_corpora.items():
             lists = {
@@ -315,8 +315,8 @@ class TestCompositionOracle:
                 for lang in clusters.members[cid]
             }
             filtered[cid], _ = filters.filter_wordlist(corpus, lists, 0.2)
-        survivors = [s for corpus in filtered.values() for s in corpus.sentences]
-        predicted = dict(zip(survivors, (lang for lang, _ in model.predict_batch(survivors))))
+        crawl = list(next(iter(filtered.values())).table.ids)  # every sentence, by id in the corpora's table
+        predicted = [lang for lang, _ in model.predict_batch(crawl)]
         corpora, _ = filters.decluster(filtered, predicted, clusters)
         iif = filters.IifTable.load(env.root / "iif.tsv")
         final, gates = {}, {}
@@ -367,8 +367,8 @@ class TestAnnotateChunks:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunking_changes_nothing(self, env, annotator, monkeypatch, workers):
         model, clusters = annotator
-        docs = self.documents(env, self.SIZES)
-        want = [filters.annotate_document(d, model, clusters) for d in docs]
+        texts = [s.text for d in self.documents(env, self.SIZES) for s in d.sentences]
+        want = filters.annotate_document(texts, model, clusters)
         batches = []
         real = langid.predict_batch
 
@@ -377,27 +377,9 @@ class TestAnnotateChunks:
             return real(model, texts)
 
         monkeypatch.setattr(langid, "predict_batch", recording)
-        assert list(_annotate_all(docs, model, clusters, workers)) == want
+        assert _annotations(texts, model, clusters, workers) == want
         full, rest = divmod(sum(self.SIZES), ANNOTATE_CHUNK)
         assert sorted(batches) == sorted([ANNOTATE_CHUNK] * full + [rest])
-
-    def test_documents_are_read_as_chunks_need_them(self, env, annotator):
-        model, clusters = annotator
-        docs = self.documents(env, [10] * 100)
-        for workers in (1, 2):
-            read = []
-
-            def stream():
-                for doc in docs:
-                    read.append(doc.id)
-                    yield doc
-
-            annotated = _annotate_all(stream(), model, clusters, workers=workers)
-            assert next(annotated).id == "d0"
-            # one chunk in flight a worker: with one, the first chunk ends
-            # inside the 26th document; with two, the second inside the 52nd
-            assert len(read) == -(-workers * ANNOTATE_CHUNK // 10), workers
-            assert [d.id for d in annotated] == [d.id for d in docs[1:]]
 
     class Numbered:
         """Predicts from a sentence's text, its number in the crawl, and
@@ -431,21 +413,21 @@ class TestAnnotateChunks:
     )
     def test_stream_equals_annotating_each_document(self, sizes, chunk, workers):
         numbers = itertools.count()
-        docs = [
-            Document(f"d{i}", tuple(SentenceRecord(str(next(numbers))) for _ in range(n)), url=f"u{i}")
-            for i, n in enumerate(sizes)
-        ]
-        texts = [s.text for d in docs for s in d.sentences]
+        docs = [[str(next(numbers)) for _ in range(n)] for n in sizes]
+        texts = [t for doc in docs for t in doc]
         clusters = ClusterMap.from_groups([["aa"], ["bb"]])
-        want = [filters.annotate_document(d, self.Numbered(chunk, 0.0), clusters) for d in docs]
         full, rest = divmod(sum(sizes), chunk)
         for decluster in (None, self.Swapped(chunk, 0.001)):
-            predictor, predicted = self.Numbered(chunk, 0.001), {}
+            want, routing = filters.Annotations(), self.Swapped(chunk, 0.0) if decluster else None
+            for doc in docs:
+                want.extend(filters.annotate_document(doc, self.Numbered(chunk, 0.0), clusters, routing))
+            predictor = self.Numbered(chunk, 0.001)
             with mock.patch.object(pipeline, "ANNOTATE_CHUNK", chunk):
-                assert list(_annotate_all(iter(docs), predictor, clusters, workers, decluster, predicted)) == want
+                got = _annotations(texts, predictor, clusters, workers, decluster)
+            assert got == want
             # decluster routes on the decluster predictor's languages, else on annotate's
             routing = (self.Swapped if decluster else self.Numbered)(chunk, 0.0)
-            assert predicted == {text: lang for text, (lang, _) in zip(texts, routing.predict_batch(texts))}
+            assert got.routes == [lang for lang, _ in routing.predict_batch(texts)]
             assert sorted(predictor.batches, reverse=True) == [chunk] * full + ([rest] if rest else [])
             if decluster:
                 assert sorted(decluster.batches) == sorted(predictor.batches)
@@ -463,10 +445,10 @@ class TestAnnotateChunks:
         raw["output_dir"] = str(tmp_path / "out")
         raw["stages"]["decluster"] = {"model": "langid.bin"}  # the annotation model, loaded again
         run_pipeline(PipelineConfig.from_dict(raw, base_dir=env.root))
-        crawl = [s.text for doc in load_documents(env.crawl_path) for s in doc.sentences]
+        crawl = list(dict.fromkeys(s.text for doc in load_documents(env.crawl_path) for s in doc.sentences))
         model = load_model(env.root / "langid.bin")
         assert len(runs) == 1
-        assert runs[0].predicted == {text: lang for text, (lang, _) in zip(crawl, model.predict_batch(crawl))}
+        assert runs[0].annotations.routes == [lang for lang, _ in model.predict_batch(crawl)]
         config, _ = first_run
         assert output_bytes(tmp_path / "out") == output_bytes(config.resolve(config.output_dir))
 
@@ -547,16 +529,18 @@ class TestDisabledStages:
         texts = sorted(annotated)
         config = PipelineConfig("crawl.jsonl", "out", "langid.bin", "clusters.json")
         config.doc_consistency.enabled = config.decluster.enabled = False
-        run = pipeline._Run(config, clusters=clusters, predicted={text: data.draw(LANGS) for text in texts})
+        crawl = Crawl.from_documents(docs)
+        routes = [data.draw(LANGS) for _ in crawl.table.ids]
+        run = pipeline._Run(config, clusters=clusters, annotations=filters.Annotations(routes=routes))
 
-        cluster_corpora, entries = pipeline._doc_consistency(run, docs)
+        cluster_corpora, entries = pipeline._doc_consistency(run, crawl)
         assert sorted(s for c in cluster_corpora.values() for s in c.sentences) == texts
         assert all(annotated[s] == cid for cid, c in cluster_corpora.items() for s in c.sentences)
         assert list(entries.items()) == list(pipeline._pass_through("doc_consistency", cluster_corpora).items())
 
         corpora, entries = pipeline._decluster(run, cluster_corpora)
         assert sorted(s for c in corpora.values() for s in c.sentences) == texts
-        assert all(run.predicted[s] == lang for lang, c in corpora.items() for s in c.sentences)
+        assert all(routes[crawl.table.ids[s]] == lang for lang, c in corpora.items() for s in c.sentences)
         assert list(entries.items()) == list(pipeline._pass_through("decluster", corpora).items())
 
     def test_model_language_missing_from_clusters(self, env, tmp_path):
@@ -618,6 +602,16 @@ class TestReport:
         for lang in env.langs:
             assert f"\n{lang}\t" in text
 
+    def test_cost_of_each_stage(self, env, first_run):
+        rep = report(env.root / "out" / "manifests.json")
+        with open(env.root / "out" / "manifests.json") as fh:
+            stages = json.load(fh)["stages"]
+        assert rep["cost"] == {m["stage"]: {"wall_time": m["wall_time"], "cpu_time": m["cpu_time"]} for m in stages}
+        lines = render_report_text(rep).splitlines()
+        for measure in ("wall_time", "cpu_time"):
+            (line,) = [line for line in lines if line.startswith(f"{measure}:\t")]
+            assert line.split("\t")[1:] == [f"{m['stage']}={m[measure]:.4f}" for m in stages]
+
 
 class TestMalformedFiles:
     def test_bad_bytes_are_malformed_lines(self, env, first_run, tmp_path):
@@ -670,9 +664,10 @@ class TestMalformedFiles:
             '{"stages": [{"stage": "ingest"}]}',
             '{"stages": [{"stage": "ingest", "per_language": {"aa": {"out": 1.5}}}]}',
             '{"stages": [], "summary": {"languages": []}}',
+            '{"stages": [{"stage": "ingest", "per_language": {}, "wall_time": 0.1, "cpu_time": "0.1"}]}',
         ],
         ids=["empty", "bad-json", "list", "stages-not-a-list", "no-stages", "stage-not-an-object",
-             "no-per-language", "float-out", "languages-not-an-object"],
+             "no-per-language", "float-out", "languages-not-an-object", "string-cpu-time"],
     )
     def test_report_of_a_bad_manifest_names_its_path(self, tmp_path, text):
         path = tmp_path / "manifests.json"
