@@ -10,7 +10,7 @@ recovered the training data.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus import MonoCorpus
@@ -98,7 +98,7 @@ class AnomalyReport:
         return cls(lang, overlap_2n, euclid_sim, harmonic, n_sentences, frozenset(flags))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "flags": sorted(self.flags)}
+        return {**vars(self), "flags": sorted(self.flags)}
 
 
 def anomaly_report(

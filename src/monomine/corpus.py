@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -59,10 +59,6 @@ class Document:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("document id must be non-empty")
-
-    @property
-    def texts(self) -> list[str]:
-        return [s.text for s in self.sentences]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +132,7 @@ class CorpusStats:
     chars_per_sentence: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ class DedupReport:
     factor: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -161,7 +157,7 @@ class IngestReport:
     errors: list[tuple[int, str]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "errors": [{"line": n, "message": m} for n, m in self.errors]}
+        return {**vars(self), "errors": [{"line": n, "message": m} for n, m in self.errors]}
 
 
 def _optional(obj: dict, key: str, kinds: tuple[type, ...], what: str):
@@ -307,11 +303,7 @@ def read_annotated(path: str | Path) -> Iterator[Document]:
 
 def _dedup(corpus: MonoCorpus, seen: set[str]) -> tuple[MonoCorpus, DedupReport]:
     """Drop sentences already in `seen`, adding the ones kept to it."""
-    kept: list[str] = []
-    for s in corpus.sentences:
-        if s not in seen:
-            seen.add(s)
-            kept.append(s)
+    kept = [s for s in corpus.sentences if s not in seen and not seen.add(s)]  # set.add gives None
     before, after = len(corpus.sentences), len(kept)
     return corpus.advanced("dedup", kept), DedupReport(before, after, before / max(after, 1))
 
@@ -332,9 +324,7 @@ def dedup_corpora(
     """
     if scope not in ("per-language", "global"):
         raise ValueError(f"unknown dedup scope: {scope!r}")
-    out: dict[str, MonoCorpus] = {}
-    reports: dict[str, DedupReport] = {}
-    seen: set[str] = set()
+    out, reports, seen = {}, {}, set()
     for lang in sorted(corpora):
         out[lang], reports[lang] = _dedup(corpora[lang], seen if scope == "global" else set())
     return out, reports
@@ -344,7 +334,7 @@ def corpus_stats(corpus: MonoCorpus) -> CorpusStats:
     """Sentence/token/char counts. Chars are Unicode scalar values; tokens are
     those of `filters.tokenize`."""
     n_sentences = len(corpus.sentences)
-    n_tokens = sum(map(len, corpus.table.rows(corpus.sentences)))
+    n_tokens = int(corpus.table.flat(corpus.sentences)[1].sum())
     n_chars = sum(len(s) for s in corpus.sentences)
     return CorpusStats(n_sentences, n_tokens, n_chars, n_chars / max(n_sentences, 1))
 

@@ -16,7 +16,7 @@ import json
 import math
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -88,7 +88,8 @@ def tokenize(text: str) -> list[str]:
 class TokenTable:
     """A run's sentence table: each distinct sentence's id, and its
     `tokenize` output as ids into one vocabulary, computed the first time a
-    stage asks for it.
+    stage asks for it and stored end to end, so a stage gathers a corpus's
+    tokens with numpy.
 
     Every `MonoCorpus` carries a table, and corpora derived from one another
     share it, so a sentence is tokenized once however many stages read its
@@ -100,26 +101,35 @@ class TokenTable:
         # not seen before gives it the next id
         self.vocab: dict[str, int] = defaultdict(itertools.count().__next__)
         self.ids: dict[str, int] = defaultdict(itertools.count().__next__)
-        self._rows: dict[str, list[int]] = {}  # sentence -> its token ids
+        self._tokens = np.empty(0, np.intp)  # the token ids of every tokenized sentence, end to end
+        self._start = np.empty(0, np.intp)  # by sentence id: where its token ids start in `_tokens`
+        self._length = np.empty(0, np.intp)  # by sentence id: its token count, -1 until tokenized
 
     def intern(self, sentences: Iterable[str]) -> list[int]:
         """Each sentence's id, a new one the first time a sentence is seen."""
         return list(map(self.ids.__getitem__, sentences))
 
-    def rows(self, sentences: Sequence[str]) -> list[list[int]]:
-        """Each sentence's token ids, as the table's own lists: read them only."""
-        known, token_id = self._rows, self.vocab.__getitem__
-        for sentence in sentences:
-            if sentence not in known:
-                # a list: tuples grown from an iterator, then shrunk in place, raised peak RSS
-                known[sentence] = [*map(token_id, tokenize(sentence))]
-        return list(map(known.__getitem__, sentences))
-
     def flat(self, sentences: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The sentences' token ids end to end, and each sentence's token count."""
-        rows = self.rows(sentences)
+        """The sentences' token ids end to end, and each sentence's token
+        count. Sentences not seen before are tokenized in the order they
+        first occur."""
+        ids = np.fromiter(map(self.ids.__getitem__, sentences), np.intp, len(sentences))
+        grow = np.full(len(self.ids) - len(self._length), -1, np.intp)
+        self._start, self._length = np.concatenate([self._start, grow]), np.concatenate([self._length, grow])
+        new = np.flatnonzero(self._length[ids] < 0)
+        new = new[np.sort(np.unique(ids[new], return_index=True)[1])]  # each new sentence's first position
+        rows = [tokenize(sentences[i]) for i in new.tolist()]
         lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-        return np.fromiter(itertools.chain.from_iterable(rows), np.intp, int(lengths.sum())), lengths
+        self._start[ids[new]] = len(self._tokens) + np.cumsum(lengths) - lengths
+        self._length[ids[new]] = lengths
+        tokens = map(self.vocab.__getitem__, itertools.chain.from_iterable(rows))
+        self._tokens = np.concatenate([self._tokens, np.fromiter(tokens, np.intp, int(lengths.sum()))])
+        lengths = self._length[ids]
+        ends = np.cumsum(lengths)
+        # each token's place in `_tokens`: its sentence's start there, plus its place within the sentence
+        at = np.repeat(self._start[ids] - (ends - lengths), lengths)
+        at += np.arange(len(at))
+        return self._tokens[at], lengths
 
 
 @dataclass
@@ -441,7 +451,7 @@ class IifTable:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # NaN too
             raise ValueError("alpha must be positive")
 
     @classmethod
@@ -489,9 +499,10 @@ def build_tfiif_wordlist(lang_corpus: MonoCorpus, iif: IifTable, tau: int = 1000
     keep the `tau` best. A `tau` below 1 is a ValueError."""
     require("tau", tau, tau >= 1, "at least 1")
     counts = token_counts(lang_corpus)
-    scored = [(token, count / iif.clipped_freq(token)) for token, count in counts.items()]
-    scored.sort(key=lambda kv: (-kv[1], kv[0]))
-    return WordList(lang_corpus.lang, "tfiif", tuple(scored[:tau]))
+    freqs = np.fromiter(map(iif.freqs.get, counts, itertools.repeat(0)), float, len(counts))
+    scores = np.fromiter(counts.values(), float, len(counts)) / np.maximum(freqs, iif.alpha)  # `clipped_freq`
+    ranked = sorted(zip((-scores).tolist(), counts))[:tau]
+    return WordList(lang_corpus.lang, "tfiif", tuple((token, -score) for score, token in ranked))
 
 
 def filter_tfiif(
@@ -536,7 +547,7 @@ class RrrReport:
     reasons: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "reasons": list(self.reasons)}
+        return {**vars(self), "reasons": list(self.reasons)}
 
 
 def rrr_gate(
@@ -597,17 +608,22 @@ class NegativeFilterRule:
         if not self.pattern:
             raise ValueError("pattern must be non-empty")
 
-    def matches(self, sentence: str, ids: Sequence[int], cased: Sequence[str], vocab: Mapping[str, int]) -> bool:
-        """`ids` are the ids in `vocab` of the sentence's tokens as `tokenize`
-        gives them, and `cased` the same tokens without case folding; a rule
-        reads only the one its kind needs."""
+    def hits(self, corpus: MonoCorpus, cased: Sequence[Sequence[str]]) -> np.ndarray:
+        """Whether the rule matches each of the corpus's sentences. `cased`
+        holds each sentence's tokens without case folding, and only a
+        case-sensitive token rule reads it; a token rule that folds case reads
+        the ids of the sentences' `tokenize` tokens in the corpus's table."""
         if self.rule == "substring":
-            if self.case_sensitive:
-                return self.pattern in sentence
-            return self.pattern.casefold() in sentence.casefold()
+            pattern = self.pattern if self.case_sensitive else self.pattern.casefold()
+            texts = corpus.sentences if self.case_sensitive else map(str.casefold, corpus.sentences)
+            return np.fromiter((pattern in s for s in texts), bool, len(corpus.sentences))
         if self.case_sensitive:
-            return self.pattern in cased
-        return vocab.get(self.pattern.casefold()) in ids
+            return np.fromiter((self.pattern in tokens for tokens in cased), bool, len(cased))
+        ids, lengths = corpus.table.flat(corpus.sentences)
+        hit = np.zeros(len(lengths), bool)
+        owner = np.repeat(np.arange(len(lengths)), lengths)  # each token's sentence
+        hit[owner[ids == corpus.table.vocab.get(self.pattern.casefold(), -1)]] = True
+        return hit
 
 
 def load_negative_rules(path: str | Path) -> list[NegativeFilterRule]:
@@ -632,18 +648,13 @@ def negative_filter(corpus: MonoCorpus, rules: Sequence[NegativeFilterRule]) -> 
         if rule.lang != corpus.lang:
             raise ValueError(f"rule for {rule.lang!r} applied to corpus {corpus.lang!r}")
     report = StageReport("negative", n_in=len(corpus.sentences))
-    folded = any(r.rule == "token" and not r.case_sensitive for r in rules)
     cased = any(r.rule == "token" and r.case_sensitive for r in rules)
-    # token ids only if a rule reads them
-    rows = corpus.table.rows(corpus.sentences) if folded else itertools.repeat(())
-    vocab = corpus.table.vocab
-    kept = []
-    for sentence, token_ids in zip(corpus.sentences, rows):
-        cased_tokens = _split_tokens(sentence, fold=False) if cased else ()
-        hit = next((r for r in rules if r.matches(sentence, token_ids, cased_tokens, vocab)), None)
-        if hit is None:
-            kept.append(sentence)
-        else:
-            report.drop(f"{hit.rule}:{hit.pattern}")
+    cased_rows = [_split_tokens(s, fold=False) for s in corpus.sentences] if cased else []
+    first = np.full(len(corpus.sentences), -1)  # each sentence's first matching rule, -1 if none
+    for k in reversed(range(len(rules))):
+        first[rules[k].hits(corpus, cased_rows)] = k
+    kept = list(itertools.compress(corpus.sentences, (first < 0).tolist()))
+    for k in first[first >= 0].tolist():
+        report.drop(f"{rules[k].rule}:{rules[k].pattern}")
     report.n_out = len(kept)
     return corpus.advanced("negative", kept), report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
 from .errors import InvalidBoundaries, InvalidFractions, LengthMismatch
@@ -166,7 +166,7 @@ class RttResult:
         return self.score is None
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "invalid": self.invalid}
+        return {**vars(self), "invalid": self.invalid}
 
 
 # sources are translated out of and back into the pivot language

@@ -191,7 +191,7 @@ class StageManifest:
     config_hash: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass

@@ -114,7 +114,7 @@ def rule_matches(rule, sentence: str) -> bool:
 def reference_run(config: PipelineConfig) -> Reference:
     """The corpora and per-stage drops that the config's run should give."""
     drops: dict[str, dict[str, dict[str, int]]] = {}
-    docs = [doc.texts for doc in load_documents(config.resolve(config.input), strict=config.strict)]
+    docs = [[s.text for s in doc.sentences] for doc in load_documents(config.resolve(config.input), strict=config.strict)]
     drops["ingest"] = {"*": {}}
 
     # annotate: every sentence's language, cluster and decluster language

@@ -77,13 +77,13 @@ class TestLoadDocuments:
         docs = list(load_documents(path))
         assert len(docs) == 1
         assert docs[0].id == "d1"
-        assert docs[0].texts == ["a", "b"]
+        assert [s.text for s in docs[0].sentences] == ["a", "b"]
 
     def test_text_newline_split(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         write_jsonl(path, ['{"id":"d2","text":"x\\ny"}'])
         (doc,) = load_documents(path)
-        assert doc.texts == ["x", "y"]
+        assert [s.text for s in doc.sentences] == ["x", "y"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -146,7 +146,7 @@ class TestLoadDocuments:
         path = tmp_path / "docs.jsonl"
         write_jsonl(path, ['{"id":"d","sentences":["  a   b "]}'])
         (doc,) = load_documents(path)
-        assert doc.texts == ["a b"]
+        assert [s.text for s in doc.sentences] == ["a b"]
 
 
 class TestDocumentModel:
@@ -310,7 +310,7 @@ class TestMalformedText:
         path = tmp_path / "docs.jsonl"
         write_jsonl(path, ['{"id": "d", "sentences": ["' + escaped + '"]}'])
         (doc,) = load_documents(path, strict=True)
-        assert doc.texts == [text]
+        assert [s.text for s in doc.sentences] == [text]
 
     def test_corpus_line_not_utf8(self, tmp_path):
         path = tmp_path / "aa.txt"

@@ -541,9 +541,10 @@ class TestIifTable:
             ('{"kappa": true, "alpha": 3.0}', "expected an integer kappa and a numeric alpha, got True and 3.0"),
             ('{"kappa": 1, "alpha": "3"}', "expected an integer kappa and a numeric alpha, got 1 and '3'"),
             ('{"kappa": 1, "alpha": 0}', "alpha must be positive"),
+            ('{"kappa": 1, "alpha": NaN}', "alpha must be positive"),
             ("[1, 3.0]", "expected a {kappa, alpha} object, got list"),
         ],
-        ids=["bad-json", "missing-kappa", "fractional-kappa", "bool-kappa", "string-alpha", "zero-alpha", "list"],
+        ids=["bad-json", "missing-kappa", "fractional-kappa", "bool-kappa", "string-alpha", "zero-alpha", "nan-alpha", "list"],
     )
     def test_malformed_sidecar_names_its_path(self, tmp_path, sidecar, message):
         path = tmp_path / "iif.tsv"
@@ -674,7 +675,7 @@ class TestKeepByFraction:
     def test_matches_the_per_sentence_loop(self, sentences, earlier, token_sets, threshold):
         # a table that other sentences filled first: ids need not start at 0
         table = TokenTable()
-        table.rows(earlier)
+        table.flat(earlier)
         corpus = MonoCorpus.from_sentences("aa", sentences, table=table)
         if 0 <= threshold <= 1:
             expected = reference_keep_by_fraction("wordlist", sentences, token_sets, threshold)

@@ -305,8 +305,9 @@ class TestCompositionOracle:
         clusters = ClusterMap.load_json(env.root / "clusters.json")
         docs = []
         for doc in load_documents(env.crawl_path):
-            found = filters.annotate_document(doc.texts, model, clusters)
-            docs.append(Document(doc.id, tuple(map(SentenceRecord, doc.texts, found.langs, found.clusters))))
+            texts = [s.text for s in doc.sentences]
+            found = filters.annotate_document(texts, model, clusters)
+            docs.append(Document(doc.id, tuple(map(SentenceRecord, texts, found.langs, found.clusters))))
         cluster_corpora, _ = filters.filter_doc_consistency(Crawl.from_documents(docs))
         filtered = {}
         for cid, corpus in cluster_corpora.items():
@@ -418,9 +419,9 @@ class TestAnnotateChunks:
         clusters = ClusterMap.from_groups([["aa"], ["bb"]])
         full, rest = divmod(sum(sizes), chunk)
         for decluster in (None, self.Swapped(chunk, 0.001)):
-            want, routing = filters.Annotations(), self.Swapped(chunk, 0.0) if decluster else None
+            want, second = filters.Annotations(), self.Swapped(chunk, 0.0) if decluster else None
             for doc in docs:
-                want.extend(filters.annotate_document(doc, self.Numbered(chunk, 0.0), clusters, routing))
+                want.extend(filters.annotate_document(doc, self.Numbered(chunk, 0.0), clusters, second))
             predictor = self.Numbered(chunk, 0.001)
             with mock.patch.object(pipeline, "ANNOTATE_CHUNK", chunk):
                 got = _annotations(texts, predictor, clusters, workers, decluster)
