@@ -203,12 +203,14 @@ def cmd_annotate(args) -> dict:
     model = langid.load_model(args.model)
     clusters = clustering.ClusterMap.load_json(args.clusters)
     report = corpus_mod.IngestReport()
-    docs = list(corpus_mod.load_documents(args.input, strict=args.strict, report=report))
-    texts = [s.text for doc in docs for s in doc.sentences]
-    found = pipeline._annotations(texts, model, clusters, workers=1)
-    records = map(corpus_mod.SentenceRecord, texts, found.langs, found.clusters, found.confidences)
-    annotated = (corpus_mod.Document(d.id, tuple(itertools.islice(records, len(d.sentences))), d.url) for d in docs)
-    corpus_mod.write_annotated(annotated, args.output)
+    docs = corpus_mod.load_documents(args.input, strict=args.strict, report=report)
+    def annotated():  # ANNOTATE_CHUNK documents at a time, so memory is bounded however large the input
+        for group in iter(lambda: list(itertools.islice(docs, pipeline.ANNOTATE_CHUNK)), []):
+            texts = [s.text for doc in group for s in doc.sentences]
+            found = pipeline._annotations(texts, model, clusters, workers=1)
+            records = map(corpus_mod.SentenceRecord, texts, found.langs, found.clusters, found.confidences)
+            yield from (corpus_mod.Document(d.id, tuple(itertools.islice(records, len(d.sentences))), d.url) for d in group)
+    corpus_mod.write_annotated(annotated(), args.output)
     return {"documents": report.documents, "skipped": report.skipped, "output": args.output}
 
 

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import monomine
+from monomine import corpus as corpus_mod
 from monomine import filters, langid, pipeline
 from monomine.cli import CommandTranslator, main
 from monomine.clustering import ClusterMap
@@ -600,6 +601,32 @@ class TestPipelineCommands:
         )
         assert code == 0
         assert out.startswith("language\t")
+
+    def test_annotate_reads_documents_as_it_writes_them(self, capsys, env, tmp_path, monkeypatch):
+        crawl = tmp_path / "crawl.jsonl"
+        crawl.write_text("".join(json.dumps({"id": f"d{i}", "text": f"w{i}"}) + "\n" for i in range(600)))
+        read, real_load, real_write = [], corpus_mod.load_documents, corpus_mod.write_annotated
+
+        def loading(*args, **kwargs):
+            for doc in real_load(*args, **kwargs):
+                read.append(doc.id)
+                yield doc
+
+        def writing(docs, path):
+            docs = iter(docs)
+            first = next(docs)
+            # the first group of documents is annotated before the rest is read
+            assert (first.id, len(read)) == ("d0", pipeline.ANNOTATE_CHUNK)
+            real_write([first, *docs], path)
+
+        monkeypatch.setattr(corpus_mod, "load_documents", loading)
+        monkeypatch.setattr(corpus_mod, "write_annotated", writing)
+        report = run_json(
+            capsys, "annotate", "--input", str(crawl), "--model", str(env.root / "langid.bin"),
+            "--clusters", str(env.root / "clusters.json"), "--output", str(tmp_path / "annotated.jsonl"),
+        )
+        assert report["documents"] == len(read) == 600
+        assert [d.id for d in read_annotated(tmp_path / "annotated.jsonl")] == read
 
     def test_annotate_and_filter_doc_consistency(self, capsys, env, tmp_path):
         annotated = tmp_path / "annotated.jsonl"
