@@ -30,7 +30,10 @@ class TokenDistribution:
     entries: tuple[tuple[str, float], ...]
 
     def freq(self, token: str) -> float:
-        return next((f for t, f in self.entries if t == token), 0.0)
+        for t, f in self.entries:
+            if t == token:
+                return f
+        return 0.0
 
     @property
     def tokens(self) -> list[str]:
@@ -98,7 +101,14 @@ class AnomalyReport:
         return cls(lang, overlap_2n, euclid_sim, harmonic, n_sentences, frozenset(flags))
 
     def to_dict(self) -> dict:
-        return {**vars(self), "flags": sorted(self.flags)}
+        return {
+            "lang": self.lang,
+            "overlap_2n": self.overlap_2n,
+            "euclid_sim": self.euclid_sim,
+            "harmonic": self.harmonic,
+            "n_sentences": self.n_sentences,
+            "flags": sorted(self.flags),
+        }
 
 
 def anomaly_report(

@@ -321,7 +321,7 @@ def _anomaly_report(corpus_path: str | Path, reference_path: str | Path, lang: s
     corpora = []
     for path in (corpus_path, reference_path):
         corpus = corpus_mod.read_corpus(path, lang)
-        if not corpus.table.flat(corpus.sentences)[1].any():
+        if not corpus.table.lengths(corpus.sentences).any():
             raise EmptyCorpus(f"no tokens in corpus {path}")
         corpora.append(corpus)
     return anomaly_mod.anomaly_report(*corpora, n=top_n)

@@ -113,7 +113,9 @@ class MonoCorpus:
     def advanced(self, stage: str, sentences: Iterable[str]) -> "MonoCorpus":
         """New corpus with `sentences` surviving `stage` appended to the funnel."""
         sents = tuple(sentences)
-        return MonoCorpus(self.lang, sents, {**self.stage_counts, stage: len(sents)}, self.table)
+        counts = dict(self.stage_counts)
+        counts[stage] = len(sents)
+        return MonoCorpus(self.lang, sents, counts, self.table)
 
     def check_funnel(self) -> None:
         """Assert stage counts never increase along their recorded order."""
@@ -132,7 +134,12 @@ class CorpusStats:
     chars_per_sentence: float
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return {
+            "n_sentences": self.n_sentences,
+            "n_tokens": self.n_tokens,
+            "n_chars": self.n_chars,
+            "chars_per_sentence": self.chars_per_sentence,
+        }
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,7 @@ class DedupReport:
     factor: float
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return {"before": self.before, "after": self.after, "factor": self.factor}
 
 
 @dataclass
@@ -157,7 +164,13 @@ class IngestReport:
     errors: list[tuple[int, str]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "errors": [{"line": n, "message": m} for n, m in self.errors]}
+        return {
+            "lines": self.lines,
+            "documents": self.documents,
+            "skipped": self.skipped,
+            "duplicate_ids": self.duplicate_ids,
+            "errors": [{"line": n, "message": m} for n, m in self.errors],
+        }
 
 
 def _optional(obj: dict, key: str, kinds: tuple[type, ...], what: str):
@@ -303,7 +316,11 @@ def read_annotated(path: str | Path) -> Iterator[Document]:
 
 def _dedup(corpus: MonoCorpus, seen: set[str]) -> tuple[MonoCorpus, DedupReport]:
     """Drop sentences already in `seen`, adding the ones kept to it."""
-    kept = [s for s in corpus.sentences if s not in seen and not seen.add(s)]  # set.add gives None
+    kept: list[str] = []
+    for s in corpus.sentences:
+        if s not in seen:
+            seen.add(s)
+            kept.append(s)
     before, after = len(corpus.sentences), len(kept)
     return corpus.advanced("dedup", kept), DedupReport(before, after, before / max(after, 1))
 
@@ -324,7 +341,9 @@ def dedup_corpora(
     """
     if scope not in ("per-language", "global"):
         raise ValueError(f"unknown dedup scope: {scope!r}")
-    out, reports, seen = {}, {}, set()
+    out: dict[str, MonoCorpus] = {}
+    reports: dict[str, DedupReport] = {}
+    seen: set[str] = set()
     for lang in sorted(corpora):
         out[lang], reports[lang] = _dedup(corpora[lang], seen if scope == "global" else set())
     return out, reports
@@ -334,7 +353,7 @@ def corpus_stats(corpus: MonoCorpus) -> CorpusStats:
     """Sentence/token/char counts. Chars are Unicode scalar values; tokens are
     those of `filters.tokenize`."""
     n_sentences = len(corpus.sentences)
-    n_tokens = int(corpus.table.flat(corpus.sentences)[1].sum())
+    n_tokens = int(corpus.table.lengths(corpus.sentences).sum())
     n_chars = sum(len(s) for s in corpus.sentences)
     return CorpusStats(n_sentences, n_tokens, n_chars, n_chars / max(n_sentences, 1))
 
@@ -342,7 +361,8 @@ def corpus_stats(corpus: MonoCorpus) -> CorpusStats:
 def write_corpus(corpus: MonoCorpus, path: str | Path) -> None:
     """One UTF-8 sentence per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(s + "\n" for s in corpus.sentences))
+        for s in corpus.sentences:
+            fh.write(s + "\n")
 
 
 def read_corpus(path: str | Path, lang: str, table: Optional[filters.TokenTable] = None) -> MonoCorpus:

@@ -80,9 +80,21 @@ def tokenize(text: str) -> list[str]:
     character never gives whitespace, so its tokens are those of the folded
     text split at its spaces.
     """
-    if text.replace(" ", "").isalnum():
+    # the last character first: prose mostly ends a sentence with punctuation,
+    # and that fails the test without copying the text
+    if text[-1:].isalnum() and text.replace(" ", "").isalnum():
         return text.casefold().split()
     return _split_tokens(text, fold=True)
+
+
+def _reserve(array: np.ndarray, size: int, fill: int = 0) -> np.ndarray:
+    """`array` if it holds `size` items, else a copy at least twice as long,
+    its new slots set to `fill`."""
+    if size <= len(array):
+        return array
+    grown = np.full(max(size, 2 * len(array)), fill, array.dtype)
+    grown[: len(array)] = array
+    return grown
 
 
 class TokenTable:
@@ -101,7 +113,10 @@ class TokenTable:
         # not seen before gives it the next id
         self.vocab: dict[str, int] = defaultdict(itertools.count().__next__)
         self.ids: dict[str, int] = defaultdict(itertools.count().__next__)
+        # Each array has spare room at its end and doubles when it runs out,
+        # so adding n sentences or tokens costs O(n) amortized.
         self._tokens = np.empty(0, np.intp)  # the token ids of every tokenized sentence, end to end
+        self._used = 0  # how much of `_tokens` holds token ids
         self._start = np.empty(0, np.intp)  # by sentence id: where its token ids start in `_tokens`
         self._length = np.empty(0, np.intp)  # by sentence id: its token count, -1 until tokenized
 
@@ -109,21 +124,32 @@ class TokenTable:
         """Each sentence's id, a new one the first time a sentence is seen."""
         return list(map(self.ids.__getitem__, sentences))
 
-    def flat(self, sentences: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The sentences' token ids end to end, and each sentence's token
-        count. Sentences not seen before are tokenized in the order they
-        first occur."""
+    def _tokenized(self, sentences: Sequence[str]) -> np.ndarray:
+        """The sentences' ids, each sentence tokenized if it was not yet, in
+        the order the new ones first occur."""
         ids = np.fromiter(map(self.ids.__getitem__, sentences), np.intp, len(sentences))
-        grow = np.full(len(self.ids) - len(self._length), -1, np.intp)
-        self._start, self._length = np.concatenate([self._start, grow]), np.concatenate([self._length, grow])
+        self._start, self._length = _reserve(self._start, len(self.ids)), _reserve(self._length, len(self.ids), -1)
         new = np.flatnonzero(self._length[ids] < 0)
         new = new[np.sort(np.unique(ids[new], return_index=True)[1])]  # each new sentence's first position
         rows = [tokenize(sentences[i]) for i in new.tolist()]
         lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-        self._start[ids[new]] = len(self._tokens) + np.cumsum(lengths) - lengths
+        self._start[ids[new]] = self._used + np.cumsum(lengths) - lengths
         self._length[ids[new]] = lengths
+        end = self._used + int(lengths.sum())
+        self._tokens = _reserve(self._tokens, end)
         tokens = map(self.vocab.__getitem__, itertools.chain.from_iterable(rows))
-        self._tokens = np.concatenate([self._tokens, np.fromiter(tokens, np.intp, int(lengths.sum()))])
+        self._tokens[self._used : end] = np.fromiter(tokens, np.intp, end - self._used)
+        self._used = end
+        return ids
+
+    def lengths(self, sentences: Sequence[str]) -> np.ndarray:
+        """Each sentence's token count."""
+        ids = self._tokenized(sentences)  # before `_length` is read: it may grow
+        return self._length[ids]
+
+    def flat(self, sentences: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The sentences' token ids end to end, and each sentence's token count."""
+        ids = self._tokenized(sentences)
         lengths = self._length[ids]
         ends = np.cumsum(lengths)
         # each token's place in `_tokens`: its sentence's start there, plus its place within the sentence
@@ -245,7 +271,9 @@ def annotate_document(
 
 def document_cluster(doc: Document) -> int:
     """The most-often predicted cluster; ties go to the smallest cluster id."""
-    votes = Counter(s.predicted_cluster for s in doc.sentences if s.predicted_cluster is not None)
+    votes = Counter(
+        s.predicted_cluster for s in doc.sentences if s.predicted_cluster is not None
+    )
     if not votes:
         raise EmptyDocument(f"document {doc.id} has no annotated sentences")
     return min(votes, key=lambda cid: (-votes[cid], cid))
@@ -258,7 +286,8 @@ def consistency_score(doc: Document, sentence_index: int) -> float:
     target = doc.sentences[sentence_index].predicted_cluster
     if target is None:
         raise EmptyDocument(f"sentence {sentence_index} of {doc.id} is not annotated")
-    return sum(s.predicted_cluster == target for s in doc.sentences) / len(doc.sentences)
+    same = sum(1 for s in doc.sentences if s.predicted_cluster == target)
+    return same / len(doc.sentences)
 
 
 def filter_doc_consistency(crawl: Crawl) -> tuple[dict[int, MonoCorpus], dict[str, StageReport]]:
@@ -286,15 +315,15 @@ def filter_doc_consistency(crawl: Crawl) -> tuple[dict[int, MonoCorpus], dict[st
     doc_cluster = np.full(len(crawl.starts) - 1, -1)
     doc_cluster[winners // width] = winners % width
     keep = cids == doc_cluster[doc]
-    texts = np.array(list(crawl.table.ids), dtype=object)
-    kept_ids, kept_cids = crawl.ids[keep], cids[keep]
-    n_kept = np.bincount(kept_cids, minlength=width).tolist()
+    by_cluster = np.argsort(cids[keep], kind="stable")  # crawl order within a cluster
+    kept = np.array(list(crawl.table.ids), dtype=object)[crawl.ids[keep][by_cluster]].tolist()
+    n_kept = np.bincount(cids[keep], minlength=width).tolist()
     dropped = np.bincount(cids[~keep], minlength=width).tolist()
-    out, reports = {}, {}
+    out, reports, start = {}, {}, 0
     for k in np.flatnonzero(np.add(n_kept, dropped)).tolist():
         label = f"cluster:{labels[k]}"
         if n_kept[k]:
-            sentences = texts[kept_ids[kept_cids == k]].tolist()
+            sentences, start = kept[start : start + n_kept[k]], start + n_kept[k]
             out[int(labels[k])] = corpus_mod.MonoCorpus.from_sentences(label, sentences, "doc_consistency", crawl.table)
         rep = reports[label] = StageReport("doc_consistency", n_kept[k] + dropped[k], n_kept[k])
         if dropped[k]:
@@ -547,7 +576,15 @@ class RrrReport:
     reasons: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {**vars(self), "reasons": list(self.reasons)}
+        return {
+            "lang": self.lang,
+            "r_gold": self.r_gold,
+            "r_crawl": self.r_crawl,
+            "rho": self.rho,
+            "rrr": self.rrr,
+            "apply_filter": self.apply_filter,
+            "reasons": list(self.reasons),
+        }
 
 
 def rrr_gate(
@@ -608,20 +645,22 @@ class NegativeFilterRule:
         if not self.pattern:
             raise ValueError("pattern must be non-empty")
 
-    def hits(self, corpus: MonoCorpus, cased: Sequence[Sequence[str]]) -> np.ndarray:
-        """Whether the rule matches each of the corpus's sentences. `cased`
-        holds each sentence's tokens without case folding, and only a
-        case-sensitive token rule reads it; a token rule that folds case reads
-        the ids of the sentences' `tokenize` tokens in the corpus's table."""
+    def hits(
+        self, corpus: MonoCorpus, cased: Sequence[Sequence[str]], folded: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        """Whether the rule matches each of the corpus's sentences. A token
+        rule reads `cased` if it is case-sensitive, each sentence's tokens
+        without case folding, else `folded`: the ids in the corpus's table of
+        all its sentences' `tokenize` tokens end to end, and each token's
+        sentence."""
         if self.rule == "substring":
             pattern = self.pattern if self.case_sensitive else self.pattern.casefold()
             texts = corpus.sentences if self.case_sensitive else map(str.casefold, corpus.sentences)
             return np.fromiter((pattern in s for s in texts), bool, len(corpus.sentences))
         if self.case_sensitive:
             return np.fromiter((self.pattern in tokens for tokens in cased), bool, len(cased))
-        ids, lengths = corpus.table.flat(corpus.sentences)
-        hit = np.zeros(len(lengths), bool)
-        owner = np.repeat(np.arange(len(lengths)), lengths)  # each token's sentence
+        ids, owner = folded
+        hit = np.zeros(len(corpus.sentences), bool)
         hit[owner[ids == corpus.table.vocab.get(self.pattern.casefold(), -1)]] = True
         return hit
 
@@ -648,11 +687,16 @@ def negative_filter(corpus: MonoCorpus, rules: Sequence[NegativeFilterRule]) -> 
         if rule.lang != corpus.lang:
             raise ValueError(f"rule for {rule.lang!r} applied to corpus {corpus.lang!r}")
     report = StageReport("negative", n_in=len(corpus.sentences))
+    # each kind of token only if a rule reads it
     cased = any(r.rule == "token" and r.case_sensitive for r in rules)
     cased_rows = [_split_tokens(s, fold=False) for s in corpus.sentences] if cased else []
+    folded = (np.empty(0, np.intp), np.empty(0, np.intp))
+    if any(r.rule == "token" and not r.case_sensitive for r in rules):
+        ids, lengths = corpus.table.flat(corpus.sentences)
+        folded = ids, np.repeat(np.arange(len(lengths)), lengths)
     first = np.full(len(corpus.sentences), -1)  # each sentence's first matching rule, -1 if none
     for k in reversed(range(len(rules))):
-        first[rules[k].hits(corpus, cased_rows)] = k
+        first[rules[k].hits(corpus, cased_rows, folded)] = k
     kept = list(itertools.compress(corpus.sentences, (first < 0).tolist()))
     for k in first[first >= 0].tolist():
         report.drop(f"{rules[k].rule}:{rules[k].pattern}")

@@ -166,7 +166,13 @@ class RttResult:
         return self.score is None
 
     def to_dict(self) -> dict:
-        return {**vars(self), "invalid": self.invalid}
+        return {
+            "lang": self.lang,
+            "mode": self.mode,
+            "score": self.score,
+            "valid_fraction": self.valid_fraction,
+            "invalid": self.invalid,
+        }
 
 
 # sources are translated out of and back into the pivot language

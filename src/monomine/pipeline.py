@@ -191,7 +191,13 @@ class StageManifest:
     config_hash: str
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return {
+            "stage": self.stage,
+            "per_language": self.per_language,
+            "wall_time": self.wall_time,
+            "cpu_time": self.cpu_time,
+            "config_hash": self.config_hash,
+        }
 
 
 @dataclass
@@ -201,7 +207,10 @@ class PipelineResult:
     summary: dict
 
     def to_dict(self) -> dict:
-        return {"stages": [m.to_dict() for m in self.manifests], "summary": self.summary}
+        return {
+            "stages": [m.to_dict() for m in self.manifests],
+            "summary": self.summary,
+        }
 
 
 @dataclass

@@ -708,6 +708,31 @@ class TestKeepByFraction:
         assert calls == {"x y": 1, "y z": 1}
 
 
+class TestTokenTable:
+    @settings(max_examples=200, deadline=None)
+    @given(batches=st.lists(SENTENCES, max_size=6))
+    def test_each_batch_reads_its_tokens(self, batches):
+        table = TokenTable()
+        for batch in batches:
+            ids, lengths = table.flat(batch)
+            words = list(table.vocab)  # in id order
+            assert [words[i] for i in ids.tolist()] == [t for s in batch for t in tokenize(s)]
+            assert lengths.tolist() == [len(tokenize(s)) for s in batch] == table.lengths(batch).tolist()
+
+    def test_a_call_costs_its_own_sentences_not_the_table(self):
+        table = TokenTable()
+        buffers = [table._tokens]  # held, so no two share an id
+        for k in range(1000):
+            table.flat([f"w{k} x{k}"])
+            if table._tokens is not buffers[-1]:
+                buffers.append(table._tokens)
+        # the arrays double when full: a copy per power of two, not per call
+        assert len(buffers) <= 13
+        arrays = table._tokens, table._start, table._length
+        table.flat(["w7 x7", "w3 x3"])  # sentences the table holds: no array is copied
+        assert all(a is b for a, b in zip(arrays, (table._tokens, table._start, table._length)))
+
+
 class TestDistractibility:
     def test_never_mispredicted(self):
         cm = ConfusionMatrix(("en", "xx"), np.array([[10, 0], [0, 10]]))
